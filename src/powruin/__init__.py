@@ -14,11 +14,10 @@ from .doublespend import (DelayModel, DoubleSpendResult, PartialPGF, analyze,
                           adversary_lead_pmf, compute_q, honest_lead_pmf,
                           poisson_partial_pgf, truncated_product)
 from .medist import MEDistribution, cme, erlang_me, make_me
-from .phi import PhiDistribution, phi_ccdf, phi_from_theta, phi_partial_pgf
+from .phi import PhiDistribution, phi_from_theta
 from .ruinlindley import (LeadDistribution, RuinTable, UnstableRegimeError,
                           lead_pmf, ruin_recursive, ruin_via_lindley)
-from .simulate import (SimConfig, SimEstimate, draw_inter_mining_time,
-                       simulate_attack, simulate_attack_sweep,
-                       simulate_lindley)
+from .simulate import (SimConfig, SimEstimate, simulate_attack,
+                       simulate_attack_sweep, simulate_lindley)
 
 __version__ = "0.1.0"

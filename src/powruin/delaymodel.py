@@ -4,9 +4,9 @@ The effective honest mining rate after a block is a piecewise-constant
 function of elapsed time: fraction ``fractions[i]`` of the full rate on
 ``[thresholds[i], thresholds[i+1])`` and the full rate beyond the last
 threshold.  The inter-mining time distribution is assembled as a
-block-bidiagonal ME distribution: each segment length is replaced by a
-concentrated ME approximation shifted by the segment's mining rate, chained
-into a final exponential phase at full rate.
+sparse block-bidiagonal ME distribution: each segment length is replaced by
+a concentrated ME approximation shifted by the segment's mining rate,
+chained into a final exponential phase at full rate.
 
 Calibration rescales the single full-rate scalar until the model mean equals
 the protocol block interval.
@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse
 
-from .medist import MEDistribution, cme, make_me
+from .medist import MEDistribution, _validated, cme, make_me
 
 logger = logging.getLogger(__name__)
 
@@ -143,15 +143,10 @@ def zero_delay_theta(alpha: float) -> MEDistribution:
 
 def _chain(delay_dist: MEDistribution, alpha: float) -> MEDistribution:
     """Delay segment followed by an exponential(alpha) mining phase."""
-    m = delay_dist.order
-    T = np.zeros((m + 1, m + 1))
-    T[:m, :m] = delay_dist.subgen
-    T[:m, m] = delay_dist.exit
-    T[m, m] = -alpha
-    v = np.zeros(m + 1)
-    v[:m] = delay_dist.init
-    eigs = np.append(np.linalg.eigvals(delay_dist.subgen), -alpha)
-    return make_me(v, T, eigenvalues=eigs)
+    T = scipy.sparse.bmat([[delay_dist.subgen, delay_dist.exit[:, None]],
+                           [None, [[-alpha]]]], format="csc")
+    v = np.append(delay_dist.init, 0.0)
+    return _validated(v, T, np.append(delay_dist.eigenvalues, -alpha))
 
 
 def fixed_delay_theta(delay: float, alpha: float, K: int) -> MEDistribution:
@@ -177,7 +172,10 @@ def assemble_theta(profile: HashrateProfile, K: int) -> MEDistribution:
 
     Each segment i contributes a CME[K, delta_i] block shifted by the
     segment mining rate; consecutive blocks couple through exit/init rank-one
-    products and the final scalar phase mines at full rate.
+    products and the final scalar phase mines at full rate.  The sparse
+    matrix and its spectrum are built from the mean-one CME: the blocks are
+    its time-rescaled copies, and the CME's initial vector e_1 makes each
+    coupling block a single column.
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
@@ -185,38 +183,23 @@ def assemble_theta(profile: HashrateProfile, K: int) -> MEDistribution:
         raise ValueError(f"K must be odd (or 1), got {K}")
     N = profile.n_segments
     alpha = profile.fullrate
-    segs = [cme(K, d) for d in profile.segment_lengths]
-    korder = segs[0].order
-    m = N * korder + 1
+    unit = cme(K, 1.0)
+    inv = 1.0 / np.asarray(profile.segment_lengths)
+    rates = np.asarray(profile.fractions) * alpha
 
-    rows, cols, vals = [], [], []
-    eigs = []
-
-    def put(r0, c0, block):
-        br, bc = np.nonzero(block)
-        rows.extend(r0 + br)
-        cols.extend(c0 + bc)
-        vals.extend(block[br, bc])
-
-    for i, seg in enumerate(segs):
-        rate_i = profile.fractions[i] * alpha
-        shifted = seg.subgen - rate_i * np.eye(korder)
-        put(i * korder, i * korder, shifted)
-        eigs.append(np.linalg.eigvals(seg.subgen) - rate_i)
-        if i + 1 < N:
-            put(i * korder, (i + 1) * korder,
-                np.outer(seg.exit, segs[i + 1].init))
-        else:
-            put(i * korder, N * korder, seg.exit.reshape(korder, 1))
-    rows.append(m - 1)
-    cols.append(m - 1)
-    vals.append(-alpha)
-    eigs.append(np.array([-alpha]))
-
-    sp = scipy.sparse.csc_matrix((vals, (rows, cols)), shape=(m, m))
-    v = np.zeros(m)
-    v[:korder] = segs[0].init
-    return make_me(v, sp.toarray(), eigenvalues=np.concatenate(eigs), sparse=sp)
+    blocks = (scipy.sparse.kron(scipy.sparse.diags(inv), unit.subgen)
+              - scipy.sparse.diags(np.repeat(rates, K)))
+    coupling = scipy.sparse.kron(scipy.sparse.diags(inv[:-1], 1, shape=(N, N)),
+                                 scipy.sparse.csr_matrix(
+                                     np.outer(unit.exit, unit.init)))
+    last = np.zeros((N * K, 1))
+    last[-K:, 0] = unit.exit * inv[-1]
+    T = scipy.sparse.bmat([[blocks + coupling, last], [None, [[-alpha]]]],
+                          format="csc")
+    v = np.zeros(N * K + 1)
+    v[:K] = unit.init
+    eigs = np.append(np.outer(inv, unit.eigenvalues) - rates[:, None], -alpha)
+    return _validated(v, T, eigs)
 
 
 def calibrate_alpha(profile: HashrateProfile, block_interval: float, K: int,

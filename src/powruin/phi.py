@@ -6,8 +6,10 @@ per interval has the matrix-geometric pmf
 
     p(n) = c A^n b,   A = (I - T/beta)^{-1},   c = v A / beta,   b = h.
 
-A is never formed explicitly: every application is a linear solve against
-the factored matrix I - T/beta.
+A is never formed explicitly: every application is a solve against one
+sparse LU of I - T/beta.  Every eigenvalue lambda of T has negative real
+part (checked when theta was built), so each eigenvalue 1/(1 - lambda/beta)
+of A lies inside the unit disc and the pmf is summable.
 """
 
 from __future__ import annotations
@@ -15,17 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
 from .medist import MEDistribution
 
-__all__ = ["PhiDistribution", "phi_from_theta", "phi_ccdf", "phi_partial_pgf"]
-
-# Dense A is only materialized for small models; for larger ones the
-# factors field keeps (c, None, b).
-_DENSE_FACTOR_LIMIT = 500
+__all__ = ["PhiDistribution", "phi_from_theta"]
 
 
 @dataclass(frozen=True)
@@ -34,7 +31,6 @@ class PhiDistribution:
 
     masses: np.ndarray
     mean: float
-    factors: tuple = (None, None, None)
 
     def __post_init__(self):
         masses = np.asarray(self.masses, dtype=float)
@@ -52,67 +48,6 @@ class PhiDistribution:
         return len(self.masses)
 
 
-class _Solver:
-    """Reusable factorizations of M = I - T/beta and of -T/beta."""
-
-    def __init__(self, theta: MEDistribution, beta: float):
-        self.m = theta.order
-        self.sparse = self.m > _DENSE_FACTOR_LIMIT
-        base = theta._sparse if theta._sparse is not None else theta.subgen
-        if self.sparse:
-            Tsp = scipy.sparse.csc_matrix(base)
-            M = scipy.sparse.identity(self.m, format="csc") - Tsp / beta
-            self._M = M
-            self._lu_M = scipy.sparse.linalg.splu(M)
-            self._lu_Mt = scipy.sparse.linalg.splu(M.T.tocsc())
-            self._lu_D = scipy.sparse.linalg.splu(-Tsp / beta)
-        else:
-            T = np.asarray(theta.subgen)
-            M = np.eye(self.m) - T / beta
-            self._M = M
-            self._lu_M = scipy.linalg.lu_factor(M)
-            self._lu_D = scipy.linalg.lu_factor(-T / beta)
-
-    def apply_A(self, x):
-        """A x = M^{-1} x."""
-        if self.sparse:
-            return self._lu_M.solve(x)
-        return scipy.linalg.lu_solve(self._lu_M, x)
-
-    def apply_At(self, x):
-        """A^T x."""
-        if self.sparse:
-            return self._lu_Mt.solve(x)
-        return scipy.linalg.lu_solve(self._lu_M, x, trans=1)
-
-    def solve_ImA(self, x):
-        """(I - A)^{-1} x via (M - I) y = M x, with M - I = -T/beta."""
-        rhs = self.mul_M(x)
-        if self.sparse:
-            return self._lu_D.solve(rhs)
-        return scipy.linalg.lu_solve(self._lu_D, rhs)
-
-    def mul_M(self, x):
-        return self._M @ x
-
-    def spectral_radius(self, tol=1e-8, max_iter=500, seed=0):
-        """Power-iteration estimate of the spectral radius of A."""
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal(self.m)
-        x /= np.linalg.norm(x)
-        rho = 0.0
-        for _ in range(max_iter):
-            y = self.apply_A(x)
-            norm = np.linalg.norm(y)
-            if norm == 0.0:
-                return 0.0
-            if abs(norm - rho) <= tol * max(norm, 1.0):
-                return norm
-            rho = norm
-            x = y / norm
-        return rho
-
-
 def phi_from_theta(theta: MEDistribution, beta: float, k: int) -> PhiDistribution:
     """Masses p(0..k-1) and mean of the adversary count per interval."""
     if beta <= 0:
@@ -122,40 +57,23 @@ def phi_from_theta(theta: MEDistribution, beta: float, k: int) -> PhiDistributio
     if k > 10_000:
         raise ValueError(f"k={k} exceeds the supported cap of 10000")
 
-    solver = _Solver(theta, beta)
-    rho = solver.spectral_radius()
-    if rho >= 1.0:
-        raise ValueError(
-            f"spectral radius {rho} >= 1; theta is not a valid ME model")
-
-    b = np.asarray(theta.exit, dtype=float)
-    c = solver.apply_At(theta.init / beta)
+    M = scipy.sparse.identity(theta.order, format="csc") - theta.subgen / beta
+    lu = scipy.sparse.linalg.splu(M)
+    b = theta.exit
+    c = lu.solve(theta.init / beta, trans="T")  # c = v A / beta
 
     masses = np.empty(k)
     y = b
     masses[0] = c @ y
     for n in range(1, k):
-        y = solver.apply_A(y)
+        y = lu.solve(y)
         masses[n] = c @ y
 
+    def solve_ImA(x):
+        # (I - A)^{-1} x = (M - I)^{-1} M x, and M - I = -T/beta
+        return -beta * theta._solve_T(M @ x)
+
     # E = c A (I-A)^{-2} b via two solves with (I - A), then one A-apply.
-    x = solver.solve_ImA(solver.solve_ImA(b))
-    mean = float(c @ solver.apply_A(x))
-
-    A = None
-    if theta.order <= _DENSE_FACTOR_LIMIT:
-        A = solver.apply_A(np.eye(theta.order))
-    return PhiDistribution(masses=masses, mean=mean, factors=(c, A, b))
-
-
-def phi_ccdf(phi: PhiDistribution, n: int) -> float:
-    """Tail probability P(count > n) for 0 <= n <= k-1."""
-    if n < 0 or n >= phi.k:
-        raise ValueError(f"n={n} out of range [0, {phi.k - 1}]")
-    return max(1.0 - float(phi.masses[:n + 1].sum()), 0.0)
-
-
-def phi_partial_pgf(phi: PhiDistribution):
-    """The k-partial pgf: the first k masses as polynomial coefficients."""
-    from .doublespend import PartialPGF
-    return PartialPGF(coefficients=phi.masses.copy())
+    x = solve_ImA(solve_ImA(b))
+    mean = float(c @ lu.solve(x))
+    return PhiDistribution(masses=masses, mean=mean)

@@ -60,8 +60,12 @@ def _check_stable(phi: PhiDistribution):
 
 
 def _ccdf(phi: PhiDistribution, upto: int) -> np.ndarray:
-    """Tail values P(count > j) for j = 0..upto-1."""
-    return 1.0 - np.cumsum(phi.masses[:upto])
+    """Tail values P(count > j) for j = 0..upto-1.
+
+    Masses of a large model can sum to 1 + O(1e-11), which would leave a
+    negative tail; a tail probability is clamped at 0.
+    """
+    return np.maximum(1.0 - np.cumsum(phi.masses[:upto]), 0.0)
 
 
 def lead_pmf(phi: PhiDistribution, k: int) -> LeadDistribution:

@@ -17,8 +17,8 @@ import numpy as np
 from .delaymodel import HashrateProfile
 
 __all__ = [
-    "SimConfig", "SimEstimate", "ThetaSampler", "draw_inter_mining_time",
-    "simulate_attack", "simulate_attack_sweep", "simulate_lindley",
+    "SimConfig", "SimEstimate", "ThetaSampler", "simulate_attack",
+    "simulate_attack_sweep", "simulate_lindley",
 ]
 
 _BATCH = 1_000_000
@@ -87,14 +87,6 @@ class ThetaSampler:
             out[beyond] = self.tail_start + (
                 e[beyond] - self.cumhaz[-1]) / self.fullrate
         return out
-
-
-def draw_inter_mining_time(profile: HashrateProfile, rng, size=None):
-    """Sample honest inter-mining times; scalar when size is None."""
-    sampler = ThetaSampler(profile)
-    if size is None:
-        return float(sampler.sample(rng, 1)[0])
-    return sampler.sample(rng, size)
 
 
 def _race(z, sampler, beta, stop_lead, rng):

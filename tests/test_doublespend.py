@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from powruin.delaymodel import HashrateProfile, zero_delay_theta
+from powruin.delaymodel import (HashrateProfile, assemble_theta,
+                                calibrate_alpha, zero_delay_theta)
 from powruin.doublespend import (DelayModel, PartialPGF, adversary_lead_pmf,
                                  analyze, compute_q, honest_lead_pmf,
                                  poisson_partial_pgf, truncated_power,
                                  truncated_product)
 from powruin.medist import erlang_me
 from powruin.phi import phi_from_theta
-from powruin.ruinlindley import RuinTable, lead_pmf, ruin_recursive
+from powruin.ruinlindley import (RuinTable, lead_pmf, ruin_recursive,
+                                 ruin_via_lindley)
 
 ALPHA = 1 / 600
 BETA = 0.2 * ALPHA
@@ -174,3 +176,16 @@ def test_zero_delay_q_reference_values():
     results = analyze(DelayModel("zero"), 0.2, 600.0, 3)
     assert_allclose([r.q for r in results],
                     [0.36, 0.1644444444444444, 0.08], rtol=1e-10)
+
+
+def test_analyze_k27_profile_deep_lead():
+    # criterion-5/8 profile at K=27: its Phi masses summed to 1 + O(1e-11)
+    # and lead_pmf raised "negative lead mass"
+    prof = HashrateProfile((0.0, 2.0, 5.0, 10.0), (0.0, 0.4, 0.8), 1.0)
+    res = analyze(DelayModel("variable", profile=prof), 0.2, 600.0, 30, K=27)
+    assert len(res) == 30 and all(0.0 <= r.q <= 1.0 for r in res)
+    rate = calibrate_alpha(prof, 600.0, 27, rel_tol=1e-6).calibrated_rate
+    theta = assemble_theta(prof.with_fullrate(rate), 27)
+    phi = phi_from_theta(theta, 0.2 * rate, 30)
+    gap = np.abs(ruin_recursive(phi, 30).psi - ruin_via_lindley(phi, 30).psi)
+    assert gap.max() <= 1e-10

@@ -25,6 +25,27 @@ def test_make_me_rejects_positive_eigenvalue():
         make_me([0.5, 0.5], [[1.0, 0.0], [0.0, -1.0]])
 
 
+def test_make_me_rejects_positive_eigenvalue_at_high_order():
+    # no spectrum given: make_me computes it at every order
+    m = 1201
+    T = -np.eye(m)
+    T[5, 5] = 0.5
+    with pytest.raises(MEValidationError, match="eigenvalue"):
+        make_me(np.full(m, 1.0 / m), T)
+
+
+def test_make_me_rejects_decreasing_cdf_at_high_order():
+    # density e^{-x} (a0 + a1 cos 3x) with a1 > a0 dips below zero; the
+    # padding phases carry no initial mass
+    m = 201
+    T = -np.eye(m)
+    T[1:3, 1:3] = [[-1.0, 3.0], [-3.0, -1.0]]
+    v = np.zeros(m)
+    v[:3] = [0.8, -0.2, 0.4]
+    with pytest.raises(MEValidationError, match="cdf not nondecreasing"):
+        make_me(v, T)
+
+
 def test_make_me_rejects_bad_mass():
     with pytest.raises(MEValidationError):
         make_me([0.5, 0.4], [[-1, 0], [0, -1]])

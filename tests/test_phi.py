@@ -6,7 +6,8 @@ from numpy.testing import assert_allclose
 
 from powruin.delaymodel import (HashrateProfile, assemble_theta,
                                 fixed_delay_theta, zero_delay_theta)
-from powruin.phi import phi_ccdf, phi_from_theta, phi_partial_pgf
+from powruin.doublespend import PartialPGF
+from powruin.phi import phi_from_theta
 
 ALPHA = 1 / 600
 BETA = 0.2 * ALPHA
@@ -46,21 +47,20 @@ def test_rejects_bad_args():
 
 def test_ccdf():
     phi = phi_from_theta(zero_delay_theta(ALPHA), BETA, 10)
-    assert_allclose(phi_ccdf(phi, 0), 1 / 6, rtol=1e-12)
-    vals = [phi_ccdf(phi, n) for n in range(10)]
-    assert np.all(np.diff(vals) <= 1e-14)
-    with pytest.raises(ValueError):
-        phi_ccdf(phi, 10)
+    tail = 1.0 - np.cumsum(phi.masses)
+    assert_allclose(tail[0], 1 / 6, rtol=1e-12)
+    assert np.all(np.diff(tail) <= 1e-14)
+    assert np.all(tail >= 0)
 
 
 def test_ccdf_vanishing_adversary():
     phi = phi_from_theta(zero_delay_theta(ALPHA), 1e-12 * ALPHA, 3)
-    assert phi_ccdf(phi, 0) < 1e-10
+    assert 1.0 - phi.masses[0] < 1e-10
 
 
 def test_partial_pgf_values():
     phi = phi_from_theta(zero_delay_theta(ALPHA), BETA, 8)
-    g = phi_partial_pgf(phi)
+    g = PartialPGF(phi.masses)
     assert_allclose(g(0.0), 5 / 6, rtol=1e-12)
     assert g(1.0) <= 1 + 1e-10
 

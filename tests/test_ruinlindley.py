@@ -110,3 +110,14 @@ def test_heavier_counts_raise_ruin():
     a = ruin_recursive(geometric_phi(0.15, 10), 10).psi
     b = ruin_recursive(geometric_phi(0.30, 10), 10).psi
     assert np.all(b >= a)
+
+
+def test_masses_summing_above_one_keep_tails_nonnegative():
+    # rounding can leave Phi masses summing to 1 + O(1e-11); a negative
+    # tail 1 - cumsum would make deep lead masses negative
+    masses = np.zeros(40)
+    masses[:3] = [0.7, 0.2, 0.1 + 2e-11]
+    phi = PhiDistribution(masses=masses, mean=0.4)
+    assert np.all(lead_pmf(phi, 40).masses >= 0)
+    assert_allclose(ruin_recursive(phi, 40).psi, ruin_via_lindley(phi, 40).psi,
+                    atol=1e-10)

@@ -5,9 +5,8 @@ from numpy.testing import assert_allclose
 from powruin.delaymodel import HashrateProfile, zero_delay_theta
 from powruin.phi import phi_from_theta
 from powruin.ruinlindley import lead_pmf
-from powruin.simulate import (SimConfig, ThetaSampler, draw_inter_mining_time,
-                              simulate_attack, simulate_attack_sweep,
-                              simulate_lindley)
+from powruin.simulate import (SimConfig, ThetaSampler, simulate_attack,
+                              simulate_attack_sweep, simulate_lindley)
 
 ALPHA = 1 / 600
 
@@ -57,9 +56,10 @@ def test_sampler_mean_matches_analytic():
 
 def test_draw_scalar_and_vector():
     rng = np.random.default_rng(3)
-    s = draw_inter_mining_time(zero_profile(), rng)
-    assert isinstance(s, float) and s > 0
-    v = draw_inter_mining_time(zero_profile(), rng, size=10)
+    sampler = ThetaSampler(zero_profile())
+    s = sampler.sample(rng, 1)
+    assert s.shape == (1,) and s[0] > 0
+    v = sampler.sample(rng, 10)
     assert v.shape == (10,)
 
 
