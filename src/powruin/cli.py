@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import delaymodel, doublespend, ingest, simulate
+from . import doublespend, ingest, simulate
 from .delaymodel import HashrateProfile
 from .medist import erlang_me
 
@@ -59,6 +59,9 @@ def _load_profile(args) -> HashrateProfile:
 
 
 def _build_model(args) -> doublespend.DelayModel:
+    if args.model != "variable" and (args.data or args.profile):
+        raise ValueError(f"--data and --profile need --model variable, "
+                         f"got --model {args.model}")
     if args.model == "zero":
         return doublespend.DelayModel("zero")
     if args.model == "fixed":
@@ -72,21 +75,13 @@ def _build_model(args) -> doublespend.DelayModel:
     return doublespend.DelayModel("variable", profile=_load_profile(args))
 
 
-def _sim_profile(args):
-    """Profile + calibrated rate + delta_conf for simulation commands."""
-    T = args.block_interval
-    if args.model == "zero":
-        return HashrateProfile.zero_delay(1.0 / T), 1.0 / T, 0.0
-    if args.model == "fixed":
-        alpha = 1.0 / (T - args.delay)
-        return (HashrateProfile.fixed_delay(args.delay, alpha), alpha,
-                args.delay)
-    if args.model == "variable":
-        prof = _load_profile(args)
-        cal = delaymodel.calibrate_alpha(prof, T, args.cme_order, rel_tol=1e-6)
-        prof = prof.with_fullrate(cal.calibrated_rate)
-        return prof, cal.calibrated_rate, prof.max_delay
-    raise ValueError(f"model {args.model!r} is not supported by simulate")
+def _calibrated_profile(args, command, rel_tol=1e-6):
+    """Calibrated profile, calibration and tag for profile-shaped models."""
+    model = _build_model(args)
+    if model.kind == "random":
+        raise ValueError(f"model {args.model!r} is not supported by {command}")
+    return doublespend._calibrated_profile(model, args.block_interval,
+                                           args.cme_order, rel_tol)
 
 
 def _write(path, text):
@@ -111,21 +106,11 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    if args.model == "variable" or args.profile:
-        prof = _load_profile(args)
-    elif args.model == "zero":
-        prof = HashrateProfile.zero_delay(1.0 / args.block_interval)
-    elif args.model == "fixed":
-        prof = HashrateProfile.fixed_delay(args.delay,
-                                           1.0 / args.block_interval)
-    else:
-        raise ValueError("calibrate supports zero, fixed and variable models")
-    res = delaymodel.calibrate_alpha(prof, args.block_interval,
-                                     args.cme_order, rel_tol=args.rel_tol)
-    rel_err = abs(res.achieved_mean - args.block_interval) / args.block_interval
-    print(f"calibrated_rate_bps = {res.calibrated_rate!r}")
-    print(f"achieved_mean_s = {res.achieved_mean!r}")
-    print(f"iterations = {res.iterations}")
+    _, cal, _ = _calibrated_profile(args, "calibrate", args.rel_tol)
+    rel_err = abs(cal.achieved_mean - args.block_interval) / args.block_interval
+    print(f"calibrated_rate_bps = {cal.calibrated_rate!r}")
+    print(f"achieved_mean_s = {cal.achieved_mean!r}")
+    print(f"iterations = {cal.iterations}")
     print(f"rel_error = {rel_err:.3e}")
     return 0
 
@@ -161,11 +146,12 @@ def cmd_density(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    profile, rate, default_dconf = _sim_profile(args)
-    dconf = args.delta_conf if args.delta_conf is not None else default_dconf
+    profile, _, _ = _calibrated_profile(args, "simulate")
+    dconf = (args.delta_conf if args.delta_conf is not None
+             else profile.max_delay)
     config = simulate.SimConfig(
-        profile=profile, beta=args.beta_fraction * rate, k=args.k_max,
-        delta_conf=dconf, warmup_blocks=args.warmup, stop_lead=args.stop_lead,
+        profile=profile, beta=args.beta_fraction * profile.fullrate,
+        k=args.k_max, delta_conf=dconf, warmup_blocks=args.warmup, stop_lead=args.stop_lead,
         trials=args.trials, seed=args.seed)
     ests = simulate.simulate_attack_sweep(config, range(1, args.k_max + 1))
     lines = ["k,q_hat,std_err,trials"]

@@ -3,26 +3,27 @@
 The effective honest mining rate after a block is a piecewise-constant
 function of elapsed time: fraction ``fractions[i]`` of the full rate on
 ``[thresholds[i], thresholds[i+1])`` and the full rate beyond the last
-threshold.  The inter-mining time distribution is assembled as a
-sparse block-bidiagonal ME distribution: each segment length is replaced by
-a concentrated ME approximation shifted by the segment's mining rate,
-chained into a final exponential phase at full rate.
+threshold.  Zero delay is the profile with no segment and a fixed delay d
+the profile with one segment [0, d) that does not mine.  The inter-mining
+time distribution is assembled as a sparse block-bidiagonal ME
+distribution: each segment length is replaced by a concentrated ME
+approximation shifted by the segment's mining rate, chained into a final
+exponential phase at full rate.
 
-Calibration rescales the single full-rate scalar until the model mean equals
-the protocol block interval.
+Calibration rescales the single full-rate scalar by fixed-point iteration
+on the mean time after the profile's dead time until the model mean equals
+the protocol block interval; the iterates rise monotonically to the root,
+so no bracketing fallback is needed.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse
 
 from .medist import MEDistribution, _validated, cme, make_me
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "HashrateProfile", "CalibrationResult", "assemble_theta",
@@ -35,10 +36,11 @@ __all__ = [
 class HashrateProfile:
     """Piecewise-constant honest hashrate function.
 
-    thresholds: ascending breakpoints in seconds, starting at 0, length N+1.
+    thresholds: ascending finite breakpoints in seconds, starting at 0,
+                length N+1; N = 0 mines at full rate from time 0.
     fractions:  rate fractions in [0,1] on each of the N segments,
                 nondecreasing.
-    fullrate:   rate in blocks/second for times past the last threshold.
+    fullrate:   finite rate in blocks/second past the last threshold.
     """
 
     thresholds: tuple
@@ -50,18 +52,20 @@ class HashrateProfile:
         fr = tuple(float(f) for f in self.fractions)
         object.__setattr__(self, "thresholds", thr)
         object.__setattr__(self, "fractions", fr)
-        if len(thr) < 2 or thr[0] != 0.0:
-            raise ValueError("thresholds must start at 0 and have N >= 1 segments")
+        if not thr or thr[0] != 0.0:
+            raise ValueError("thresholds must start at 0")
+        if not np.all(np.isfinite(thr)):
+            raise ValueError("thresholds must be finite")
         if any(b <= a for a, b in zip(thr, thr[1:])):
             raise ValueError("thresholds must be strictly increasing")
         if len(fr) != len(thr) - 1:
             raise ValueError("need one fraction per segment")
-        if any(f < 0 or f > 1 for f in fr):
+        if any(not 0 <= f <= 1 for f in fr):
             raise ValueError("fractions must lie in [0, 1]")
         if any(b < a for a, b in zip(fr, fr[1:])):
             raise ValueError("fractions must be nondecreasing")
-        if not self.fullrate > 0:
-            raise ValueError("fullrate must be positive")
+        if not 0 < self.fullrate < np.inf:
+            raise ValueError("fullrate must be positive and finite")
 
     @property
     def n_segments(self) -> int:
@@ -80,14 +84,16 @@ class HashrateProfile:
 
     @classmethod
     def zero_delay(cls, alpha: float) -> "HashrateProfile":
-        """Degenerate profile: full rate effectively from time zero."""
-        return cls(thresholds=(0.0, 1e-9), fractions=(1.0,), fullrate=alpha)
+        """No segment: full rate from time zero."""
+        return cls(thresholds=(0.0,), fractions=(), fullrate=alpha)
 
     @classmethod
     def fixed_delay(cls, delay: float, alpha: float) -> "HashrateProfile":
         """No mining until ``delay``, then full rate."""
-        if delay <= 0:
-            raise ValueError("delay must be positive; use zero_delay instead")
+        if not 0 <= delay < np.inf:
+            raise ValueError(f"delay must be nonnegative and finite, got {delay}")
+        if delay == 0:
+            return cls.zero_delay(alpha)
         return cls(thresholds=(0.0, float(delay)), fractions=(0.0,),
                    fullrate=alpha)
 
@@ -111,7 +117,7 @@ class HashrateProfile:
                 continue
             if line.startswith("#"):
                 if "fullrate_bps" in line:
-                    fullrate = float(line.split("=", 1)[1])
+                    fullrate = float(line.partition("=")[2])
                 continue
             if line.startswith("threshold_s"):
                 continue
@@ -136,40 +142,28 @@ class CalibrationResult:
 
 def zero_delay_theta(alpha: float) -> MEDistribution:
     """Exponential inter-mining time at rate alpha (no propagation delay)."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    return make_me([1.0], [[-alpha]], eigenvalues=[-alpha])
-
-
-def _chain(delay_dist: MEDistribution, alpha: float) -> MEDistribution:
-    """Delay segment followed by an exponential(alpha) mining phase."""
-    T = scipy.sparse.bmat([[delay_dist.subgen, delay_dist.exit[:, None]],
-                           [None, [[-alpha]]]], format="csc")
-    v = np.append(delay_dist.init, 0.0)
-    return _validated(v, T, np.append(delay_dist.eigenvalues, -alpha))
+    return assemble_theta(HashrateProfile.zero_delay(alpha), 1)
 
 
 def fixed_delay_theta(delay: float, alpha: float, K: int) -> MEDistribution:
     """ME-fication of the fixed-delay model: CME[K, delay] then exp(alpha)."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if delay < 0:
-        raise ValueError(f"delay must be nonnegative, got {delay}")
-    if delay == 0:
-        return zero_delay_theta(alpha)
-    return _chain(cme(K, delay), alpha)
+    return assemble_theta(HashrateProfile.fixed_delay(delay, alpha), K)
 
 
 def random_delay_theta(delay_dist: MEDistribution, alpha: float) -> MEDistribution:
     """ME-distributed random delay followed by exponential mining."""
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    return _chain(delay_dist, alpha)
+    T = scipy.sparse.bmat([[delay_dist.subgen, delay_dist.exit[:, None]],
+                           [None, [[-alpha]]]], format="csc")
+    v = np.append(delay_dist.init, 0.0)
+    return _validated(v, T, np.append(delay_dist.eigenvalues, -alpha))
 
 
 def assemble_theta(profile: HashrateProfile, K: int) -> MEDistribution:
     """Inter-mining time ME distribution of order N*K + 1 for a profile.
 
+    With no segment (N = 0) it is the exponential at full rate, for any K.
     Each segment i contributes a CME[K, delta_i] block shifted by the
     segment mining rate; consecutive blocks couple through exit/init rank-one
     products and the final scalar phase mines at full rate.  The sparse
@@ -177,12 +171,14 @@ def assemble_theta(profile: HashrateProfile, K: int) -> MEDistribution:
     its time-rescaled copies, and the CME's initial vector e_1 makes each
     coupling block a single column.
     """
+    N = profile.n_segments
+    alpha = profile.fullrate
+    if N == 0:
+        return make_me([1.0], [[-alpha]], eigenvalues=[-alpha])
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     if K != 1 and K % 2 == 0:
         raise ValueError(f"K must be odd (or 1), got {K}")
-    N = profile.n_segments
-    alpha = profile.fullrate
     unit = cme(K, 1.0)
     inv = 1.0 / np.asarray(profile.segment_lengths)
     rates = np.asarray(profile.fractions) * alpha
@@ -206,48 +202,36 @@ def calibrate_alpha(profile: HashrateProfile, block_interval: float, K: int,
                     rel_tol: float = 1e-4, max_iter: int = 200) -> CalibrationResult:
     """Find the full rate making the model mean equal the block interval.
 
-    Fixed-point iteration alpha <- alpha * mean/target starting from
-    1/target, with a bisection fallback if the iterates stop contracting.
+    The model mean exceeds the profile's dead time D (where its first
+    mining segment starts) and tends to it as alpha grows, so a root exists
+    exactly when D is below the block interval T; otherwise this raises
+    ``ValueError``.  Fixed-point iteration on the time after the dead time,
+    alpha <- alpha * (mean - D)/(T - D) from 1/(T - D), converges
+    monotonically with no bracketing fallback and lands on a fixed delay's
+    root 1/(T - d) at the first step.
     """
-    if block_interval <= 0:
-        raise ValueError("block_interval must be positive")
+    if not 0 < block_interval < np.inf:
+        raise ValueError(
+            f"block_interval must be positive and finite, got {block_interval}")
     if rel_tol <= 0:
         raise ValueError("rel_tol must be positive")
-
     target = float(block_interval)
-    alpha0 = 1.0 / target
+    dead = next((t for t, f in zip(profile.thresholds, profile.fractions)
+                 if f > 0), profile.max_delay)
+    if dead >= target:
+        raise ValueError(f"no mining before {dead:g} s, which is not below "
+                         f"the block interval {target:g} s")
 
-    def model_mean(alpha):
-        return assemble_theta(profile.with_fullrate(alpha), K).mean()
-
-    alpha = alpha0
+    # nondecreasing fractions make alpha*E[theta - D] nondecreasing in alpha,
+    # and 1/(T - D) lies below the root: the iterates only rise
+    alpha = 1.0 / (target - dead)
     trace = []
-    prev_err = np.inf
     for it in range(1, max_iter + 1):
-        mean = model_mean(alpha)
-        err = abs(mean - target) / target
+        mean = assemble_theta(profile.with_fullrate(alpha), K).mean()
         trace.append((alpha, mean))
-        if err <= rel_tol:
-            return CalibrationResult(alpha, mean, it, True, tuple(trace))
-        if err > prev_err:
-            logger.info("fixed-point iteration stopped contracting; bisecting")
-            break
-        prev_err = err
-        alpha = alpha * mean / target
-
-    # Bisection on g(alpha) = mean(alpha) - target; mean decreases in alpha.
-    lo, hi = alpha0 / 10.0, alpha0 * 10.0
-    if model_mean(lo) < target or model_mean(hi) > target:
-        raise RuntimeError(
-            f"calibration failed to bracket the target; trace={trace}")
-    for it2 in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        mean = model_mean(mid)
-        trace.append((mid, mean))
         if abs(mean - target) / target <= rel_tol:
-            return CalibrationResult(mid, mean, len(trace), True, tuple(trace))
-        if mean > target:
-            lo = mid
-        else:
-            hi = mid
-    raise RuntimeError(f"calibration did not converge; trace={trace}")
+            return CalibrationResult(alpha, mean, it, True, tuple(trace))
+        alpha = alpha * (mean - dead) / (target - dead)
+    raise RuntimeError(
+        f"calibration did not converge in {max_iter} iterations; last "
+        f"alpha={trace[-1][0]!r}, mean={trace[-1][1]!r}")

@@ -59,8 +59,6 @@ class PartialPGF:
 @dataclass(frozen=True)
 class DoubleSpendResult:
     q: float
-    p_V: PartialPGF
-    p_Z: np.ndarray
     deficit_mass: float
     model_tag: str
     k: int
@@ -84,8 +82,9 @@ class DelayModel:
     def __post_init__(self):
         if self.kind not in ("zero", "fixed", "random", "variable"):
             raise ValueError(f"unknown delay model kind {self.kind!r}")
-        if self.kind == "fixed" and (self.delay is None or self.delay < 0):
-            raise ValueError("fixed model needs a nonnegative delay")
+        if self.kind == "fixed" and (self.delay is None
+                                     or not 0 <= self.delay < np.inf):
+            raise ValueError("fixed model needs a nonnegative finite delay")
         if self.kind == "random" and self.delay_dist is None:
             raise ValueError("random model needs a delay distribution")
         if self.kind == "variable" and self.profile is None:
@@ -154,7 +153,7 @@ def honest_lead_pmf(p_V: PartialPGF, k: int):
 
 
 def compute_q(p_Z: np.ndarray, deficit_mass: float, ruin: RuinTable,
-              model_tag: str = "", p_V: PartialPGF | None = None) -> DoubleSpendResult:
+              model_tag: str = "") -> DoubleSpendResult:
     """Violation probability q = 1 - sum_u p_Z(u) (1 - psi(u)).
 
     The deficit mass (adversary already at or past the honest tip) is
@@ -167,42 +166,45 @@ def compute_q(p_Z: np.ndarray, deficit_mass: float, ruin: RuinTable,
         raise ValueError("ruin table shorter than p_Z")
     if np.any(p_Z < 0) or np.any(p_Z > 1):
         raise ValueError("p_Z out of [0, 1]")
+    if p_Z.sum() > 1 + 1e-8:
+        raise ValueError(f"p_Z sums to {p_Z.sum()} > 1")
     q = 1.0 - float(np.sum(p_Z * (1.0 - psi)))
     q = min(max(q, 0.0), 1.0)
-    if p_V is None:
-        p_V = PartialPGF(p_Z[::-1].copy())
-    return DoubleSpendResult(q=q, p_V=p_V, p_Z=p_Z, deficit_mass=deficit_mass,
+    return DoubleSpendResult(q=q, deficit_mass=deficit_mass,
                              model_tag=model_tag, k=k)
+
+
+def _calibrated_profile(model: DelayModel, block_interval: float, K: int,
+                        rel_tol: float = 1e-6):
+    """Calibrated profile, its calibration and tag for a non-random model."""
+    if model.kind == "zero":
+        profile, tag = HashrateProfile.zero_delay(1.0), "zero"
+    elif model.kind == "fixed":
+        profile = HashrateProfile.fixed_delay(model.delay, 1.0)
+        tag = f"fixed({model.delay:g})"
+    else:
+        profile, tag = model.profile, f"variable(N={model.profile.n_segments})"
+    cal = calibrate_alpha(profile, block_interval, K, rel_tol=rel_tol)
+    return profile.with_fullrate(cal.calibrated_rate), cal, tag
 
 
 def _build_theta(model: DelayModel, block_interval: float, K: int,
                  rel_tol: float = 1e-6):
-    """Calibrated (theta, fullrate, default delta_conf, tag) for a model."""
-    if model.kind == "zero":
-        alpha = 1.0 / block_interval
-        return delaymodel.zero_delay_theta(alpha), alpha, 0.0, "zero"
-    if model.kind == "fixed":
-        if model.delay == 0:
-            alpha = 1.0 / block_interval
-            return delaymodel.zero_delay_theta(alpha), alpha, 0.0, "fixed(0)"
-        if model.delay >= block_interval:
-            raise ValueError("delay must be below the block interval")
-        # mean = delay + 1/alpha, so the calibrated rate is closed-form
-        alpha = 1.0 / (block_interval - model.delay)
-        theta = delaymodel.fixed_delay_theta(model.delay, alpha, K)
-        return theta, alpha, float(model.delay), f"fixed({model.delay:g})"
+    """Calibrated (theta, fullrate, default delta_conf, tag) for a model.
+
+    A random delay has no default delta_conf (None).
+    """
     if model.kind == "random":
         dmean = model.delay_dist.mean()
-        if dmean >= block_interval:
-            raise ValueError("mean delay must be below the block interval")
+        if not dmean < block_interval < np.inf:
+            raise ValueError(f"block_interval must be finite and above the "
+                             f"mean delay {dmean:g} s, got {block_interval}")
         alpha = 1.0 / (block_interval - dmean)
-        theta = delaymodel.random_delay_theta(model.delay_dist, alpha)
-        return theta, alpha, None, f"random(mean={dmean:g})"
-    cal = calibrate_alpha(model.profile, block_interval, K, rel_tol=rel_tol)
-    profile = model.profile.with_fullrate(cal.calibrated_rate)
-    theta = delaymodel.assemble_theta(profile, K)
-    tag = f"variable(N={profile.n_segments})"
-    return theta, cal.calibrated_rate, profile.max_delay, tag
+        return (delaymodel.random_delay_theta(model.delay_dist, alpha), alpha,
+                None, f"random(mean={dmean:g})")
+    profile, cal, tag = _calibrated_profile(model, block_interval, K, rel_tol)
+    return (delaymodel.assemble_theta(profile, K), cal.calibrated_rate,
+            profile.max_delay, tag)
 
 
 def analyze(model: DelayModel, beta_fraction: float, block_interval: float,
@@ -225,14 +227,15 @@ def analyze(model: DelayModel, beta_fraction: float, block_interval: float,
             raise ValueError(
                 "random-delay models need an explicit delta_conf")
         delta_conf = default_dconf
+    if not 0 <= delta_conf < np.inf:
+        raise ValueError(
+            f"delta_conf must be nonnegative and finite, got {delta_conf}")
     beta = beta_fraction * fullrate
     tag = f"{tag},beta={beta_fraction:g},T={block_interval:g},K={K}"
 
     phi = phi_from_theta(theta, beta, k_max)
     if phi.mean >= 1.0:
-        p_unstable = PartialPGF(np.zeros(1))
-        return [DoubleSpendResult(q=1.0, p_V=p_unstable, p_Z=np.zeros(k),
-                                  deficit_mass=1.0, model_tag=tag, k=k,
+        return [DoubleSpendResult(q=1.0, deficit_mass=1.0, model_tag=tag, k=k,
                                   unstable_regime=True)
                 for k in range(1, k_max + 1)]
     lead_full = lead_pmf(phi, k_max)
@@ -245,5 +248,5 @@ def analyze(model: DelayModel, beta_fraction: float, block_interval: float,
         p_V = adversary_lead_pmf(lead_k, phi_k, delta_conf, beta, k)
         p_Z, deficit = honest_lead_pmf(p_V, k)
         ruin_k = RuinTable(psi=ruin_full.psi[:k].copy())
-        results.append(compute_q(p_Z, deficit, ruin_k, model_tag=tag, p_V=p_V))
+        results.append(compute_q(p_Z, deficit, ruin_k, model_tag=tag))
     return results

@@ -53,14 +53,14 @@ class SimEstimate:
     q_hat: float
     std_err: float
     trials: int
-    regime_notes: str = ""
 
 
 class ThetaSampler:
     """First-event sampler of the piecewise-constant-rate mining process.
 
     Inverts the piecewise-linear cumulative hazard of the profile, which is
-    exact for piecewise-constant rates (no thinning).
+    exact for piecewise-constant rates (no thinning).  A profile with no
+    segment samples the exponential at full rate.
     """
 
     def __init__(self, profile: HashrateProfile):
@@ -69,15 +69,18 @@ class ThetaSampler:
         lengths = np.array(profile.segment_lengths)
         self.rates = rates
         self.left = np.array(profile.thresholds[:-1])
-        self.cumhaz = np.cumsum(rates * lengths)  # hazard at right edges
-        self.hazlo = np.concatenate([[0.0], self.cumhaz[:-1]])
+        # cumulative hazard at every threshold
+        edges = np.concatenate([[0.0], np.cumsum(rates * lengths)])
+        self.cumhaz = edges[1:]  # at right edges
+        self.hazlo = edges[:-1]
+        self.tail_haz = edges[-1]
         self.tail_start = profile.thresholds[-1]
         self.fullrate = profile.fullrate
 
     def sample(self, rng, size):
         e = rng.exponential(size=size)
         out = np.empty(size)
-        inside = e <= self.cumhaz[-1]
+        inside = e < self.tail_haz
         if np.any(inside):
             idx = np.searchsorted(self.cumhaz, e[inside], side="left")
             r = self.rates[idx]
@@ -85,7 +88,7 @@ class ThetaSampler:
         beyond = ~inside
         if np.any(beyond):
             out[beyond] = self.tail_start + (
-                e[beyond] - self.cumhaz[-1]) / self.fullrate
+                e[beyond] - self.tail_haz) / self.fullrate
         return out
 
 
@@ -152,11 +155,7 @@ def simulate_attack_sweep(config: SimConfig, ks) -> dict[int, SimEstimate]:
     for k in ks:
         q_hat = violations[k] / config.trials
         se = float(np.sqrt(q_hat * (1.0 - q_hat) / config.trials))
-        note = (f"stop_lead={config.stop_lead}, "
-                f"warmup={config.warmup_blocks}; truncation bias bounded by "
-                f"the analytic ruin probability at the stop lead")
-        out[k] = SimEstimate(q_hat=q_hat, std_err=se, trials=config.trials,
-                             regime_notes=note)
+        out[k] = SimEstimate(q_hat=q_hat, std_err=se, trials=config.trials)
     return out
 
 

@@ -19,6 +19,19 @@ def run(capsys, *argv):
     return code, out
 
 
+def run_err(capsys, *argv):
+    code = main(list(argv))
+    return code, capsys.readouterr().err
+
+
+MODEL_COMMANDS = {
+    "sweep": ["sweep", "--k-max", "2"],
+    "calibrate": ["calibrate"],
+    "simulate": ["simulate", "--k-max", "1", "--trials", "2000",
+                 "--warmup", "1000"],
+}
+
+
 def test_sweep_zero_model(capsys):
     code, out = run(capsys, "sweep", "--model", "zero", "--k-max", "3")
     assert code == 0
@@ -128,3 +141,97 @@ def test_config_file_bad_line(tmp_path, capsys):
     cfg.write_text("not a pair\n")
     code, _ = run(capsys, "--config", str(cfg), "sweep", "--model", "zero")
     assert code == EXIT_INPUT
+
+
+@pytest.mark.parametrize("command", sorted(MODEL_COMMANDS))
+def test_fixed_zero_delay_runs_on_every_command(command, capsys):
+    code, out = run(capsys, *MODEL_COMMANDS[command], "--model", "fixed",
+                    "--delay", "0")
+    assert code == 0
+    if command == "calibrate":
+        assert float(out.splitlines()[0].split("=")[1]) == 1 / 600
+
+
+@pytest.mark.parametrize("command", sorted(MODEL_COMMANDS))
+def test_fixed_delay_close_below_interval_runs_on_every_command(command,
+                                                                capsys):
+    code, out = run(capsys, *MODEL_COMMANDS[command], "--model", "fixed",
+                    "--delay", "590", "--cme-order", "5",
+                    "--beta-fraction", "0.01")
+    assert code == 0
+    if command == "calibrate":
+        assert float(out.splitlines()[0].split("=")[1]) == 1 / 10
+
+
+@pytest.mark.parametrize("command", sorted(MODEL_COMMANDS))
+@pytest.mark.parametrize("flag", ["--profile", "--data"])
+def test_profile_flags_need_variable_model(command, flag, tmp_path, capsys):
+    prof = tmp_path / "p.csv"
+    prof.write_text("# fullrate_bps = 1.0\n10.0,0.0\n20.0,0.5\n")
+    code, err = run_err(capsys, *MODEL_COMMANDS[command], flag, str(prof))
+    assert code == EXIT_INPUT
+    assert "need --model variable" in err
+
+
+@pytest.mark.parametrize("command", sorted(MODEL_COMMANDS))
+def test_delay_at_or_above_interval_is_input_error(command, capsys):
+    code, err = run_err(capsys, *MODEL_COMMANDS[command], "--model", "fixed",
+                        "--delay", "700")
+    assert code == EXIT_INPUT
+    assert err.strip() == ("error: no mining before 700 s, which is not "
+                           "below the block interval 600 s")
+
+
+def test_profile_mining_after_interval_is_input_error(tmp_path, capsys):
+    prof = tmp_path / "late.csv"
+    prof.write_text("# fullrate_bps = 1.0\n"
+                    "threshold_s,cum_fraction\n"
+                    "700.0,0.0\n800.0,0.5\n")
+    code, err = run_err(capsys, "sweep", "--model", "variable",
+                        "--profile", str(prof), "--cme-order", "5",
+                        "--k-max", "2")
+    assert code == EXIT_INPUT
+    assert "no mining before 700 s" in err
+
+
+def test_calibrate_zero_builds_no_cme(monkeypatch, capsys):
+    def no_cme(*args):
+        raise AssertionError("the zero model builds no CME")
+    monkeypatch.setattr("powruin.medist.cme", no_cme)
+    monkeypatch.setattr("powruin.delaymodel.cme", no_cme)
+    code, out = run(capsys, "calibrate", "--model", "zero")
+    assert code == 0
+    assert "rel_error = 0.000e+00" in out.splitlines()
+
+
+@pytest.mark.parametrize("row, field", [("nan,0.5", "thresholds"),
+                                        ("2.0,nan", "fractions"),
+                                        ("inf,0.5", "thresholds")])
+def test_non_finite_profile_row_is_input_error(row, field, tmp_path, capsys):
+    prof = tmp_path / "bad.csv"
+    prof.write_text(f"# fullrate_bps = 1.0\n1.0,0.0\n{row}\n")
+    code, err = run_err(capsys, "sweep", "--model", "variable",
+                        "--profile", str(prof), "--cme-order", "5",
+                        "--k-max", "2")
+    assert code == EXIT_INPUT
+    assert field in err
+
+
+@pytest.mark.parametrize("flags, field", [
+    (("--model", "fixed", "--delay", "nan"), "delay"),
+    (("--model", "fixed", "--delay", "inf"), "delay"),
+    (("--model", "zero", "--block-interval", "nan"), "block_interval"),
+    (("--model", "zero", "--block-interval", "inf"), "block_interval"),
+    (("--model", "zero", "--delta-conf", "nan"), "delta_conf"),
+])
+def test_non_finite_flag_is_input_error(flags, field, capsys):
+    code, err = run_err(capsys, "sweep", "--k-max", "2", *flags)
+    assert code == EXIT_INPUT
+    assert field in err
+
+
+def test_simulate_refuses_random_delays(capsys):
+    code, err = run_err(capsys, "simulate", "--model", "expdelay",
+                        "--k-max", "1", "--trials", "100")
+    assert code == EXIT_INPUT
+    assert "'expdelay' is not supported by simulate" in err

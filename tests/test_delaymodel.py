@@ -23,6 +23,36 @@ def test_profile_validation():
         HashrateProfile((0.0, 1.0), (0.5,), 0.0)
 
 
+@pytest.mark.parametrize("thresholds, fractions, fullrate, field", [
+    ((0.0, np.nan), (0.5,), ALPHA, "thresholds"),
+    ((0.0, 1.0, np.nan), (0.0, 0.5), ALPHA, "thresholds"),
+    ((0.0, np.inf), (0.5,), ALPHA, "thresholds"),
+    ((0.0, 1.0), (np.nan,), ALPHA, "fractions"),
+    ((0.0, 1.0), (0.5,), np.inf, "fullrate"),
+    ((0.0, 1.0), (0.5,), np.nan, "fullrate"),
+])
+def test_profile_rejects_non_finite(thresholds, fractions, fullrate, field):
+    with pytest.raises(ValueError, match=field):
+        HashrateProfile(thresholds, fractions, fullrate)
+
+
+def test_zero_and_fixed_delay_profiles():
+    zero = HashrateProfile.zero_delay(ALPHA)
+    assert zero.thresholds == (0.0,) and zero.fractions == ()
+    assert zero.n_segments == 0 and zero.max_delay == 0.0
+    assert HashrateProfile.fixed_delay(0.0, ALPHA) == zero
+    fixed = HashrateProfile.fixed_delay(10.0, ALPHA)
+    assert fixed.thresholds == (0.0, 10.0) and fixed.fractions == (0.0,)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="delay"):
+            HashrateProfile.fixed_delay(bad, ALPHA)
+
+
+def test_zero_profile_table_roundtrip():
+    p = HashrateProfile.zero_delay(ALPHA)
+    assert HashrateProfile.from_table(p.to_table()) == p
+
+
 def test_profile_table_roundtrip():
     p = HashrateProfile((0.0, 0.001, 1.5, 3.5), (0.0, 0.2, 0.6), ALPHA)
     q = HashrateProfile.from_table(p.to_table())
@@ -45,6 +75,27 @@ def test_fixed_delay_theta_mean():
     d = fixed_delay_theta(10.0, 1 / 590, 27)
     assert d.order == 28
     assert_allclose(d.mean(), 600.0, rtol=1e-9)
+
+
+@pytest.mark.parametrize("K", [1, 4, 27])
+def test_assemble_zero_profile_is_zero_delay_theta(K, monkeypatch):
+    def no_cme(*args):
+        raise AssertionError("the zero profile builds no CME")
+    monkeypatch.setattr("powruin.delaymodel.cme", no_cme)
+    a = assemble_theta(HashrateProfile.zero_delay(ALPHA), K)
+    b = zero_delay_theta(ALPHA)
+    assert a.order == b.order == 1
+    assert np.array_equal(a.init, b.init)
+    assert np.array_equal(a.subgen.toarray(), b.subgen.toarray())
+    assert np.array_equal(a.exit, b.exit)
+    assert np.array_equal(a.eigenvalues, b.eigenvalues)
+
+
+def test_fixed_delay_theta_is_assembled_profile():
+    a = fixed_delay_theta(10.0, 1 / 590, 9)
+    b = assemble_theta(HashrateProfile.fixed_delay(10.0, 1 / 590), 9)
+    assert np.array_equal(a.subgen.toarray(), b.subgen.toarray())
+    assert np.array_equal(a.init, b.init)
 
 
 def test_fixed_delay_degenerate():
@@ -131,3 +182,51 @@ def test_calibrate_monotone_in_thresholds():
                                (0.0, 0.5), 1.0)
         rates.append(calibrate_alpha(prof, 600.0, 9).calibrated_rate)
     assert rates[0] <= rates[1] <= rates[2]
+
+
+@pytest.mark.parametrize("profile", [
+    HashrateProfile.fixed_delay(700.0, 1.0),
+    HashrateProfile.fixed_delay(600.0, 1.0),
+    HashrateProfile((0.0, 700.0, 800.0), (0.0, 0.5), 1.0),
+    HashrateProfile((0.0, 300.0, 650.0), (0.0, 0.0), 1.0),
+])
+def test_calibrate_rejects_dead_time_not_below_interval(profile):
+    with pytest.raises(ValueError, match="not below the block interval"):
+        calibrate_alpha(profile, 600.0, 5)
+
+
+@pytest.mark.parametrize("first_mining", [550.0, 590.0])
+def test_calibrate_just_below_dead_time_limit(first_mining):
+    # the first mining segment starts close below T = 600 s: the root lies
+    # above 10/T, outside any bracket around 1/T
+    prof = HashrateProfile((0.0, first_mining, first_mining + 5.0), (0.0, 0.5),
+                           1.0)
+    res = calibrate_alpha(prof, 600.0, 5, rel_tol=1e-6)
+    assert res.converged
+    assert abs(res.achieved_mean - 600.0) / 600.0 <= 1e-6
+    assert res.calibrated_rate > 10 / 600
+    assert res.iterations <= 20
+
+
+@pytest.mark.parametrize("delay", [10.0, 300.0, 559.0, 590.0, 599.0])
+def test_calibrate_fixed_delay_lands_on_closed_form(delay):
+    # E[theta] = d + 1/alpha, so the first iterate 1/(T - d) is the root
+    res = calibrate_alpha(HashrateProfile.fixed_delay(delay, 1.0), 600.0, 5,
+                          rel_tol=1e-10)
+    assert res.iterations == 1
+    assert res.calibrated_rate == 1 / (600.0 - delay)
+
+
+def test_calibrate_iterates_rise_monotonically():
+    prof = HashrateProfile((0.0, 30.0, 90.0, 200.0), (0.0, 0.2, 0.5), 1.0)
+    res = calibrate_alpha(prof, 600.0, 9, rel_tol=1e-10)
+    alphas = [a for a, _ in res.trace]
+    assert all(b >= a for a, b in zip(alphas, alphas[1:]))
+
+
+def test_calibrate_failure_reports_last_iterate():
+    prof = HashrateProfile((0.0, 30.0, 90.0, 200.0), (0.0, 0.2, 0.5), 1.0)
+    with pytest.raises(RuntimeError, match="did not converge") as info:
+        calibrate_alpha(prof, 600.0, 5, rel_tol=1e-15, max_iter=3)
+    assert "last alpha" in str(info.value)
+    assert "trace" not in str(info.value)

@@ -3,7 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from powruin.delaymodel import (HashrateProfile, assemble_theta,
-                                calibrate_alpha, zero_delay_theta)
+                                calibrate_alpha, fixed_delay_theta,
+                                zero_delay_theta)
 from powruin.doublespend import (DelayModel, PartialPGF, adversary_lead_pmf,
                                  analyze, compute_q, honest_lead_pmf,
                                  poisson_partial_pgf, truncated_power,
@@ -107,6 +108,12 @@ def test_compute_q_hand_case():
     assert res.q == pytest.approx(expect)
 
 
+def test_compute_q_rejects_mass_above_one():
+    ruin = RuinTable(psi=np.array([0.5, 0.25]))
+    with pytest.raises(ValueError, match="sum"):
+        compute_q(np.array([0.6, 0.6]), 0.0, ruin)
+
+
 def test_analyze_zero_delay_matches_manual_pipeline():
     results = analyze(DelayModel("zero"), 0.2, 600.0, 6)
     phi = phi_from_theta(zero_delay_theta(ALPHA), BETA, 6)
@@ -119,6 +126,21 @@ def test_analyze_zero_delay_matches_manual_pipeline():
         manual = compute_q(p_Z, deficit, RuinTable(psi=ruin.psi[:k]))
         assert res.q == pytest.approx(manual.q, abs=1e-14)
         assert res.k == k
+
+
+@pytest.mark.parametrize("delay, beta_fraction", [(300.0, 0.2), (590.0, 0.01)])
+def test_analyze_fixed_delay_uses_closed_form_rate(delay, beta_fraction):
+    results = analyze(DelayModel("fixed", delay=delay), beta_fraction, 600.0,
+                      4, K=5)
+    alpha = 1 / (600.0 - delay)
+    beta = beta_fraction * alpha
+    phi = phi_from_theta(fixed_delay_theta(delay, alpha, 5), beta, 4)
+    ruin = ruin_via_lindley(phi, 4)
+    lead = lead_pmf(phi, 4)
+    p_V = adversary_lead_pmf(lead, phi, delay, beta, 4)
+    p_Z, deficit = honest_lead_pmf(p_V, 4)
+    manual = compute_q(p_Z, deficit, ruin)
+    assert results[-1].q == pytest.approx(manual.q, rel=1e-12, abs=1e-14)
 
 
 def test_analyze_q_decreasing_in_k():
@@ -162,6 +184,17 @@ def test_analyze_rejects_bad_args():
         DelayModel("fixed")
     with pytest.raises(ValueError):
         DelayModel("bogus")
+
+
+def test_analyze_rejects_non_finite_inputs():
+    for delay in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValueError, match="delay"):
+            DelayModel("fixed", delay=delay)
+    for T in (np.nan, np.inf, 0.0):
+        with pytest.raises(ValueError, match="block_interval"):
+            analyze(DelayModel("zero"), 0.2, T, 3)
+    with pytest.raises(ValueError, match="delta_conf"):
+        analyze(DelayModel("zero"), 0.2, 600.0, 3, delta_conf=np.nan)
 
 
 def test_fixed_zero_delay_equals_zero_model():

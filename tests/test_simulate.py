@@ -37,6 +37,12 @@ def test_sampler_zero_delay_is_exponential():
     assert x.std() == pytest.approx(600.0, rel=0.02)
 
 
+def test_sampler_zero_profile_is_scaled_exponential():
+    x = ThetaSampler(zero_profile()).sample(np.random.default_rng(4), 1000)
+    e = np.random.default_rng(4).exponential(size=1000)
+    assert np.array_equal(x, e / ALPHA)
+
+
 def test_sampler_respects_dead_zone():
     # first segment mines at fraction zero: no sample can fall below 2 s
     rng = np.random.default_rng(1)
