@@ -10,7 +10,7 @@ simulator provides an independent estimate of the same probability.
 from .delaymodel import (CalibrationResult, HashrateProfile, assemble_theta,
                          calibrate_alpha, fixed_delay_theta,
                          random_delay_theta, zero_delay_theta)
-from .doublespend import (DelayModel, DoubleSpendResult, PartialPGF, analyze,
+from .doublespend import (DelayModel, DoubleSpendResult, analyze,
                           adversary_lead_pmf, compute_q, honest_lead_pmf,
                           poisson_partial_pgf, truncated_product)
 from .medist import MEDistribution, cme, erlang_me, make_me

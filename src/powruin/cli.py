@@ -38,12 +38,24 @@ def _add_model_flags(p):
     p.add_argument("--beta-fraction", type=float, default=0.2)
     p.add_argument("--block-interval", type=float, default=600.0)
     p.add_argument("--delta-conf", type=float, default=None)
-    p.add_argument("--delay", type=float, default=10.0,
-                   help="propagation delay for the fixed model")
-    p.add_argument("--delay-mean", type=float, default=1.0,
-                   help="mean delay for expdelay/medelay models")
-    p.add_argument("--delay-order", type=int, default=2,
-                   help="Erlang order of the medelay delay distribution")
+    p.add_argument("--delay", type=float,
+                   help="propagation delay for the fixed model (default 10)")
+    p.add_argument("--delay-mean", type=float,
+                   help="mean delay for expdelay/medelay models (default 1)")
+    p.add_argument("--delay-order", type=int,
+                   help="Erlang order of the medelay delay distribution "
+                        "(default 2)")
+
+
+# model flag -> (default, the models that read it); a flag given, on the
+# command line or in a config file, to any other model is refused
+_MODEL_FLAGS = {
+    "data": (None, ("variable",)),
+    "profile": (None, ("variable",)),
+    "delay": (10.0, ("fixed",)),
+    "delay_mean": (1.0, ("expdelay", "medelay")),
+    "delay_order": (2, ("medelay",)),
+}
 
 
 def _load_profile(args) -> HashrateProfile:
@@ -59,9 +71,14 @@ def _load_profile(args) -> HashrateProfile:
 
 
 def _build_model(args) -> doublespend.DelayModel:
-    if args.model != "variable" and (args.data or args.profile):
-        raise ValueError(f"--data and --profile need --model variable, "
-                         f"got --model {args.model}")
+    for dest, (default, readers) in _MODEL_FLAGS.items():
+        if args.model in readers:
+            if getattr(args, dest) is None:
+                setattr(args, dest, default)
+        elif getattr(args, dest) is not None:
+            raise ValueError(f"--{dest.replace('_', '-')} is not read by "
+                             f"--model {args.model}; it would need --model "
+                             f"{' or '.join(readers)}")
     if args.model == "zero":
         return doublespend.DelayModel("zero")
     if args.model == "fixed":

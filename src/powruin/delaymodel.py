@@ -137,6 +137,7 @@ class CalibrationResult:
     achieved_mean: float
     iterations: int
     converged: bool
+    theta: MEDistribution
     trace: tuple = ()
 
 
@@ -208,7 +209,8 @@ def calibrate_alpha(profile: HashrateProfile, block_interval: float, K: int,
     ``ValueError``.  Fixed-point iteration on the time after the dead time,
     alpha <- alpha * (mean - D)/(T - D) from 1/(T - D), converges
     monotonically with no bracketing fallback and lands on a fixed delay's
-    root 1/(T - d) at the first step.
+    root 1/(T - d) at the first step.  The result carries the theta it
+    assembled at the calibrated rate.
     """
     if not 0 < block_interval < np.inf:
         raise ValueError(
@@ -227,10 +229,11 @@ def calibrate_alpha(profile: HashrateProfile, block_interval: float, K: int,
     alpha = 1.0 / (target - dead)
     trace = []
     for it in range(1, max_iter + 1):
-        mean = assemble_theta(profile.with_fullrate(alpha), K).mean()
+        theta = assemble_theta(profile.with_fullrate(alpha), K)
+        mean = theta.mean()
         trace.append((alpha, mean))
         if abs(mean - target) / target <= rel_tol:
-            return CalibrationResult(alpha, mean, it, True, tuple(trace))
+            return CalibrationResult(alpha, mean, it, True, theta, tuple(trace))
         alpha = alpha * (mean - dead) / (target - dead)
     raise RuntimeError(
         f"calibration did not converge in {max_iter} iterations; last "

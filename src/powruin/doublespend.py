@@ -4,11 +4,15 @@ The adversary's block count at the confirmation instant combines three
 independent pieces: the stationary pre-mining lead, the blocks mined over k
 honest inter-mining intervals, and a Poisson count over the final
 propagation window.  All generating-function algebra is carried out on
-k-partial pgfs (polynomials truncated to degree k-1); truncation is exact
-for the retained coefficients since degrees only add.
+k-partial pgfs, arrays p(0..k-1) of polynomials truncated to degree k-1;
+truncation is exact for the retained coefficients since degrees only add.
 
 The honest lead at confirmation is the index reversal Z = k-1-V, and the
 violation probability is q = 1 - sum_u p_Z(u) (1 - psi(u)).
+
+Phi, the lead and psi are built and validated once for k_max, and each
+depth reads their first k entries.  Products of nonnegative coefficients
+stay nonnegative, so :func:`compute_q` checks only the final p_Z.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from . import delaymodel
 from .delaymodel import HashrateProfile, calibrate_alpha
@@ -25,35 +29,10 @@ from .phi import PhiDistribution, phi_from_theta
 from .ruinlindley import LeadDistribution, RuinTable, lead_pmf, ruin_via_lindley
 
 __all__ = [
-    "PartialPGF", "DoubleSpendResult", "DelayModel",
+    "DoubleSpendResult", "DelayModel",
     "poisson_partial_pgf", "truncated_product", "truncated_power",
     "adversary_lead_pmf", "honest_lead_pmf", "compute_q", "analyze",
 ]
-
-
-@dataclass(frozen=True)
-class PartialPGF:
-    """Coefficients p(0..k-1) of a truncated probability generating function."""
-
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=float)
-        if c.ndim != 1 or len(c) == 0:
-            raise ValueError("coefficients must be a nonempty vector")
-        if np.any(c < -1e-12):
-            raise ValueError("negative pgf coefficient")
-        c = np.maximum(c, 0.0)
-        if c.sum() > 1 + 1e-8:
-            raise ValueError(f"coefficients sum to {c.sum()} > 1")
-        object.__setattr__(self, "coefficients", c)
-
-    @property
-    def k(self) -> int:
-        return len(self.coefficients)
-
-    def __call__(self, z: float) -> float:
-        return float(np.polyval(self.coefficients[::-1], z))
 
 
 @dataclass(frozen=True)
@@ -91,33 +70,33 @@ class DelayModel:
             raise ValueError("variable model needs a hashrate profile")
 
 
-def poisson_partial_pgf(lam: float, k: int) -> PartialPGF:
-    """First k Poisson masses as a partial pgf."""
+def poisson_partial_pgf(lam: float, k: int) -> np.ndarray:
+    """First k Poisson masses exp(n log(lam) - log(n!) - lam)."""
     if lam < 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return PartialPGF(stats.poisson.pmf(np.arange(k), lam))
+    n = np.arange(k)
+    return np.exp(special.xlogy(n, lam) - special.gammaln(n + 1) - lam)
 
 
-def truncated_product(a: PartialPGF, b: PartialPGF) -> PartialPGF:
+def truncated_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Polynomial product truncated to degree k-1.
 
     Exact for all retained coefficients: the discarded cross terms only
     contribute to degrees >= k.
     """
-    if a.k != b.k:
-        raise ValueError(f"length mismatch: {a.k} vs {b.k}")
-    return PartialPGF(np.convolve(a.coefficients, b.coefficients)[:a.k])
+    if len(a) != len(b):
+        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
+    return np.convolve(a, b)[:len(a)]
 
 
-def truncated_power(a: PartialPGF, n: int) -> PartialPGF:
+def truncated_power(a: np.ndarray, n: int) -> np.ndarray:
     """n-fold truncated product by binary exponentiation."""
     if n < 0:
         raise ValueError("power must be nonnegative")
-    ident = np.zeros(a.k)
-    ident[0] = 1.0
-    result = PartialPGF(ident)
+    result = np.zeros(len(a))
+    result[0] = 1.0
     base = a
     while n:
         if n & 1:
@@ -129,26 +108,26 @@ def truncated_power(a: PartialPGF, n: int) -> PartialPGF:
 
 
 def adversary_lead_pmf(leadQ: LeadDistribution, phi: PhiDistribution,
-                       delta_conf: float, beta: float, k: int) -> PartialPGF:
-    """Adversary block count V at the confirmation instant.
+                       delta_conf: float, beta: float, k: int) -> np.ndarray:
+    """First k masses of the adversary block count V at confirmation.
 
     V = pre-mining lead + counts over k honest intervals + Poisson blocks
-    over the final delta_conf propagation window.
+    over the final delta_conf propagation window.  The lead and Phi may
+    carry more than k masses; the first k are used.
     """
-    gq = PartialPGF(np.asarray(leadQ.masses[:k], dtype=float))
-    gphi = PartialPGF(np.asarray(phi.masses[:k], dtype=float))
-    if gq.k != k or gphi.k != k:
+    gq, gphi = leadQ.masses[:k], phi.masses[:k]
+    if len(gq) != k or len(gphi) != k:
         raise ValueError("lead and phi must carry k masses")
     gd = poisson_partial_pgf(delta_conf * beta, k)
     return truncated_product(truncated_product(gq, truncated_power(gphi, k)), gd)
 
 
-def honest_lead_pmf(p_V: PartialPGF, k: int):
+def honest_lead_pmf(p_V: np.ndarray, k: int):
     """Honest lead masses p_Z(i) = p_V(k-1-i) and the deficit mass P(Z < 0)."""
-    if p_V.k != k:
-        raise ValueError(f"p_V has {p_V.k} coefficients, expected {k}")
-    p_Z = p_V.coefficients[::-1].copy()
-    deficit = max(1.0 - float(p_V.coefficients.sum()), 0.0)
+    if len(p_V) != k:
+        raise ValueError(f"p_V has {len(p_V)} coefficients, expected {k}")
+    p_Z = p_V[::-1].copy()
+    deficit = max(1.0 - float(p_V.sum()), 0.0)
     return p_Z, deficit
 
 
@@ -157,7 +136,8 @@ def compute_q(p_Z: np.ndarray, deficit_mass: float, ruin: RuinTable,
     """Violation probability q = 1 - sum_u p_Z(u) (1 - psi(u)).
 
     The deficit mass (adversary already at or past the honest tip) is
-    covered automatically by the 1-minus-sum structure.
+    covered automatically by the 1-minus-sum structure.  Only the first
+    len(p_Z) entries of the ruin table are read.
     """
     p_Z = np.asarray(p_Z, dtype=float)
     k = len(p_Z)
@@ -192,6 +172,7 @@ def _build_theta(model: DelayModel, block_interval: float, K: int,
                  rel_tol: float = 1e-6):
     """Calibrated (theta, fullrate, default delta_conf, tag) for a model.
 
+    A profile model's theta is the one calibration assembled at its rate.
     A random delay has no default delta_conf (None).
     """
     if model.kind == "random":
@@ -203,8 +184,7 @@ def _build_theta(model: DelayModel, block_interval: float, K: int,
         return (delaymodel.random_delay_theta(model.delay_dist, alpha), alpha,
                 None, f"random(mean={dmean:g})")
     profile, cal, tag = _calibrated_profile(model, block_interval, K, rel_tol)
-    return (delaymodel.assemble_theta(profile, K), cal.calibrated_rate,
-            profile.max_delay, tag)
+    return cal.theta, cal.calibrated_rate, profile.max_delay, tag
 
 
 def analyze(model: DelayModel, beta_fraction: float, block_interval: float,
@@ -213,7 +193,8 @@ def analyze(model: DelayModel, beta_fraction: float, block_interval: float,
     """Violation probabilities for confirmation depths k = 1..k_max.
 
     Calibrates the honest rate to the block interval, builds the adversary
-    count distribution once with k_max masses, and reuses it per depth.
+    count distribution, the lead and the ruin table once with k_max masses,
+    and reads their first k entries per depth.
     The adversary rate is beta_fraction times the calibrated full rate.
     """
     if not 0 < beta_fraction < 1:
@@ -238,15 +219,12 @@ def analyze(model: DelayModel, beta_fraction: float, block_interval: float,
         return [DoubleSpendResult(q=1.0, deficit_mass=1.0, model_tag=tag, k=k,
                                   unstable_regime=True)
                 for k in range(1, k_max + 1)]
-    lead_full = lead_pmf(phi, k_max)
-    ruin_full = ruin_via_lindley(phi, k_max)
+    lead = lead_pmf(phi, k_max)
+    ruin = ruin_via_lindley(phi, k_max)
 
     results = []
     for k in range(1, k_max + 1):
-        phi_k = PhiDistribution(masses=phi.masses[:k].copy(), mean=phi.mean)
-        lead_k = LeadDistribution(masses=lead_full.masses[:k].copy())
-        p_V = adversary_lead_pmf(lead_k, phi_k, delta_conf, beta, k)
+        p_V = adversary_lead_pmf(lead, phi, delta_conf, beta, k)
         p_Z, deficit = honest_lead_pmf(p_V, k)
-        ruin_k = RuinTable(psi=ruin_full.psi[:k].copy())
-        results.append(compute_q(p_Z, deficit, ruin_k, model_tag=tag))
+        results.append(compute_q(p_Z, deficit, ruin, model_tag=tag))
     return results

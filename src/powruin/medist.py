@@ -152,9 +152,10 @@ class MEDistribution:
 def _validated(init, subgen, eigenvalues) -> MEDistribution:
     """Build an :class:`MEDistribution` from a sparse subgenerator.
 
-    Checks the initial mass, the spectrum, the mean and mgf(0).  Models
-    derived from validated ones (chained, shifted or rescaled) come here
-    directly; outside input goes through :func:`make_me`.
+    Checks the initial mass, the spectrum, the mean and mgf(0); the mean
+    and mgf(0) = -v T^{-1} h both solve through the one cached LU of T.
+    Models derived from validated ones (chained, shifted or rescaled) come
+    here directly; outside input goes through :func:`make_me`.
     """
     v = np.asarray(init, dtype=float)
     T = scipy.sparse.csc_matrix(subgen, dtype=float)
@@ -173,7 +174,7 @@ def _validated(init, subgen, eigenvalues) -> MEDistribution:
     mu = d.mean()
     if not (mu > 0 and math.isfinite(mu)):
         raise MEValidationError(f"mean {mu} not strictly positive and finite")
-    if abs(d.mgf(0.0) - 1.0) > 1e-10:
+    if abs(-float(v @ d._solve_T(h)) - 1.0) > 1e-10:
         raise MEValidationError("mgf(0) != 1")
     return d
 

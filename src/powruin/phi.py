@@ -10,6 +10,9 @@ A is never formed explicitly: every application is a solve against one
 sparse LU of I - T/beta.  Every eigenvalue lambda of T has negative real
 part (checked when theta was built), so each eigenvalue 1/(1 - lambda/beta)
 of A lies inside the unit disc and the pmf is summable.
+
+Given theta the count is Poisson(beta theta), so its mean is beta E[theta]
+(Wald's identity), one solve against the LU of T cached with theta.
 """
 
 from __future__ import annotations
@@ -59,21 +62,12 @@ def phi_from_theta(theta: MEDistribution, beta: float, k: int) -> PhiDistributio
 
     M = scipy.sparse.identity(theta.order, format="csc") - theta.subgen / beta
     lu = scipy.sparse.linalg.splu(M)
-    b = theta.exit
     c = lu.solve(theta.init / beta, trans="T")  # c = v A / beta
 
     masses = np.empty(k)
-    y = b
+    y = theta.exit
     masses[0] = c @ y
     for n in range(1, k):
         y = lu.solve(y)
         masses[n] = c @ y
-
-    def solve_ImA(x):
-        # (I - A)^{-1} x = (M - I)^{-1} M x, and M - I = -T/beta
-        return -beta * theta._solve_T(M @ x)
-
-    # E = c A (I-A)^{-2} b via two solves with (I - A), then one A-apply.
-    x = solve_ImA(solve_ImA(b))
-    mean = float(c @ lu.solve(x))
-    return PhiDistribution(masses=masses, mean=mean)
+    return PhiDistribution(masses=masses, mean=beta * theta.mean())

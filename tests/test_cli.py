@@ -27,6 +27,7 @@ def run_err(capsys, *argv):
 MODEL_COMMANDS = {
     "sweep": ["sweep", "--k-max", "2"],
     "calibrate": ["calibrate"],
+    "density": ["density", "--points", "11"],
     "simulate": ["simulate", "--k-max", "1", "--trials", "2000",
                  "--warmup", "1000"],
 }
@@ -171,6 +172,41 @@ def test_profile_flags_need_variable_model(command, flag, tmp_path, capsys):
     code, err = run_err(capsys, *MODEL_COMMANDS[command], flag, str(prof))
     assert code == EXIT_INPUT
     assert "need --model variable" in err
+
+
+@pytest.mark.parametrize("command", sorted(MODEL_COMMANDS))
+@pytest.mark.parametrize("model, flag", [("zero", "--delay"),
+                                         ("fixed", "--delay-mean"),
+                                         ("expdelay", "--delay-order")])
+def test_delay_flags_need_the_model_that_reads_them(command, model, flag,
+                                                     capsys):
+    code, err = run_err(capsys, *MODEL_COMMANDS[command], "--model", model,
+                        flag, "3")
+    assert code == EXIT_INPUT
+    assert f"{flag} is not read by --model {model}" in err
+
+
+def test_config_file_delay_counts_as_given(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("delay = 300\n")
+    code, err = run_err(capsys, "--config", str(cfg), "sweep", "--model",
+                        "zero", "--k-max", "2")
+    assert code == EXIT_INPUT
+    assert "--delay is not read by --model zero" in err
+    code, out = run(capsys, "--config", str(cfg), "calibrate", "--model",
+                    "fixed")
+    assert code == 0
+    assert float(out.splitlines()[0].split("=")[1]) == 1 / 300
+
+
+def test_delay_flag_defaults_apply_to_the_model_that_reads_them(capsys):
+    code, out = run(capsys, "calibrate", "--model", "fixed")
+    assert code == 0
+    assert float(out.splitlines()[0].split("=")[1]) == 1 / 590
+    sweep = ("sweep", "--model", "medelay", "--delta-conf", "1",
+             "--k-max", "2")
+    assert run(capsys, *sweep) == run(capsys, *sweep, "--delay-mean", "1",
+                                      "--delay-order", "2")
 
 
 @pytest.mark.parametrize("command", sorted(MODEL_COMMANDS))

@@ -1,12 +1,19 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from numpy.testing import assert_allclose
 
+import powruin
+from powruin import delaymodel
 from powruin.delaymodel import (HashrateProfile, assemble_theta,
                                 calibrate_alpha, fixed_delay_theta,
                                 zero_delay_theta)
-from powruin.doublespend import (DelayModel, PartialPGF, adversary_lead_pmf,
-                                 analyze, compute_q, honest_lead_pmf,
+from powruin.doublespend import (DelayModel, adversary_lead_pmf, analyze,
+                                 compute_q, honest_lead_pmf,
                                  poisson_partial_pgf, truncated_power,
                                  truncated_product)
 from powruin.medist import erlang_me
@@ -18,36 +25,48 @@ ALPHA = 1 / 600
 BETA = 0.2 * ALPHA
 
 
-def test_partial_pgf_eval():
-    g = PartialPGF(np.array([0.5, 0.25, 0.125]))
-    assert g(0.0) == 0.5
-    assert g(1.0) == pytest.approx(0.875)
-    assert g(2.0) == pytest.approx(0.5 + 0.5 + 0.5)
-
-
 def test_partial_pgf_rejects_bad_coefficients():
+    # the pgf algebra's output is checked once, as p_Z in compute_q
+    ruin = RuinTable(psi=np.array([0.5, 0.25]))
     with pytest.raises(ValueError):
-        PartialPGF(np.array([0.5, -0.1]))
+        compute_q(np.array([0.5, -0.1]), 0.0, ruin)
     with pytest.raises(ValueError):
-        PartialPGF(np.array([0.9, 0.9]))
-    with pytest.raises(ValueError):
-        PartialPGF(np.array([]))
+        compute_q(np.array([0.9, 0.9]), 0.0, ruin)
 
 
 def test_poisson_partial_pgf():
     g = poisson_partial_pgf(0.5, 4)
     expect = np.exp(-0.5) * 0.5 ** np.arange(4) / np.array([1, 1, 2, 6])
-    assert_allclose(g.coefficients, expect, rtol=1e-12)
+    assert_allclose(g, expect, rtol=1e-12)
     g0 = poisson_partial_pgf(0.0, 3)
-    assert_allclose(g0.coefficients, [1.0, 0.0, 0.0])
+    assert_allclose(g0, [1.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         poisson_partial_pgf(-1.0, 3)
 
 
+@pytest.mark.parametrize("lam", [0.0, 1e-300, 1e-12, 0.0033, 0.2, 3.7,
+                                 50.0, 700.0])
+def test_poisson_partial_pgf_equals_scipy_stats(lam):
+    from scipy import stats
+    for k in (1, 2, 20, 200):
+        assert np.array_equal(poisson_partial_pgf(lam, k),
+                              stats.poisson.pmf(np.arange(k), lam))
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    src = os.path.dirname(os.path.dirname(powruin.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, powruin.cli; print('scipy.stats' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
 def test_truncated_product_hand_case():
-    g = PartialPGF(np.array([0.5, 0.5]))
+    g = np.array([0.5, 0.5])
     sq = truncated_product(g, g)
-    assert_allclose(sq.coefficients, [0.25, 0.5])
+    assert_allclose(sq, [0.25, 0.5])
 
 
 def test_truncated_product_matches_full_convolution_head():
@@ -56,32 +75,31 @@ def test_truncated_product_matches_full_convolution_head():
     a /= a.sum()
     b = rng.random(6)
     b /= b.sum()
-    head = truncated_product(PartialPGF(a), PartialPGF(b)).coefficients
+    head = truncated_product(a, b)
     assert_allclose(head, np.convolve(a, b)[:6], atol=1e-15)
 
 
 def test_truncated_product_associative():
     rng = np.random.default_rng(4)
-    gs = [PartialPGF(p / p.sum()) for p in rng.random((3, 5))]
+    gs = [p / p.sum() for p in rng.random((3, 5))]
     left = truncated_product(truncated_product(gs[0], gs[1]), gs[2])
     right = truncated_product(gs[0], truncated_product(gs[1], gs[2]))
-    assert_allclose(left.coefficients, right.coefficients, atol=1e-15)
+    assert_allclose(left, right, atol=1e-15)
 
 
 def test_truncated_power_matches_repeated_product():
     rng = np.random.default_rng(5)
     p = rng.random(7)
-    g = PartialPGF(p / p.sum())
+    g = p / p.sum()
     by_repeat = g
     for _ in range(4):
         by_repeat = truncated_product(by_repeat, g)
-    assert_allclose(truncated_power(g, 5).coefficients,
-                    by_repeat.coefficients, atol=1e-15)
+    assert_allclose(truncated_power(g, 5), by_repeat, atol=1e-15)
 
 
 def test_truncated_power_zero_is_identity():
-    g = PartialPGF(np.array([0.5, 0.5]))
-    assert_allclose(truncated_power(g, 0).coefficients, [1.0, 0.0])
+    g = np.array([0.5, 0.5])
+    assert_allclose(truncated_power(g, 0), [1.0, 0.0])
 
 
 def test_adversary_lead_zero_delay_hand_value():
@@ -89,11 +107,11 @@ def test_adversary_lead_zero_delay_hand_value():
     phi = phi_from_theta(zero_delay_theta(ALPHA), BETA, 2)
     lead = lead_pmf(phi, 2)
     p_V = adversary_lead_pmf(lead, phi, 0.0, BETA, 2)
-    assert_allclose(p_V.coefficients[0], 2 / 3, rtol=1e-12)
+    assert_allclose(p_V[0], 2 / 3, rtol=1e-12)
 
 
 def test_honest_lead_is_reversal():
-    p_V = PartialPGF(np.array([0.5, 0.3, 0.1]))
+    p_V = np.array([0.5, 0.3, 0.1])
     p_Z, deficit = honest_lead_pmf(p_V, 3)
     assert_allclose(p_Z, [0.1, 0.3, 0.5])
     assert deficit == pytest.approx(0.1)
@@ -114,18 +132,56 @@ def test_compute_q_rejects_mass_above_one():
         compute_q(np.array([0.6, 0.6]), 0.0, ruin)
 
 
-def test_analyze_zero_delay_matches_manual_pipeline():
-    results = analyze(DelayModel("zero"), 0.2, 600.0, 6)
-    phi = phi_from_theta(zero_delay_theta(ALPHA), BETA, 6)
-    ruin = ruin_recursive(phi, 6)
+# the criterion-5/8 profile
+PROFILE = HashrateProfile((0.0, 2.0, 5.0, 10.0), (0.0, 0.4, 0.8), 1.0)
+
+
+@pytest.mark.parametrize("model, profile", [
+    (DelayModel("zero"), HashrateProfile.zero_delay(1.0)),
+    (DelayModel("fixed", delay=10.0), HashrateProfile.fixed_delay(10.0, 1.0)),
+    (DelayModel("variable", profile=PROFILE), PROFILE),
+], ids=["zero", "fixed", "variable"])
+def test_analyze_zero_delay_matches_manual_pipeline(model, profile):
+    # analyze reads the first k entries of one Phi, lead and psi; the
+    # manual pipeline builds each of them for depth k alone
+    rate = calibrate_alpha(profile, 600.0, 9, rel_tol=1e-6).calibrated_rate
+    theta = assemble_theta(profile.with_fullrate(rate), 9)
+    beta = 0.2 * rate
+    results = analyze(model, 0.2, 600.0, 6, K=9)
+    ruin = ruin_recursive(phi_from_theta(theta, beta, 6), 6)
     for k, res in enumerate(results, start=1):
-        lead = lead_pmf(phi, k)
-        phi_k = phi_from_theta(zero_delay_theta(ALPHA), BETA, k)
-        p_V = adversary_lead_pmf(lead, phi_k, 0.0, BETA, k)
+        phi_k = phi_from_theta(theta, beta, k)
+        lead = lead_pmf(phi_k, k)
+        p_V = adversary_lead_pmf(lead, phi_k, profile.max_delay, beta, k)
         p_Z, deficit = honest_lead_pmf(p_V, k)
         manual = compute_q(p_Z, deficit, RuinTable(psi=ruin.psi[:k]))
         assert res.q == pytest.approx(manual.q, abs=1e-14)
         assert res.k == k
+
+
+def test_analyze_assembles_theta_once_per_calibration_iteration(monkeypatch):
+    # calibration's last iterate is the calibrated theta; analyze reuses it
+    cal = calibrate_alpha(PROFILE, 600.0, 9, rel_tol=1e-6)
+    assembled = []
+    assemble = delaymodel.assemble_theta
+    monkeypatch.setattr(delaymodel, "assemble_theta",
+                        lambda *args: assembled.append(args) or assemble(*args))
+    analyze(DelayModel("variable", profile=PROFILE), 0.2, 600.0, 6, K=9)
+    assert len(assembled) == cal.iterations
+    assert assembled[-1] == (PROFILE.with_fullrate(cal.calibrated_rate), 9)
+
+
+def test_analyze_factors_each_matrix_once(monkeypatch):
+    # one LU per assembled theta (its mean and mgf(0) share it) and one
+    # for Phi, whose mean is beta E[theta]
+    iterations = calibrate_alpha(PROFILE, 600.0, 9, rel_tol=1e-6).iterations
+    factored = []
+    splu = scipy.sparse.linalg.splu
+    monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                        lambda A, *a, **kw: factored.append(A.shape)
+                        or splu(A, *a, **kw))
+    analyze(DelayModel("variable", profile=PROFILE), 0.2, 600.0, 6, K=9)
+    assert len(factored) == iterations + 1
 
 
 @pytest.mark.parametrize("delay, beta_fraction", [(300.0, 0.2), (590.0, 0.01)])

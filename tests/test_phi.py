@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from powruin.delaymodel import (HashrateProfile, assemble_theta,
                                 fixed_delay_theta, zero_delay_theta)
-from powruin.doublespend import PartialPGF
 from powruin.phi import phi_from_theta
 
 ALPHA = 1 / 600
@@ -60,19 +59,20 @@ def test_ccdf_vanishing_adversary():
 
 def test_partial_pgf_values():
     phi = phi_from_theta(zero_delay_theta(ALPHA), BETA, 8)
-    g = PartialPGF(phi.masses)
-    assert_allclose(g(0.0), 5 / 6, rtol=1e-12)
-    assert g(1.0) <= 1 + 1e-10
+    assert_allclose(phi.masses[0], 5 / 6, rtol=1e-12)
+    assert phi.masses.sum() <= 1 + 1e-10
 
 
 def test_wald_identity():
-    # mean count = beta * mean interval, for any interval distribution
+    # mean count = beta * mean interval, for any interval distribution; the
+    # masses, computed without the mean, must carry the same first moment
     prof = HashrateProfile((0.0, 2.0, 5.0, 10.0), (0.0, 0.4, 0.8), ALPHA)
     for theta in (zero_delay_theta(ALPHA),
                   fixed_delay_theta(10.0, 1 / 590, 9),
                   assemble_theta(prof, 9)):
-        phi = phi_from_theta(theta, BETA, 4)
+        phi = phi_from_theta(theta, BETA, 200)
         assert_allclose(phi.mean, BETA * theta.mean(), rtol=1e-9)
+        assert_allclose(np.arange(200) @ phi.masses, phi.mean, rtol=1e-9)
 
 
 def test_pgf_consistency_with_mgf():
