@@ -4,6 +4,9 @@ Subcommands: ingest (delay data -> hashrate profile), calibrate, sweep
 (q vs k CSV), density (inter-mining pdf CSV), simulate (Monte Carlo CSV).
 All outputs are plain CSV and deterministic given the flags and seed.
 
+Each command takes only the flags it reads; a model flag that the model
+does not read, or a config-file key that no command takes, is refused.
+
 Exit codes: 0 success, 2 flag errors (argparse), 3 input/parse errors,
 4 numerical failures, 5 unstable regime under --strict.
 """
@@ -27,43 +30,37 @@ EXIT_NUMERIC = 4
 EXIT_UNSTABLE = 5
 
 
-def _add_model_flags(p):
-    p.add_argument("--model", default="zero",
-                   choices=["zero", "fixed", "expdelay", "medelay", "variable"])
-    p.add_argument("--data", help="delay dataset file (variable model)")
-    p.add_argument("--profile", help="hashrate profile table file")
-    p.add_argument("--epsilon", type=float, default=0.01)
-    p.add_argument("--bins", type=int, default=128, metavar="N_PRIME")
-    p.add_argument("--cme-order", type=int, default=27, dest="cme_order")
-    p.add_argument("--beta-fraction", type=float, default=0.2)
-    p.add_argument("--block-interval", type=float, default=600.0)
-    p.add_argument("--delta-conf", type=float, default=None)
-    p.add_argument("--delay", type=float,
-                   help="propagation delay for the fixed model (default 10)")
-    p.add_argument("--delay-mean", type=float,
-                   help="mean delay for expdelay/medelay models (default 1)")
-    p.add_argument("--delay-order", type=int,
-                   help="Erlang order of the medelay delay distribution "
-                        "(default 2)")
-
-
-# model flag -> (default, the models that read it); a flag given, on the
-# command line or in a config file, to any other model is refused
+# model flag -> (type, default, the models that read it, help); "variable
+# --data" is the variable model built from a delay file.  A flag given, on
+# the command line or in a config file, to any other model is refused.
 _MODEL_FLAGS = {
-    "data": (None, ("variable",)),
-    "profile": (None, ("variable",)),
-    "delay": (10.0, ("fixed",)),
-    "delay_mean": (1.0, ("expdelay", "medelay")),
-    "delay_order": (2, ("medelay",)),
+    "data": (str, None, ("variable",), "delay dataset file"),
+    "profile": (str, None, ("variable",), "hashrate profile table file"),
+    "epsilon": (float, 0.01, ("variable --data",), "delay cutoff fraction"),
+    "bins": (int, 128, ("variable --data",), "equal-count delay bins"),
+    "delay": (float, 10.0, ("fixed",), "propagation delay, s"),
+    "delay_mean": (float, 1.0, ("expdelay", "medelay"), "mean delay, s"),
+    "delay_order": (int, 2, ("medelay",), "Erlang order of the delay"),
 }
 
 
+def _add_model_flags(p):
+    p.add_argument("--model", default="zero",
+                   choices=["zero", "fixed", "expdelay", "medelay", "variable"])
+    p.add_argument("--cme-order", type=int, default=27, dest="cme_order")
+    p.add_argument("--block-interval", type=float, default=600.0)
+    for dest, (kind, default, readers, text) in _MODEL_FLAGS.items():
+        default = "" if default is None else f"; default {default:g}"
+        p.add_argument(f"--{dest.replace('_', '-')}", type=kind,
+                       help=f"{text} (--model {' or '.join(readers)}{default})")
+
+
 def _load_profile(args) -> HashrateProfile:
-    if args.profile:
+    if (args.data is None) == (args.profile is None):
+        raise ValueError("variable model needs --data or --profile, not both")
+    if args.profile is not None:
         with open(args.profile, "r", encoding="utf-8") as fh:
             return HashrateProfile.from_table(fh.read())
-    if not args.data:
-        raise ValueError("variable model requires --data or --profile")
     ds = ingest.load_delays(args.data)
     ds, _ = ingest.apply_cutoff(ds, args.epsilon)
     binning = ingest.bin_delays(ds, args.bins)
@@ -71,8 +68,9 @@ def _load_profile(args) -> HashrateProfile:
 
 
 def _build_model(args) -> doublespend.DelayModel:
-    for dest, (default, readers) in _MODEL_FLAGS.items():
-        if args.model in readers:
+    source = args.model + (" --data" if args.data is not None else "")
+    for dest, (_, default, readers, _) in _MODEL_FLAGS.items():
+        if args.model in readers or source in readers:
             if getattr(args, dest) is None:
                 setattr(args, dest, default)
         elif getattr(args, dest) is not None:
@@ -92,13 +90,13 @@ def _build_model(args) -> doublespend.DelayModel:
     return doublespend.DelayModel("variable", profile=_load_profile(args))
 
 
-def _calibrated_profile(args, command, rel_tol=1e-6):
+def _calibrated_profile(args, command):
     """Calibrated profile, calibration and tag for profile-shaped models."""
     model = _build_model(args)
     if model.kind == "random":
         raise ValueError(f"model {args.model!r} is not supported by {command}")
     return doublespend._calibrated_profile(model, args.block_interval,
-                                           args.cme_order, rel_tol)
+                                           args.cme_order)
 
 
 def _write(path, text):
@@ -123,7 +121,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    _, cal, _ = _calibrated_profile(args, "calibrate", args.rel_tol)
+    _, cal, _ = _calibrated_profile(args, "calibrate")
     rel_err = abs(cal.achieved_mean - args.block_interval) / args.block_interval
     print(f"calibrated_rate_bps = {cal.calibrated_rate!r}")
     print(f"achieved_mean_s = {cal.achieved_mean!r}")
@@ -163,6 +161,7 @@ def cmd_density(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    doublespend._check_attack(args.beta_fraction, args.delta_conf)
     profile, _, _ = _calibrated_profile(args, "simulate")
     dconf = (args.delta_conf if args.delta_conf is not None
              else profile.max_delay)
@@ -183,8 +182,10 @@ def _apply_config_file(parser, path):
     """key=value file; flag values still override.
 
     String defaults are type-converted by argparse, so values can be set
-    on every subparser that knows the key.
+    on every subparser that knows the key.  A key that no command takes is
+    refused.
     """
+    dests = [{a.dest for a in t._actions} for t in parser._config_targets]
     defaults = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -194,9 +195,11 @@ def _apply_config_file(parser, path):
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, value = (t.strip() for t in line.split("=", 1))
-            defaults[key.replace("-", "_")] = value
-    for target in parser._config_targets:
-        known = {a.dest for a in target._actions}
+            dest = key.replace("-", "_")
+            if not any(dest in known for known in dests):
+                raise ValueError(f"{path}:{lineno}: no command takes {key!r}")
+            defaults[dest] = value
+    for target, known in zip(parser._config_targets, dests):
         target.set_defaults(**{k: v for k, v in defaults.items() if k in known})
 
 
@@ -218,11 +221,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="calibrate the full mining rate")
     _add_model_flags(p)
-    p.add_argument("--rel-tol", type=float, default=1e-4)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("sweep", help="q as a function of k")
     _add_model_flags(p)
+    p.add_argument("--beta-fraction", type=float, default=0.2)
+    p.add_argument("--delta-conf", type=float)
     p.add_argument("--k-max", type=int, default=20)
     p.add_argument("--out", default="-")
     p.add_argument("--strict", action="store_true")
@@ -236,6 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo attack estimate")
     _add_model_flags(p)
+    p.add_argument("--beta-fraction", type=float, default=0.2)
+    p.add_argument("--delta-conf", type=float)
     p.add_argument("--k-max", type=int, default=6)
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)

@@ -200,7 +200,7 @@ def assemble_theta(profile: HashrateProfile, K: int) -> MEDistribution:
 
 
 def calibrate_alpha(profile: HashrateProfile, block_interval: float, K: int,
-                    rel_tol: float = 1e-4, max_iter: int = 200) -> CalibrationResult:
+                    rel_tol: float = 1e-6, max_iter: int = 200) -> CalibrationResult:
     """Find the full rate making the model mean equal the block interval.
 
     The model mean exceeds the profile's dead time D (where its first
@@ -209,8 +209,9 @@ def calibrate_alpha(profile: HashrateProfile, block_interval: float, K: int,
     ``ValueError``.  Fixed-point iteration on the time after the dead time,
     alpha <- alpha * (mean - D)/(T - D) from 1/(T - D), converges
     monotonically with no bracketing fallback and lands on a fixed delay's
-    root 1/(T - d) at the first step.  The result carries the theta it
-    assembled at the calibrated rate.
+    root 1/(T - d) at the first step, and stops within ``rel_tol`` of T
+    (relative; every analysis uses the default).  The result carries the
+    theta it assembled at the calibrated rate.
     """
     if not 0 < block_interval < np.inf:
         raise ValueError(

@@ -154,8 +154,7 @@ def compute_q(p_Z: np.ndarray, deficit_mass: float, ruin: RuinTable,
                              model_tag=model_tag, k=k)
 
 
-def _calibrated_profile(model: DelayModel, block_interval: float, K: int,
-                        rel_tol: float = 1e-6):
+def _calibrated_profile(model: DelayModel, block_interval: float, K: int):
     """Calibrated profile, its calibration and tag for a non-random model."""
     if model.kind == "zero":
         profile, tag = HashrateProfile.zero_delay(1.0), "zero"
@@ -164,12 +163,11 @@ def _calibrated_profile(model: DelayModel, block_interval: float, K: int,
         tag = f"fixed({model.delay:g})"
     else:
         profile, tag = model.profile, f"variable(N={model.profile.n_segments})"
-    cal = calibrate_alpha(profile, block_interval, K, rel_tol=rel_tol)
+    cal = calibrate_alpha(profile, block_interval, K)
     return profile.with_fullrate(cal.calibrated_rate), cal, tag
 
 
-def _build_theta(model: DelayModel, block_interval: float, K: int,
-                 rel_tol: float = 1e-6):
+def _build_theta(model: DelayModel, block_interval: float, K: int):
     """Calibrated (theta, fullrate, default delta_conf, tag) for a model.
 
     A profile model's theta is the one calibration assembled at its rate.
@@ -183,34 +181,38 @@ def _build_theta(model: DelayModel, block_interval: float, K: int,
         alpha = 1.0 / (block_interval - dmean)
         return (delaymodel.random_delay_theta(model.delay_dist, alpha), alpha,
                 None, f"random(mean={dmean:g})")
-    profile, cal, tag = _calibrated_profile(model, block_interval, K, rel_tol)
+    profile, cal, tag = _calibrated_profile(model, block_interval, K)
     return cal.theta, cal.calibrated_rate, profile.max_delay, tag
 
 
-def analyze(model: DelayModel, beta_fraction: float, block_interval: float,
-            k_max: int, K: int = 27, delta_conf: float | None = None,
-            calibration_tol: float = 1e-6) -> list[DoubleSpendResult]:
-    """Violation probabilities for confirmation depths k = 1..k_max.
-
-    Calibrates the honest rate to the block interval, builds the adversary
-    count distribution, the lead and the ruin table once with k_max masses,
-    and reads their first k entries per depth.
-    The adversary rate is beta_fraction times the calibrated full rate.
-    """
+def _check_attack(beta_fraction: float, delta_conf: float | None):
+    """Refuse beta_fraction outside (0, 1) and a bad delta_conf (not None)."""
     if not 0 < beta_fraction < 1:
         raise ValueError("beta_fraction must lie in (0, 1)")
+    if delta_conf is not None and not 0 <= delta_conf < np.inf:
+        raise ValueError(
+            f"delta_conf must be nonnegative and finite, got {delta_conf}")
+
+
+def analyze(model: DelayModel, beta_fraction: float, block_interval: float,
+            k_max: int, K: int = 27, delta_conf: float | None = None
+            ) -> list[DoubleSpendResult]:
+    """Violation probabilities for confirmation depths k = 1..k_max.
+
+    Calibrates the honest rate to the block interval, to 1e-6 on the mean,
+    builds the adversary count distribution, the lead and the ruin table
+    once with k_max masses, and reads their first k entries per depth.
+    The adversary rate is beta_fraction times the calibrated full rate.
+    """
+    _check_attack(beta_fraction, delta_conf)
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    theta, fullrate, default_dconf, tag = _build_theta(
-        model, block_interval, K, rel_tol=calibration_tol)
+    theta, fullrate, default_dconf, tag = _build_theta(model, block_interval, K)
     if delta_conf is None:
         if default_dconf is None:
             raise ValueError(
                 "random-delay models need an explicit delta_conf")
         delta_conf = default_dconf
-    if not 0 <= delta_conf < np.inf:
-        raise ValueError(
-            f"delta_conf must be nonnegative and finite, got {delta_conf}")
     beta = beta_fraction * fullrate
     tag = f"{tag},beta={beta_fraction:g},T={block_interval:g},K={K}"
 

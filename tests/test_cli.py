@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
+from powruin import simulate
 from powruin.cli import EXIT_INPUT, EXIT_UNSTABLE, main
+from powruin.delaymodel import HashrateProfile, calibrate_alpha
 from powruin.ingest import BITCOIN_LIKE, synth_delays
+
+# the criterion-5/8 profile
+VAR_PROFILE = HashrateProfile((0.0, 2.0, 5.0, 10.0), (0.0, 0.4, 0.8), 1.0)
 
 
 @pytest.fixture
@@ -10,6 +15,13 @@ def delay_file(tmp_path):
     ds = synth_delays(BITCOIN_LIKE, 3_000, seed=9)
     p = tmp_path / "delays.csv"
     p.write_text("\n".join(repr(float(d)) for d in ds.delays) + "\n")
+    return p
+
+
+@pytest.fixture
+def profile_file(tmp_path):
+    p = tmp_path / "profile.csv"
+    p.write_text(VAR_PROFILE.to_table())
     return p
 
 
@@ -95,8 +107,7 @@ def test_ingest_missing_file(capsys):
 
 
 def test_calibrate_fixed(capsys):
-    code, out = run(capsys, "calibrate", "--model", "fixed", "--delay", "10",
-                    "--rel-tol", "1e-8")
+    code, out = run(capsys, "calibrate", "--model", "fixed", "--delay", "10")
     assert code == 0
     rate = float(out.splitlines()[0].split("=")[1])
     assert rate == pytest.approx(1 / 590, rel=1e-6)
@@ -156,9 +167,10 @@ def test_fixed_zero_delay_runs_on_every_command(command, capsys):
 @pytest.mark.parametrize("command", sorted(MODEL_COMMANDS))
 def test_fixed_delay_close_below_interval_runs_on_every_command(command,
                                                                 capsys):
+    attack = (("--beta-fraction", "0.01") if command in ("sweep", "simulate")
+              else ())
     code, out = run(capsys, *MODEL_COMMANDS[command], "--model", "fixed",
-                    "--delay", "590", "--cme-order", "5",
-                    "--beta-fraction", "0.01")
+                    "--delay", "590", "--cme-order", "5", *attack)
     assert code == 0
     if command == "calibrate":
         assert float(out.splitlines()[0].split("=")[1]) == 1 / 10
@@ -271,3 +283,92 @@ def test_simulate_refuses_random_delays(capsys):
                         "--k-max", "1", "--trials", "100")
     assert code == EXIT_INPUT
     assert "'expdelay' is not supported by simulate" in err
+
+
+def test_calibrate_prints_the_rate_simulate_uses(profile_file, capsys,
+                                                 monkeypatch):
+    flags = ("--model", "variable", "--profile", str(profile_file),
+             "--cme-order", "9")
+    code, out = run(capsys, "calibrate", *flags)
+    assert code == 0
+    rate = calibrate_alpha(VAR_PROFILE, 600.0, 9).calibrated_rate
+    assert out.splitlines()[0] == f"calibrated_rate_bps = {rate!r}"
+    used = []
+    monkeypatch.setattr(simulate, "simulate_attack_sweep",
+                        lambda config, ks: used.append(config.profile.fullrate)
+                        or {})
+    code, _ = run(capsys, "simulate", *flags, "--k-max", "1", "--trials", "10",
+                  "--warmup", "1000")
+    assert code == 0
+    assert used == [rate]
+
+
+@pytest.mark.parametrize("argv", [("calibrate", "--rel-tol", "1e-8"),
+                                  ("calibrate", "--beta-fraction", "0.3"),
+                                  ("density", "--delta-conf", "1")])
+def test_flag_the_command_does_not_read_is_flag_error(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    assert info.value.code == 2
+
+
+@pytest.mark.parametrize("command", sorted(MODEL_COMMANDS))
+@pytest.mark.parametrize("model", ["zero", "fixed", "variable"])
+@pytest.mark.parametrize("flag", ["--epsilon", "--bins"])
+def test_binning_flags_need_data(command, model, flag, profile_file, capsys):
+    source = ("--profile", str(profile_file)) if model == "variable" else ()
+    code, err = run_err(capsys, *MODEL_COMMANDS[command], "--model", model,
+                        *source, "--cme-order", "5", flag, "3")
+    assert code == EXIT_INPUT
+    assert (f"{flag} is not read by --model {model}; it would need --model "
+            f"variable --data") in err
+
+
+@pytest.mark.parametrize("command", sorted(MODEL_COMMANDS))
+def test_binning_flags_with_data_run(command, delay_file, capsys):
+    code, _ = run(capsys, *MODEL_COMMANDS[command], "--model", "variable",
+                  "--data", str(delay_file), "--epsilon", "0.02", "--bins",
+                  "16", "--cme-order", "5")
+    assert code == 0
+
+
+def test_data_and_profile_together_is_input_error(delay_file, profile_file,
+                                                  capsys):
+    code, err = run_err(capsys, "sweep", "--model", "variable", "--data",
+                        str(delay_file), "--profile", str(profile_file),
+                        "--k-max", "1")
+    assert code == EXIT_INPUT
+    assert "--data or --profile, not both" in err
+
+
+@pytest.mark.parametrize("command", ["sweep", "simulate"])
+@pytest.mark.parametrize("flags, message", [
+    (("--beta-fraction", "1.5"), "beta_fraction must lie in (0, 1)"),
+    (("--beta-fraction", "0"), "beta_fraction must lie in (0, 1)"),
+    (("--beta-fraction", "nan"), "beta_fraction must lie in (0, 1)"),
+    (("--delta-conf", "-1"), "delta_conf must be nonnegative and finite"),
+    (("--delta-conf", "nan"), "delta_conf must be nonnegative and finite"),
+])
+def test_attack_flags_are_checked_alike(command, flags, message, capsys):
+    code, err = run_err(capsys, *MODEL_COMMANDS[command], "--model", "zero",
+                        *flags)
+    assert code == EXIT_INPUT
+    assert message in err
+
+
+@pytest.mark.parametrize("key", ["beta-fracton", "rel-tol"])
+def test_config_key_no_command_takes_is_input_error(key, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"k-max = 2\n{key} = 0.4\n")
+    code, err = run_err(capsys, "--config", str(cfg), "sweep")
+    assert code == EXIT_INPUT
+    assert f"run.cfg:2: no command takes {key!r}" in err
+
+
+def test_config_key_another_command_takes_is_allowed(tmp_path, capsys):
+    # one config file serves every command
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("beta-fraction = 0.3\npoints = 11\n")
+    code, out = run(capsys, "--config", str(cfg), "calibrate")
+    assert code == 0
+    assert out.splitlines()[0] == f"calibrated_rate_bps = {1 / 600!r}"

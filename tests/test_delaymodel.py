@@ -217,6 +217,15 @@ def test_calibrate_fixed_delay_lands_on_closed_form(delay):
     assert res.calibrated_rate == 1 / (600.0 - delay)
 
 
+def test_calibrate_default_tolerance_is_the_analysis_tolerance():
+    # every command and analyze calibrate to 1e-6 on the relative mean error
+    prof = HashrateProfile((0.0, 2.0, 5.0, 10.0), (0.0, 0.4, 0.8), 1.0)
+    default = calibrate_alpha(prof, 600.0, 9)
+    explicit = calibrate_alpha(prof, 600.0, 9, rel_tol=1e-6)
+    assert default.calibrated_rate == explicit.calibrated_rate
+    assert default.iterations == explicit.iterations
+
+
 def test_calibrate_iterates_rise_monotonically():
     prof = HashrateProfile((0.0, 30.0, 90.0, 200.0), (0.0, 0.2, 0.5), 1.0)
     res = calibrate_alpha(prof, 600.0, 9, rel_tol=1e-10)

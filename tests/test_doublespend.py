@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import scipy.sparse.linalg
 from numpy.testing import assert_allclose
 
 import powruin
-from powruin import delaymodel
+from powruin import delaymodel, doublespend
 from powruin.delaymodel import (HashrateProfile, assemble_theta,
                                 calibrate_alpha, fixed_delay_theta,
                                 zero_delay_theta)
@@ -169,6 +170,18 @@ def test_analyze_assembles_theta_once_per_calibration_iteration(monkeypatch):
     analyze(DelayModel("variable", profile=PROFILE), 0.2, 600.0, 6, K=9)
     assert len(assembled) == cal.iterations
     assert assembled[-1] == (PROFILE.with_fullrate(cal.calibrated_rate), 9)
+
+
+def test_analyze_calibration_error_in_q_is_below_the_q_tolerance(monkeypatch):
+    # analyze stops calibration at 1e-6 on the relative mean error; its q
+    # stays within min(1e-6, 1e-10 + 1e-4 q) of q on a 1e-10 calibration
+    model = DelayModel("variable", profile=PROFILE)
+    qs = [r.q for r in analyze(model, 0.2, 600.0, 8, K=9)]
+    monkeypatch.setattr(doublespend, "calibrate_alpha",
+                        functools.partial(calibrate_alpha, rel_tol=1e-10))
+    tight = [r.q for r in analyze(model, 0.2, 600.0, 8, K=9)]
+    for q, ref in zip(qs, tight):
+        assert abs(q - ref) < min(1e-6, 1e-10 + 1e-4 * ref)
 
 
 def test_analyze_factors_each_matrix_once(monkeypatch):

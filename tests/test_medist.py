@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.sparse.linalg
 from numpy.testing import assert_allclose
 
+from powruin.delaymodel import HashrateProfile, assemble_theta
 from powruin.medist import MEValidationError, cme, erlang_me, make_me
 
 
@@ -179,3 +181,19 @@ def test_pdf_grid_matches_pointwise():
     grid = d.pdf_grid(xs)
     pointwise = np.array([d.pdf(x) for x in xs])
     assert_allclose(grid, pointwise, rtol=1e-8, atol=1e-12)
+
+
+def test_pdf_grid_steps_a_dense_expm_above_order_200(monkeypatch):
+    # one route at every order: the action-of-expm route did not finish on
+    # an order-487 theta
+    def no_expm_multiply(*args, **kwargs):
+        raise AssertionError("pdf_grid steps a dense expm at every order")
+    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply",
+                        no_expm_multiply)
+    profile = HashrateProfile(np.linspace(0.0, 50.0, 26),
+                              np.linspace(0.0, 0.9, 25), 1 / 600)
+    theta = assemble_theta(profile, 9)
+    assert theta.order == 226
+    xs = np.linspace(0.0, 3000.0, 11)
+    pointwise = np.array([theta.pdf(x) for x in xs])
+    assert_allclose(theta.pdf_grid(xs), pointwise, rtol=1e-8, atol=1e-12)
