@@ -14,7 +14,6 @@ Exit codes: 0 success, 2 flag errors (argparse), 3 input/parse errors,
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 
 import numpy as np
@@ -22,8 +21,6 @@ import numpy as np
 from . import doublespend, ingest, simulate
 from .delaymodel import HashrateProfile
 from .medist import erlang_me
-
-logger = logging.getLogger(__name__)
 
 EXIT_INPUT = 3
 EXIT_NUMERIC = 4
@@ -255,8 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.INFO, stream=sys.stderr,
-                        format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     # peek at --config before the real parse so file values become defaults
     pre, _ = parser.parse_known_args(argv)

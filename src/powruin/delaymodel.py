@@ -176,10 +176,6 @@ def assemble_theta(profile: HashrateProfile, K: int) -> MEDistribution:
     alpha = profile.fullrate
     if N == 0:
         return make_me([1.0], [[-alpha]], eigenvalues=[-alpha])
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
-    if K != 1 and K % 2 == 0:
-        raise ValueError(f"K must be odd (or 1), got {K}")
     unit = cme(K, 1.0)
     inv = 1.0 / np.asarray(profile.segment_lengths)
     rates = np.asarray(profile.fractions) * alpha

@@ -26,7 +26,8 @@ from . import delaymodel
 from .delaymodel import HashrateProfile, calibrate_alpha
 from .medist import MEDistribution
 from .phi import PhiDistribution, phi_from_theta
-from .ruinlindley import LeadDistribution, RuinTable, lead_pmf, ruin_via_lindley
+from .ruinlindley import (LeadDistribution, RuinTable, _ruin_from_lead,
+                          lead_pmf)
 
 __all__ = [
     "DoubleSpendResult", "DelayModel",
@@ -222,7 +223,7 @@ def analyze(model: DelayModel, beta_fraction: float, block_interval: float,
                                   unstable_regime=True)
                 for k in range(1, k_max + 1)]
     lead = lead_pmf(phi, k_max)
-    ruin = ruin_via_lindley(phi, k_max)
+    ruin = _ruin_from_lead(phi, lead)
 
     results = []
     for k in range(1, k_max + 1):

@@ -18,14 +18,15 @@ Two families approximating a deterministic value ``delta`` are provided:
 
 * :func:`erlang_me` -- Erlang-K chain, squared coefficient of variation 1/K;
 * :func:`cme` -- a concentrated ME family with density
-  ``c exp(-lam x) prod_i cos^2((omega x - phi_i)/2)``, whose phases are found
-  once per order by numerical search minimizing the squared coefficient of
-  variation (roughly 2/K^2), then scaled to the requested mean.
+  ``c exp(-lam x) prod_i cos^2((omega x - phi_i)/2)`` for odd K up to 51,
+  whose frequency and phases (squared coefficient of variation roughly
+  2/K^2) are read from the table in :mod:`powruin._cmetable`, then scaled
+  to the requested mean.  ``tools/make_cme_table.py`` regenerates the
+  table by numerical search.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -34,9 +35,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
-from scipy.optimize import minimize
 
-logger = logging.getLogger(__name__)
+from ._cmetable import CME_UNIT
 
 _EIG_TOL = 1e-8
 
@@ -226,57 +226,16 @@ def _cosine_harmonics(phases):
     return coeffs  # coeffs[j + n] multiplies e^{i j w x}
 
 
-def _cosine_moments(omega, phases, orders=(0, 1, 2)):
-    """Raw moments of exp(-x) prod_i cos^2((omega x - phi_i)/2), x >= 0."""
-    n = len(phases)
-    coeffs = _cosine_harmonics(phases)
-    js = np.arange(-n, n + 1)
-    out = []
-    for k in orders:
-        vals = math.factorial(k) / (1.0 - 1j * js * omega) ** (k + 1)
-        out.append(float((coeffs * vals).sum().real) / 2**n)
-    return out
-
-
-def _cosine_scv(params, n):
-    omega = params[0]
-    phases = params[1:]
-    m0, m1, m2 = _cosine_moments(omega, phases)
-    if m0 <= 1e-12 or m1 <= 0:
-        return 10.0
-    mean = m1 / m0
-    return (m2 / m0 - mean**2) / mean**2
-
-
-def _cme_unit_params(K: int):
-    """Optimized (omega, phases) for order K at unit decay rate.
-
-    Coarse grid over frequency and linearly spaced phases, then simplex
-    polish with all phases free.  Deterministic.
-    """
-    n = (K - 1) // 2
-    best_p, best_v = None, np.inf
-    for omega in np.linspace(0.2, 4.0, 40):
-        for phi0 in np.linspace(0.0, 2 * np.pi, 24, endpoint=False):
-            for dphi in np.linspace(0.0, 1.0, 20):
-                params = np.r_[omega, phi0 + dphi * np.arange(n)]
-                val = _cosine_scv(params, n)
-                if val < best_v:
-                    best_p, best_v = params, val
-    res = minimize(_cosine_scv, best_p, args=(n,), method="Nelder-Mead",
-                   options=dict(xatol=1e-12, fatol=1e-16,
-                                maxiter=20000, maxfev=40000))
-    return float(res.x[0]), tuple(float(p) for p in res.x[1:])
-
-
 @lru_cache(maxsize=None)
 def _cme_unit(K: int) -> MEDistribution:
-    """The unit-rate order-K concentrated ME, searched and validated once."""
-    if K == 1:
-        logger.info("cme(K=1) degrades to the exponential distribution")
-        return erlang_me(1, 1.0)
-    omega, phases = _cme_unit_params(K)
+    """The unit-rate order-K concentrated ME, built and validated once."""
+    return _cme_from_params(*CME_UNIT[K])
+
+
+def _cme_from_params(omega, phases) -> MEDistribution:
+    """The unit-rate concentrated ME of order 2 len(phases) + 1."""
     n = len(phases)
+    K = 2 * n + 1
     coeffs = _cosine_harmonics(phases) / 2**n
     # f(x) = e^{-x} [a_0 + sum_j a_j cos(j w x) + b_j sin(j w x)]
     a = np.empty(n + 1)
@@ -319,19 +278,19 @@ def _cme_unit(K: int) -> MEDistribution:
 def cme(K: int, delta: float) -> MEDistribution:
     """Concentrated ME approximation of the deterministic value ``delta``.
 
-    ``K`` must be odd; the order-K family achieves scv on the order of
-    2/K^2.  K=1 degrades to the exponential distribution.  The result is a
-    time-rescaled copy of the cached unit-rate model; rescaling changes
-    neither the mass, the sign of an eigenvalue nor monotonicity, so it
-    needs no second validation.
+    ``K`` must be one of the tabulated orders, an odd integer from 1 to
+    51; the order-K family achieves scv on the order of 2/K^2, and K=1 is
+    the exponential distribution.  The result is a time-rescaled copy of
+    the cached unit-rate model; rescaling changes neither the mass, the
+    sign of an eigenvalue nor monotonicity, so it needs no second
+    validation.
     """
-    if K < 1 or K != int(K):
-        raise ValueError(f"K must be a positive integer, got {K}")
-    if K % 2 == 0:
-        raise ValueError(f"K must be odd, got {K}")
+    if K not in CME_UNIT:
+        raise ValueError(f"K must be an odd integer from 1 to "
+                         f"{max(CME_UNIT)}, got {K!r}")
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    unit = _cme_unit(int(K))
+    unit = _cme_unit(K)
     scale = unit.mean() / delta  # time rescale X -> X * delta/mean
     return MEDistribution(init=unit.init, subgen=unit.subgen * scale,
                           exit=unit.exit * scale, order=unit.order,

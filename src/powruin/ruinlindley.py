@@ -106,7 +106,12 @@ def ruin_recursive(phi: PhiDistribution, k: int) -> RuinTable:
 
 def ruin_via_lindley(phi: PhiDistribution, k: int) -> RuinTable:
     """Ruin probabilities via the stationary lead: psi(u) = P(Q >= u)."""
-    lead = lead_pmf(phi, k)
+    return _ruin_from_lead(phi, lead_pmf(phi, k))
+
+
+def _ruin_from_lead(phi: PhiDistribution, lead: LeadDistribution) -> RuinTable:
+    """psi(0..k-1) from the first k stationary lead masses of ``phi``."""
+    k = len(lead.masses)
     psi = np.empty(k)
     psi[0] = phi.mean
     psi[1:] = 1.0 - np.cumsum(lead.masses[:k - 1])

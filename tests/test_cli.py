@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+import time
+
 import numpy as np
 import pytest
 
+import powruin
 from powruin import simulate
 from powruin.cli import EXIT_INPUT, EXIT_UNSTABLE, main
 from powruin.delaymodel import HashrateProfile, calibrate_alpha
@@ -240,6 +246,27 @@ def test_profile_mining_after_interval_is_input_error(tmp_path, capsys):
                         "--k-max", "2")
     assert code == EXIT_INPUT
     assert "no mining before 700 s" in err
+
+
+@pytest.mark.parametrize("order", ["4", "53", "65", "201"])
+def test_sweep_refuses_untabled_cme_order(order, capsys):
+    t0 = time.perf_counter()
+    code, err = run_err(capsys, "sweep", "--model", "fixed", "--cme-order",
+                        order, "--k-max", "2")
+    assert time.perf_counter() - t0 < 2.0
+    assert code == EXIT_INPUT
+    assert "odd integer from 1 to 51" in err
+
+
+def test_sweep_writes_nothing_to_stderr():
+    src = os.path.dirname(os.path.dirname(powruin.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "powruin.cli", "sweep", "--model", "fixed",
+         "--cme-order", "1", "--k-max", "2"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("k,q,deficit,model")
+    assert proc.stderr == ""
 
 
 def test_calibrate_zero_builds_no_cme(monkeypatch, capsys):

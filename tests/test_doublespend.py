@@ -9,7 +9,7 @@ import scipy.sparse.linalg
 from numpy.testing import assert_allclose
 
 import powruin
-from powruin import delaymodel, doublespend
+from powruin import delaymodel, doublespend, ruinlindley
 from powruin.delaymodel import (HashrateProfile, assemble_theta,
                                 calibrate_alpha, fixed_delay_theta,
                                 zero_delay_theta)
@@ -58,10 +58,11 @@ def test_cli_import_leaves_scipy_stats_out():
     src = os.path.dirname(os.path.dirname(powruin.__file__))
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, powruin.cli; print('scipy.stats' in sys.modules)"],
+         "import sys, powruin.cli; print([m in sys.modules for m in "
+         "('scipy.stats', 'scipy.optimize')])"],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True,
         text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[False, False]"
 
 
 def test_truncated_product_hand_case():
@@ -195,6 +196,16 @@ def test_analyze_factors_each_matrix_once(monkeypatch):
                         or splu(A, *a, **kw))
     analyze(DelayModel("variable", profile=PROFILE), 0.2, 600.0, 6, K=9)
     assert len(factored) == iterations + 1
+
+
+def test_analyze_builds_the_lead_once(monkeypatch):
+    # the ruin table is read off analyze's own lead, not a second one
+    calls = []
+    spy = lambda *args: calls.append(args) or lead_pmf(*args)  # noqa: E731
+    monkeypatch.setattr(ruinlindley, "lead_pmf", spy)
+    monkeypatch.setattr(doublespend, "lead_pmf", spy)
+    analyze(DelayModel("zero"), 0.2, 600.0, 20)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("delay, beta_fraction", [(300.0, 0.2), (590.0, 0.01)])

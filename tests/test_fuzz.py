@@ -1,7 +1,7 @@
 """Property-based fuzzing of the input parsers: delay files, profile tables
 and config files.  Each input either parses or fails with a documented exit
-code or ValueError; no other exception escapes.  No example runs a CME
-search: ingest builds no ME model and the config runs use the zero model."""
+code or ValueError; no other exception escapes.  No example builds a CME:
+ingest builds no ME model and the config runs use the zero model."""
 
 import contextlib
 import io

@@ -1,9 +1,13 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.sparse.linalg
 from numpy.testing import assert_allclose
 
+from powruin._cmetable import CME_UNIT
 from powruin.delaymodel import HashrateProfile, assemble_theta
 from powruin.medist import MEValidationError, cme, erlang_me, make_me
 
@@ -97,10 +101,36 @@ def test_cme_rejects_even_order():
         cme(3, 0.0)
 
 
+@pytest.mark.parametrize("K", [4, 0, -1, 2.5, 53, 201])
+def test_cme_refuses_untabled_order(K):
+    with pytest.raises(ValueError, match="odd integer from 1 to 51"):
+        cme(K, 1.0)
+
+
+@pytest.mark.parametrize("K", range(1, 52, 2))
+def test_cme_table_meets_criterion_06(K):
+    d = cme(K, 600.0)
+    assert abs(d.mean() - 600.0) / 600.0 <= 1e-9
+    assert d.scv() <= 2.5 / K**2
+    make_me(d.init, d.subgen.toarray())
+
+
+@pytest.mark.parametrize("K", [3, 5])
+def test_table_generator_reproduces_rows(K):
+    path = Path(__file__).resolve().parents[1] / "tools" / "make_cme_table.py"
+    spec = importlib.util.spec_from_file_location("make_cme_table", path)
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    assert generator.search(K) == CME_UNIT[K]
+
+
 def test_cme_order_one_is_exponential():
     d = cme(1, 5.0)
     assert d.order == 1
     assert_allclose(d.scv(), 1.0, atol=1e-12)
+    e = erlang_me(1, 5.0)
+    assert np.array_equal(d.subgen.toarray(), e.subgen.toarray())
+    assert np.array_equal(d.init, e.init)
 
 
 def test_cme_concentration():
