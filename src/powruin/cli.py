@@ -20,7 +20,7 @@ import numpy as np
 
 from . import doublespend, ingest, simulate
 from .delaymodel import HashrateProfile
-from .medist import erlang_me
+from .medist import _check_cme_order, erlang_me
 
 EXIT_INPUT = 3
 EXIT_NUMERIC = 4
@@ -65,6 +65,9 @@ def _load_profile(args) -> HashrateProfile:
 
 
 def _build_model(args) -> doublespend.DelayModel:
+    # refused on every model, also one that builds no CME, so that no run
+    # accepts or names an order the table lacks
+    _check_cme_order(args.cme_order)
     source = args.model + (" --data" if args.data is not None else "")
     for dest, (_, default, readers, _) in _MODEL_FLAGS.items():
         if args.model in readers or source in readers:
@@ -242,8 +245,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=int, default=6)
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--warmup", type=int, default=10_000)
-    p.add_argument("--stop-lead", type=int, default=64)
+    p.add_argument("--warmup", type=int, default=10_000,
+                   help="most steps of each trial's reversed pre-mining "
+                        "walk (at least 1000; default 10000)")
+    p.add_argument("--stop-lead", type=int, default=64,
+                   help="a pre-mining walk stops this far below its "
+                        "maximum and a race ends at this lead; each biases "
+                        "q by at most psi(stop-lead) (at least --k-max; "
+                        "default 64)")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_simulate)
 

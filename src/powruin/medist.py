@@ -275,6 +275,13 @@ def _cme_from_params(omega, phases) -> MEDistribution:
     return make_me(e1, T, eigenvalues=eigs)
 
 
+def _check_cme_order(K) -> None:
+    """Refuse an order K that has no row in the CME table."""
+    if K not in CME_UNIT:
+        raise ValueError(f"K must be an odd integer from 1 to "
+                         f"{max(CME_UNIT)}, got {K!r}")
+
+
 def cme(K: int, delta: float) -> MEDistribution:
     """Concentrated ME approximation of the deterministic value ``delta``.
 
@@ -285,9 +292,7 @@ def cme(K: int, delta: float) -> MEDistribution:
     sign of an eigenvalue nor monotonicity, so it needs no second
     validation.
     """
-    if K not in CME_UNIT:
-        raise ValueError(f"K must be an odd integer from 1 to "
-                         f"{max(CME_UNIT)}, got {K!r}")
+    _check_cme_order(K)
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     unit = _cme_unit(K)

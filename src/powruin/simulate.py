@@ -4,8 +4,17 @@ Independent of the matrix-analytic pipeline: honest inter-mining times are
 drawn from the actual piecewise-constant-rate renewal process (exact
 piecewise exponential inversion, no ME approximation), adversary counts are
 Poisson over the sampled interval, and each trial walks through pre-mining,
-confirmation, and the post-confirmation race.  Trials are vectorized in
-fixed-size batches; results are deterministic given (seed, config).
+confirmation, and the post-confirmation race.
+
+Pre-mining uses Loynes' reversal: the Phi increments are i.i.d., so the lead
+after n blocks from empty has the law of the maximum of the reversed walk
+of Phi - 1 over n steps.  Each trial walks until it falls ``stop_lead``
+below its running maximum, or for at most ``warmup_blocks`` steps.  Without
+the early stop the lead has exactly the law of the chain after
+``warmup_blocks`` blocks; the stop's bias is at most psi(stop_lead), the
+bound the race's upper barrier already carries.  The races of every depth
+run in one loop.  Trials are vectorized in fixed-size batches; results are
+deterministic given (seed, config).
 """
 
 from __future__ import annotations
@@ -92,41 +101,70 @@ class ThetaSampler:
         return out
 
 
-def _race(z, sampler, beta, stop_lead, rng):
-    """Count violations of the post-confirmation race.
+def _loynes_lead(increment, n, cap, stop_lead):
+    """Maxima of n reversed walks, each stopped early or after cap steps.
 
-    z holds the honest lead at confirmation; entries < 0 violate outright,
-    the rest walk Z <- Z + 1 - Phi until Z <= 0 (violation, ties included)
-    or Z >= stop_lead (safe).
+    ``increment(size)`` draws the next Phi - 1 for the ``size`` trials
+    still walking, in trial order.  Each trial keeps s += Phi - 1 and
+    m = max(m, s) until s <= m - stop_lead or the cap; its lead is m.
     """
-    nviol = int(np.sum(z < 0))
-    zz = z[z >= 0].astype(np.int64)
-    while zz.size:
-        theta = sampler.sample(rng, zz.size)
-        zz = zz + 1 - rng.poisson(beta * theta)
-        hit = zz <= 0
-        nviol += int(hit.sum())
-        zz = zz[(~hit) & (zz < stop_lead)]
+    lead = np.zeros(n, dtype=np.int64)
+    active = np.arange(n)
+    s = np.zeros(n, dtype=np.int64)
+    m = np.zeros(n, dtype=np.int64)
+    for _ in range(cap):
+        s += increment(active.size)
+        np.maximum(m, s, out=m)
+        done = s <= m - stop_lead
+        if done.any():
+            lead[active[done]] = m[done]
+            keep = ~done
+            active, s, m = active[keep], s[keep], m[keep]
+            if not active.size:
+                break
+    lead[active] = m
+    return lead
+
+
+def _race(z, depth, n_depths, sampler, beta, stop_lead, rng):
+    """Violations of the post-confirmation race, counted per depth index.
+
+    z holds the honest lead at confirmation and ``depth`` the index of the
+    depth each entry belongs to; entries < 0 violate outright, the rest walk
+    Z <- Z + 1 - Phi until Z <= 0 (violation, ties included) or
+    Z >= stop_lead (safe).
+    """
+    nviol = np.bincount(depth[z < 0], minlength=n_depths)
+    live = z >= 0
+    z, depth = z[live], depth[live]
+    while z.size:
+        theta = sampler.sample(rng, z.size)
+        z = z + 1 - rng.poisson(beta * theta)
+        hit = z <= 0
+        nviol += np.bincount(depth[hit], minlength=n_depths)
+        keep = ~hit & (z < stop_lead)
+        z, depth = z[keep], depth[keep]
     return nviol
 
 
 def simulate_attack_sweep(config: SimConfig, ks) -> dict[int, SimEstimate]:
     """Estimates for several confirmation depths sharing one pre-mining pass.
 
-    The pre-mining warmup and the confirmation-interval counts are drawn
-    once per trial and reused across depths (estimates are correlated across
-    k but unbiased per k); races are drawn fresh per depth.
+    The stationary lead and the confirmation-interval counts are drawn once
+    per trial and reused across depths (estimates are correlated across k
+    but unbiased per k); each depth's race draws are fresh, and the races of
+    all depths run in one loop.
     """
     ks = sorted(set(int(k) for k in ks))
     if min(ks) < 1:
         raise ValueError("confirmation depths must be >= 1")
     if config.stop_lead < max(ks):
         raise ValueError("stop_lead must cover the largest depth")
-    k_max = max(ks)
+    slot = {k: j for j, k in enumerate(ks)}
     sampler = ThetaSampler(config.profile)
     beta = config.beta
 
-    violations = {k: 0 for k in ks}
+    violations = np.zeros(len(ks), dtype=np.int64)
     n_batches = -(-config.trials // _BATCH)
     streams = np.random.SeedSequence(config.seed).spawn(n_batches)
     remaining = config.trials
@@ -135,25 +173,28 @@ def simulate_attack_sweep(config: SimConfig, ks) -> dict[int, SimEstimate]:
         remaining -= n
         rng = np.random.default_rng(streams[batch])
 
-        # Pre-mining: adversary lead right after honest mining instants.
-        q = np.zeros(n, dtype=np.int64)
-        for _ in range(config.warmup_blocks):
-            phi = rng.poisson(beta * sampler.sample(rng, n))
-            q = np.maximum(q + phi - 1, 0)
+        # Pre-mining: adversary lead right after an honest mining instant.
+        lead = _loynes_lead(
+            lambda size: rng.poisson(beta * sampler.sample(rng, size)) - 1,
+            n, config.warmup_blocks, config.stop_lead)
 
         # Confirmation interval: k honest intervals plus the final
         # propagation window of adversary-only mining.
+        z = np.empty((len(ks), n), dtype=np.int64)
         cum = np.zeros(n, dtype=np.int64)
-        for i in range(1, k_max + 1):
+        for i in range(1, ks[-1] + 1):
             cum += rng.poisson(beta * sampler.sample(rng, n))
-            if i in violations:
-                v = q + cum + rng.poisson(beta * config.delta_conf, size=n)
-                z = i - 1 - v
-                violations[i] += _race(z, sampler, beta, config.stop_lead, rng)
+            if i in slot:
+                v = lead + cum + rng.poisson(beta * config.delta_conf, size=n)
+                z[slot[i]] = i - 1 - v
+        depth = np.repeat(np.arange(len(ks), dtype=np.min_scalar_type(
+            len(ks) - 1)), n)
+        violations += _race(z.ravel(), depth, len(ks), sampler, beta,
+                            config.stop_lead, rng)
 
     out = {}
-    for k in ks:
-        q_hat = violations[k] / config.trials
+    for k, nviol in zip(ks, violations):
+        q_hat = int(nviol) / config.trials
         se = float(np.sqrt(q_hat * (1.0 - q_hat) / config.trials))
         out[k] = SimEstimate(q_hat=q_hat, std_err=se, trials=config.trials)
     return out

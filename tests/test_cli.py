@@ -258,6 +258,17 @@ def test_sweep_refuses_untabled_cme_order(order, capsys):
     assert "odd integer from 1 to 51" in err
 
 
+@pytest.mark.parametrize("command", ["sweep", "simulate"])
+@pytest.mark.parametrize("model", ["zero", "fixed", "expdelay"])
+@pytest.mark.parametrize("order", ["4", "200"])
+def test_untabled_cme_order_is_refused_on_every_model(command, model, order,
+                                                      capsys):
+    code, err = run_err(capsys, *MODEL_COMMANDS[command], "--model", model,
+                        "--cme-order", order, "--delta-conf", "1")
+    assert code == EXIT_INPUT
+    assert f"K must be an odd integer from 1 to 51, got {order}" in err
+
+
 def test_sweep_writes_nothing_to_stderr():
     src = os.path.dirname(os.path.dirname(powruin.__file__))
     proc = subprocess.run(

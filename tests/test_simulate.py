@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from powruin.delaymodel import HashrateProfile, zero_delay_theta
+from powruin import simulate
+from powruin.delaymodel import (HashrateProfile, calibrate_alpha,
+                                zero_delay_theta)
 from powruin.phi import phi_from_theta
 from powruin.ruinlindley import lead_pmf
-from powruin.simulate import (SimConfig, ThetaSampler, simulate_attack,
-                              simulate_attack_sweep, simulate_lindley)
+from powruin.simulate import (SimConfig, ThetaSampler, _loynes_lead,
+                              simulate_attack, simulate_attack_sweep,
+                              simulate_lindley)
 
 ALPHA = 1 / 600
 
@@ -106,6 +109,91 @@ def test_sweep_rejects_bad_depths():
         simulate_attack_sweep(config, [0, 1])
     with pytest.raises(ValueError):
         simulate_attack_sweep(config, [100])
+
+
+def criterion_profile():
+    """The criterion-5/8 profile at its K=27 calibrated rate."""
+    cal = calibrate_alpha(var_profile(), 600.0, 27)
+    return var_profile().with_fullrate(cal.calibrated_rate), cal.theta
+
+
+def columns(phi):
+    """Increment draw replaying phi - 1 column by column, while no trial
+    but the last has stopped early."""
+    steps = iter(phi.T - 1)
+    return lambda size: next(steps)
+
+
+def test_loynes_lead_is_lindley_on_the_reversed_increments():
+    phi = np.random.default_rng(11).poisson(0.9, size=(40, 300))
+    cap = 250
+    lead = _loynes_lead(columns(phi), len(phi), cap, stop_lead=10**9)
+    for row, got in zip(phi, lead):
+        q = 0
+        for x in row[:cap][::-1]:
+            q = max(q + x - 1, 0)
+        assert got == q
+    # the early stop keeps the maximum reached: up to 3, down to -2, stop
+    rise = np.array([[2, 2, 2, 0, 0, 0, 0, 0, 9, 9]])
+    assert _loynes_lead(columns(rise), 1, 10, stop_lead=5)[0] == 3
+    assert _loynes_lead(columns(rise), 1, 10, stop_lead=6)[0] == 14
+
+
+def test_loynes_lead_matches_lead_pmf_on_the_criterion_profile():
+    prof, theta = criterion_profile()
+    beta = 0.2 * prof.fullrate
+    analytic = lead_pmf(phi_from_theta(theta, beta, 10), 10).masses
+    sampler, rng, n = ThetaSampler(prof), np.random.default_rng(21), 400_000
+    lead = _loynes_lead(
+        lambda size: rng.poisson(beta * sampler.sample(rng, size)) - 1,
+        n, 2_000, 64)
+    emp = np.bincount(lead, minlength=10)[:10] / n
+    z = np.abs(emp - analytic) / np.sqrt(analytic * (1 - analytic) / n)
+    assert z.max() <= 4.0
+
+
+def count_samples(monkeypatch):
+    calls = []
+    sample = ThetaSampler.sample
+
+    def spy(self, rng, size):
+        calls.append(size)
+        return sample(self, rng, size)
+    monkeypatch.setattr(ThetaSampler, "sample", spy)
+    return calls
+
+
+def test_sweep_samples_far_fewer_times_than_the_cap(monkeypatch):
+    prof, _ = criterion_profile()
+    calls = count_samples(monkeypatch)
+    config = SimConfig(profile=prof, beta=0.2 * prof.fullrate, k=6,
+                       delta_conf=prof.max_delay, warmup_blocks=2_000,
+                       stop_lead=64, trials=1_500, seed=3)
+    simulate_attack_sweep(config, range(1, 7))
+    assert len(calls) < 400
+    # a walk that never falls stop_lead below its maximum stops at the cap;
+    # at rho = 3 every confirmation lead is negative, so no race step runs
+    calls.clear()
+    config = SimConfig(profile=zero_profile(), beta=3 * ALPHA, k=2,
+                       warmup_blocks=1_000, stop_lead=10**9, trials=50)
+    ests = simulate_attack_sweep(config, [1, 2])
+    assert len(calls) == 1_000 + 2
+    assert ests[1].q_hat == ests[2].q_hat == 1.0
+
+
+def test_sweep_runs_one_race_per_batch(monkeypatch):
+    races = []
+    race = simulate._race
+
+    def spy(z, depth, *args):
+        races.append(np.bincount(depth).tolist())
+        return race(z, depth, *args)
+    monkeypatch.setattr(simulate, "_race", spy)
+    monkeypatch.setattr(simulate, "_BATCH", 500)
+    config = SimConfig(profile=zero_profile(), beta=0.2 * ALPHA, k=3,
+                       warmup_blocks=1_000, trials=1_200, seed=4)
+    simulate_attack_sweep(config, [1, 2, 3])
+    assert races == [[500] * 3, [500] * 3, [200] * 3]
 
 
 def test_lindley_simulation_matches_lead_pmf():
