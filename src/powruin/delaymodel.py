@@ -5,10 +5,13 @@ function of elapsed time: fraction ``fractions[i]`` of the full rate on
 ``[thresholds[i], thresholds[i+1])`` and the full rate beyond the last
 threshold.  Zero delay is the profile with no segment and a fixed delay d
 the profile with one segment [0, d) that does not mine.  The inter-mining
-time distribution is assembled as a sparse block-bidiagonal ME
-distribution: each segment length is replaced by a concentrated ME
-approximation shifted by the segment's mining rate, chained into a final
-exponential phase at full rate.
+time is an ME distribution with a block-bidiagonal subgenerator: each
+segment length is replaced by a concentrated ME approximation shifted by
+the segment's mining rate, chained into a final exponential phase at full
+rate.  A profile's distribution solves ``T - sI`` segment by segment, with
+no factorization, and builds its sparse ``T`` only when the density or
+distribution function asks for it.  A random ME delay is chained into the
+full-rate phase as a general sparse ME and solves by sparse LU.
 
 Calibration rescales the single full-rate scalar by fixed-point iteration
 on the mean time after the profile's dead time until the model mean equals
@@ -19,11 +22,12 @@ so no bracketing fallback is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse
 
-from .medist import MEDistribution, _validated, cme, make_me
+from .medist import MEDistribution, _sparse_me, _validated, cme
 
 __all__ = [
     "HashrateProfile", "CalibrationResult", "assemble_theta",
@@ -158,7 +162,158 @@ def random_delay_theta(delay_dist: MEDistribution, alpha: float) -> MEDistributi
     T = scipy.sparse.bmat([[delay_dist.subgen, delay_dist.exit[:, None]],
                            [None, [[-alpha]]]], format="csc")
     v = np.append(delay_dist.init, 0.0)
-    return _validated(v, T, np.append(delay_dist.eigenvalues, -alpha))
+    return _validated(
+        _sparse_me(v, T, np.append(delay_dist.eigenvalues, -alpha)))
+
+
+@lru_cache(maxsize=None)
+def _unit_blocks(K: int):
+    """The mean-one CME[K] as the pieces a segment solve reads.
+
+    In the e_1 basis its subgenerator U has a dense first row (U[0, 0] = d,
+    U[0, 1:] = rho) and, below it, n = (K - 1)/2 independent rotation
+    blocks [[a_j, b_j], [-b_j, a_j]] on rows and columns 2j - 1, 2j.
+    Returns (d, rho, a, b, eigenvalues).
+    """
+    unit = cme(K, 1.0)
+    U = unit.subgen.toarray()
+    j = np.arange(1, K, 2)
+    return U[0, 0], U[0, 1:], U[j, j], U[j, j + 1], unit.eigenvalues
+
+
+# The unit exponential in the same pieces: the zero profile builds no CME.
+_EXPONENTIAL = (-1.0, np.empty(0), np.empty(0), np.empty(0), np.array([-1.0]))
+
+
+class _ProfileTheta(MEDistribution):
+    """Inter-mining time of a profile, solved segment by segment.
+
+    Segment i has the diagonal block M_i = delta_i U - r_i I, with U the
+    mean-one CME subgenerator, delta_i the inverse segment length and r_i
+    the segment's mining rate; its exit column delta_i h_U feeds the first
+    entry of segment i + 1, or the final phase at full rate alpha.  Every
+    solve with T - sI is exact substitution in O(N K): 2x2 rotation solves
+    and one dot product per block, and a scalar recurrence over the
+    segments through the coupling column.  The sparse ``subgen`` is
+    assembled on first access only.
+    """
+
+    def __init__(self, profile: HashrateProfile, K: int):
+        N = profile.n_segments
+        alpha = profile.fullrate
+        unit = _unit_blocks(K) if N else _EXPONENTIAL
+        K = len(unit[1]) + 1
+        delta = 1.0 / np.asarray(profile.segment_lengths)
+        rates = np.asarray(profile.fractions) * alpha
+        init = np.zeros(N * K + 1)
+        init[0] = 1.0
+        fields = dict(
+            init=init, exit=np.append(np.repeat(rates, K), alpha),
+            order=N * K + 1,
+            eigenvalues=np.append(np.outer(delta, unit[4]) - rates[:, None],
+                                  -alpha),
+            _K=K, _delta=delta, _rates=rates, _alpha=alpha, _unit=unit)
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def subgen(self):
+        """The sparse e_1-basis subgenerator, block-bidiagonal."""
+        N, K, delta = len(self._delta), self._K, self._delta
+        if N == 0:
+            return scipy.sparse.csc_matrix([[-self._alpha]])
+        unit = cme(K, 1.0)
+        blocks = (scipy.sparse.kron(scipy.sparse.diags(delta), unit.subgen)
+                  - scipy.sparse.diags(np.repeat(self._rates, K)))
+        coupling = scipy.sparse.kron(
+            scipy.sparse.diags(delta[:-1], 1, shape=(N, N)),
+            scipy.sparse.csr_matrix(np.outer(unit.exit, unit.init)))
+        last = np.zeros((N * K, 1))
+        last[-K:, 0] = unit.exit * delta[-1]
+        return scipy.sparse.bmat(
+            [[blocks + coupling, last], [None, [[-self._alpha]]]], format="csc")
+
+    def solver(self, s: float = 0.0):
+        """Solver for (T - sI) x = b by substitution over the segments."""
+        return _SegmentSolver(self, s)
+
+
+class _SegmentSolver:
+    """Solves (T - sI) x = b for a profile's T, with SuperLU's signature.
+
+    ``solve(b)`` substitutes backwards: block i's solution is
+    u_i - t_{i+1} w_i, with u_i = M_i^{-1} b_i, w_i = delta_i M_i^{-1} h_U
+    and t_{i+1} the first entry of the next block, so the first entries
+    follow t_i = u_i[0] - g_i t_{i+1} with g_i = w_i[0].
+    ``solve(b, trans="T")`` substitutes forwards through the transposed
+    coupling, the scalar sigma_i = delta_i h_U . x_i, with the same g_i.
+    """
+
+    def __init__(self, theta: _ProfileTheta, s: float):
+        d, rho, a, b, _ = theta._unit
+        delta = theta._delta[:, None]
+        c = theta._rates[:, None] + s
+        self.p0 = delta[:, 0] * d - c[:, 0]
+        # the pair (x_{2j-1}, x_{2j}) as one complex number: block j is
+        # division by (delta a_j - c) - i delta b_j
+        rot = delta * a - c - 1j * (delta * b)
+        self.pf = -theta._alpha - s
+        if self.pf == 0 or not (np.all(self.p0) and np.all(rot)):
+            raise ValueError(f"T - sI singular at s={s}")
+        self.inv = 1.0 / rot
+        self.rho = delta * rho
+        self.c = c
+        # delta h_U = -delta U 1 = -(M + cI) 1, so w = M^{-1} delta h_U is
+        # -1 - c M^{-1} 1: no cancellation in the exit column
+        ones = np.ones((len(delta), theta._K))
+        self.w = -1.0 - c * self._blocks(ones, False)
+        self.g = self.w[:, 0].tolist()
+        e1 = np.zeros_like(ones)
+        e1[:, 0] = 1.0
+        self.z = self._blocks(e1, True)
+
+    def _blocks(self, y, trans):
+        """x_i = M_i^{-1} y_i (or M_i^{-T} y_i) for every segment at once."""
+        x = np.empty_like(y)
+        pairs = x[:, 1:].view(complex)
+        if trans:
+            x[:, 0] = y[:, 0] / self.p0
+            rest = y[:, 1:] - self.rho * x[:, :1]
+            np.multiply(rest.view(complex), self.inv.conj(), out=pairs)
+        else:
+            np.multiply(y[:, 1:].view(complex), self.inv, out=pairs)
+            x[:, 0] = (y[:, 0] - np.einsum("ij,ij->i", self.rho, x[:, 1:])
+                       ) / self.p0
+        return x
+
+    def solve(self, b, trans="N"):
+        if trans not in ("N", "T"):
+            raise ValueError(f"trans must be 'N' or 'T', got {trans!r}")
+        b = np.ascontiguousarray(b, dtype=float)
+        g = self.g
+        N = len(g)
+        y = b[:-1].reshape(self.w.shape)
+        if trans == "N":
+            u = self._blocks(y, False)
+            u0 = u[:, 0].tolist()
+            last = t = b[-1] / self.pf
+            nxt = [0.0] * N
+            for i in range(N - 1, -1, -1):
+                nxt[i] = t
+                t = u0[i] - g[i] * t
+            x = u - np.array(nxt)[:, None] * self.w
+        else:
+            u = self._blocks(y, True)
+            # delta h_U . u = -1 . (M^T + cI) u = -(sum y + c sum u)
+            a = (-(y.sum(axis=1) + self.c[:, 0] * u.sum(axis=1))).tolist()
+            prev = [0.0] * N
+            sigma = 0.0
+            for i in range(N):
+                prev[i] = sigma
+                sigma = a[i] - g[i] * sigma
+            x = u - np.array(prev)[:, None] * self.z
+            last = (b[-1] - sigma) / self.pf
+        return np.append(x.ravel(), last)
 
 
 def assemble_theta(profile: HashrateProfile, K: int) -> MEDistribution:
@@ -166,33 +321,14 @@ def assemble_theta(profile: HashrateProfile, K: int) -> MEDistribution:
 
     With no segment (N = 0) it is the exponential at full rate, for any K.
     Each segment i contributes a CME[K, delta_i] block shifted by the
-    segment mining rate; consecutive blocks couple through exit/init rank-one
-    products and the final scalar phase mines at full rate.  The sparse
-    matrix and its spectrum are built from the mean-one CME: the blocks are
-    its time-rescaled copies, and the CME's initial vector e_1 makes each
-    coupling block a single column.
+    segment mining rate; consecutive blocks couple through the CME's exit
+    column, since its initial vector is e_1, and the final scalar phase
+    mines at full rate.  The blocks and the spectrum come from the mean-one
+    CME, whose time-rescaled copies they are.  The result solves segment by
+    segment (see :class:`_ProfileTheta`) and is checked like any derived
+    model: mass, spectrum, mean and mgf(0).
     """
-    N = profile.n_segments
-    alpha = profile.fullrate
-    if N == 0:
-        return make_me([1.0], [[-alpha]], eigenvalues=[-alpha])
-    unit = cme(K, 1.0)
-    inv = 1.0 / np.asarray(profile.segment_lengths)
-    rates = np.asarray(profile.fractions) * alpha
-
-    blocks = (scipy.sparse.kron(scipy.sparse.diags(inv), unit.subgen)
-              - scipy.sparse.diags(np.repeat(rates, K)))
-    coupling = scipy.sparse.kron(scipy.sparse.diags(inv[:-1], 1, shape=(N, N)),
-                                 scipy.sparse.csr_matrix(
-                                     np.outer(unit.exit, unit.init)))
-    last = np.zeros((N * K, 1))
-    last[-K:, 0] = unit.exit * inv[-1]
-    T = scipy.sparse.bmat([[blocks + coupling, last], [None, [[-alpha]]]],
-                          format="csc")
-    v = np.zeros(N * K + 1)
-    v[:K] = unit.init
-    eigs = np.append(np.outer(inv, unit.eigenvalues) - rates[:, None], -alpha)
-    return _validated(v, T, eigs)
+    return _validated(_ProfileTheta(profile, K))
 
 
 def calibrate_alpha(profile: HashrateProfile, block_interval: float, K: int,

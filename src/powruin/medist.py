@@ -10,9 +10,14 @@ distribution function are
 and the moment generating function is the rational function
 ``M(s) = -v (sI + T)^{-1} h``.
 
-Every distribution holds ``T`` once, as a sparse CSC matrix, together with
-its validated spectrum; moments and the mgf solve through sparse LU
-factorizations.  Only the density and distribution function densify ``T``.
+Every distribution carries its validated spectrum, and the mean, the
+squared coefficient of variation and the mgf all solve through one method,
+:meth:`MEDistribution.solver`, which returns a solver for ``T - sI``.  A
+general distribution holds ``T`` as a sparse CSC matrix and factors
+``T - sI`` by sparse LU; the inter-mining time of a hashrate profile
+(:func:`powruin.delaymodel.assemble_theta`) solves segment by segment
+without a factorization and builds its sparse ``T`` only on first access.
+Only the density and distribution function densify ``T``.
 
 Two families approximating a deterministic value ``delta`` are provided:
 
@@ -53,8 +58,8 @@ class MEDistribution:
 
     Instances are immutable; all fields are read-only after construction
     and safe to share between threads.  ``subgen`` is a sparse CSC matrix
-    and ``eigenvalues`` its spectrum.  Use :func:`make_me` rather than
-    instantiating directly.
+    (a profile's theta builds it on first access) and ``eigenvalues`` its
+    spectrum.  Use :func:`make_me` rather than instantiating directly.
     """
 
     init: np.ndarray
@@ -63,15 +68,27 @@ class MEDistribution:
     order: int
     eigenvalues: np.ndarray
 
-    # -- internal solves ---------------------------------------------------
+    # -- solves --------------------------------------------------------------
+
+    def solver(self, s: float = 0.0):
+        """Solver for (T - sI) x = b, as ``.solve(b, trans="N" | "T")``.
+
+        Here a sparse LU of ``subgen - sI``; a singular matrix raises
+        ``ValueError``.
+        """
+        mat = self.subgen - s * scipy.sparse.identity(self.order, format="csc")
+        try:
+            return scipy.sparse.linalg.splu(mat)
+        except RuntimeError as exc:
+            raise ValueError(f"T - sI singular at s={s}") from exc
 
     def _solve_T(self, b):
-        """Solve subgen @ x = b through a cached sparse LU."""
-        lu = getattr(self, "_lu_cache", None)
-        if lu is None:
-            lu = scipy.sparse.linalg.splu(self.subgen)
-            object.__setattr__(self, "_lu_cache", lu)
-        return lu.solve(b)
+        """Solve T x = b through the solver of T, made once and cached."""
+        solver = getattr(self, "_T_solver", None)
+        if solver is None:
+            solver = self.solver()
+            object.__setattr__(self, "_T_solver", solver)
+        return solver.solve(b)
 
     # -- evaluation --------------------------------------------------------
 
@@ -118,12 +135,7 @@ class MEDistribution:
         The caller must supply ``s`` inside the convergence region (to the
         left of the spectral abscissa of -T).
         """
-        mat = self.subgen + s * scipy.sparse.identity(self.order, format="csc")
-        try:
-            x = scipy.sparse.linalg.splu(mat).solve(self.exit)
-        except RuntimeError as exc:
-            raise ValueError(f"sI + T singular at s={s}") from exc
-        return -float(self.init @ x)
+        return -float(self.init @ self.solver(-s).solve(self.exit))
 
     def mean(self) -> float:
         """First moment -v T^{-1} 1."""
@@ -140,32 +152,34 @@ class MEDistribution:
         return m2 / m1**2 - 1.0
 
 
-def _validated(init, subgen, eigenvalues) -> MEDistribution:
-    """Build an :class:`MEDistribution` from a sparse subgenerator.
-
-    Checks the initial mass, the spectrum, the mean and mgf(0); the mean
-    and mgf(0) = -v T^{-1} h both solve through the one cached LU of T.
-    Models derived from validated ones (chained, shifted or rescaled) come
-    here directly; outside input goes through :func:`make_me`.
-    """
+def _sparse_me(init, subgen, eigenvalues) -> MEDistribution:
+    """An unchecked :class:`MEDistribution` on a sparse copy of ``subgen``,
+    with its exit vector -T 1."""
     v = np.asarray(init, dtype=float)
     T = scipy.sparse.csc_matrix(subgen, dtype=float)
-    m = len(v)
-    mass = float(v.sum())
+    return MEDistribution(init=v, subgen=T, exit=-(T @ np.ones(len(v))),
+                          order=len(v), eigenvalues=np.asarray(eigenvalues))
+
+
+def _validated(d: MEDistribution) -> MEDistribution:
+    """Check the initial mass, the spectrum, the mean and mgf(0) of ``d``.
+
+    The mean and mgf(0) = -v T^{-1} h both solve through the one cached
+    solver of T.  Models derived from validated ones (chained, shifted or
+    rescaled) come here directly; outside input goes through
+    :func:`make_me`.
+    """
+    mass = float(d.init.sum())
     if abs(mass - 1.0) > 1e-10:
         raise MEValidationError(f"init mass {mass} != 1")
-    eigs = np.asarray(eigenvalues)
-    worst = float(np.max(np.real(eigs)))
+    worst = float(np.max(np.real(d.eigenvalues)))
     if worst >= -_EIG_TOL:
         raise MEValidationError(
             f"subgenerator eigenvalue with real part {worst} >= -{_EIG_TOL}")
-
-    h = -(T @ np.ones(m))
-    d = MEDistribution(init=v, subgen=T, exit=h, order=m, eigenvalues=eigs)
     mu = d.mean()
     if not (mu > 0 and math.isfinite(mu)):
         raise MEValidationError(f"mean {mu} not strictly positive and finite")
-    if abs(-float(v @ d._solve_T(h)) - 1.0) > 1e-10:
+    if abs(-float(d.init @ d._solve_T(d.exit)) - 1.0) > 1e-10:
         raise MEValidationError("mgf(0) != 1")
     return d
 
@@ -189,7 +203,7 @@ def make_me(init, subgen, *, eigenvalues=None) -> MEDistribution:
             f"dimension mismatch: init has length {m}, subgen is {T.shape}")
     if eigenvalues is None:
         eigenvalues = np.linalg.eigvals(T)
-    d = _validated(v, T, eigenvalues)
+    d = _validated(_sparse_me(v, T, eigenvalues))
     grid = np.linspace(0.0, 5.0 * d.mean(), 16)
     F = np.array([d.cdf(x) for x in grid])
     if np.any(np.diff(F) < -1e-9):

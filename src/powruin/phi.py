@@ -6,13 +6,16 @@ per interval has the matrix-geometric pmf
 
     p(n) = c A^n b,   A = (I - T/beta)^{-1},   c = v A / beta,   b = h.
 
-A is never formed explicitly: every application is a solve against one
-sparse LU of I - T/beta.  Every eigenvalue lambda of T has negative real
-part (checked when theta was built), so each eigenvalue 1/(1 - lambda/beta)
-of A lies inside the unit disc and the pmf is summable.
+A = -beta (T - beta I)^{-1} is never formed explicitly: every application
+is a solve with the one solver of T - beta I that theta returns (see
+:meth:`powruin.medist.MEDistribution.solver`).  A profile's theta solves
+segment by segment and builds no sparse matrix; a general ME, such as a
+random delay chain, solves by sparse LU.  Every eigenvalue lambda of T has
+negative real part (checked when theta was built), so each eigenvalue
+1/(1 - lambda/beta) of A lies inside the unit disc and the pmf is summable.
 
 Given theta the count is Poisson(beta theta), so its mean is beta E[theta]
-(Wald's identity), one solve against the LU of T cached with theta.
+(Wald's identity), one solve with the solver of T cached with theta.
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .medist import MEDistribution
 
@@ -60,14 +61,13 @@ def phi_from_theta(theta: MEDistribution, beta: float, k: int) -> PhiDistributio
     if k > 10_000:
         raise ValueError(f"k={k} exceeds the supported cap of 10000")
 
-    M = scipy.sparse.identity(theta.order, format="csc") - theta.subgen / beta
-    lu = scipy.sparse.linalg.splu(M)
-    c = lu.solve(theta.init / beta, trans="T")  # c = v A / beta
+    solver = theta.solver(beta)
+    c = solver.solve(-theta.init, trans="T")  # c = v A / beta
 
     masses = np.empty(k)
     y = theta.exit
     masses[0] = c @ y
     for n in range(1, k):
-        y = lu.solve(y)
+        y = solver.solve(-beta * y)  # y = A y
         masses[n] = c @ y
     return PhiDistribution(masses=masses, mean=beta * theta.mean())

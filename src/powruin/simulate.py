@@ -74,31 +74,29 @@ class ThetaSampler:
 
     def __init__(self, profile: HashrateProfile):
         self.profile = profile
-        rates = np.array(profile.fractions) * profile.fullrate
-        lengths = np.array(profile.segment_lengths)
-        self.rates = rates
-        self.left = np.array(profile.thresholds[:-1])
+        self.rate = np.array(profile.fractions) * profile.fullrate
+        self.left = np.array(profile.thresholds)
         # cumulative hazard at every threshold
-        edges = np.concatenate([[0.0], np.cumsum(rates * lengths)])
-        self.cumhaz = edges[1:]  # at right edges
-        self.hazlo = edges[:-1]
-        self.tail_haz = edges[-1]
-        self.tail_start = profile.thresholds[-1]
-        self.fullrate = profile.fullrate
+        self.hazard = np.concatenate(
+            [[0.0], np.cumsum(self.rate * np.array(profile.segment_lengths))])
 
     def sample(self, rng, size):
+        """``size`` draws, mapped in place from exponentials e.
+
+        Every draw first takes the full-rate tail's inverse; the draws below
+        the tail's hazard then take their segment's, found as the last
+        segment whose left-edge hazard is at most e, so that a zero-rate
+        segment is never hit.
+        """
         e = rng.exponential(size=size)
-        out = np.empty(size)
-        inside = e < self.tail_haz
-        if np.any(inside):
-            idx = np.searchsorted(self.cumhaz, e[inside], side="left")
-            r = self.rates[idx]
-            out[inside] = self.left[idx] + (e[inside] - self.hazlo[idx]) / r
-        beyond = ~inside
-        if np.any(beyond):
-            out[beyond] = self.tail_start + (
-                e[beyond] - self.tail_haz) / self.fullrate
-        return out
+        head = np.flatnonzero(e < self.hazard[-1])
+        x = e[head]
+        idx = np.searchsorted(self.hazard[:-1], x, side="right") - 1
+        e -= self.hazard[-1]
+        e /= self.profile.fullrate
+        e += self.left[-1]
+        e[head] = self.left[idx] + (x - self.hazard[idx]) / self.rate[idx]
+        return e
 
 
 def _loynes_lead(increment, n, cap, stop_lead):
@@ -138,8 +136,8 @@ def _race(z, depth, n_depths, sampler, beta, stop_lead, rng):
     live = z >= 0
     z, depth = z[live], depth[live]
     while z.size:
-        theta = sampler.sample(rng, z.size)
-        z = z + 1 - rng.poisson(beta * theta)
+        z += 1  # in place: z is this function's own copy
+        z -= rng.poisson(beta * sampler.sample(rng, z.size))
         hit = z <= 0
         nviol += np.bincount(depth[hit], minlength=n_depths)
         keep = ~hit & (z < stop_lead)

@@ -5,11 +5,12 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse
 import scipy.sparse.linalg
 from numpy.testing import assert_allclose
 
 import powruin
-from powruin import delaymodel, doublespend, ruinlindley
+from powruin import delaymodel, doublespend, medist, ruinlindley
 from powruin.delaymodel import (HashrateProfile, assemble_theta,
                                 calibrate_alpha, fixed_delay_theta,
                                 zero_delay_theta)
@@ -185,17 +186,37 @@ def test_analyze_calibration_error_in_q_is_below_the_q_tolerance(monkeypatch):
         assert abs(q - ref) < min(1e-6, 1e-10 + 1e-4 * ref)
 
 
-def test_analyze_factors_each_matrix_once(monkeypatch):
-    # one LU per assembled theta (its mean and mgf(0) share it) and one
-    # for Phi, whose mean is beta E[theta]
-    iterations = calibrate_alpha(PROFILE, 600.0, 9, rel_tol=1e-6).iterations
-    factored = []
-    splu = scipy.sparse.linalg.splu
-    monkeypatch.setattr(scipy.sparse.linalg, "splu",
-                        lambda A, *a, **kw: factored.append(A.shape)
-                        or splu(A, *a, **kw))
-    analyze(DelayModel("variable", profile=PROFILE), 0.2, 600.0, 6, K=9)
-    assert len(factored) == iterations + 1
+def _spy_sparse(monkeypatch):
+    """Record every sparse LU, block assembly and Kronecker product."""
+    calls = []
+    for module, name in ((scipy.sparse.linalg, "splu"),
+                         (scipy.sparse, "bmat"), (scipy.sparse, "kron")):
+        orig = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, name=name, orig=orig,
+                            **kw: calls.append(name) or orig(*a, **kw))
+    return calls
+
+
+@pytest.mark.parametrize("model", [
+    DelayModel("zero"), DelayModel("fixed", delay=10.0),
+    DelayModel("variable", profile=PROFILE)], ids=["zero", "fixed",
+                                                   "variable"])
+def test_analyze_profile_models_factor_nothing(model, monkeypatch):
+    # a profile's theta solves segment by segment, for calibration and Phi
+    # alike; only the unit CME, validated once per K, is ever factored
+    medist.cme(9, 1.0)
+    calls = _spy_sparse(monkeypatch)
+    analyze(model, 0.2, 600.0, 6, K=9)
+    assert calls == []
+
+
+def test_analyze_random_model_factors_theta_and_phi_once(monkeypatch):
+    # a random delay chain keeps sparse LU: one for its theta (its mean
+    # and mgf(0) share it) and one for Phi, whose mean is beta E[theta]
+    model = DelayModel("random", delay_dist=erlang_me(2, 1.0))
+    calls = _spy_sparse(monkeypatch)
+    analyze(model, 0.2, 600.0, 6, delta_conf=1.0)
+    assert calls.count("splu") == 2
 
 
 def test_analyze_builds_the_lead_once(monkeypatch):

@@ -46,6 +46,47 @@ def test_sampler_zero_profile_is_scaled_exponential():
     assert np.array_equal(x, e / ALPHA)
 
 
+class _FixedExponentials:
+    """Stub rng whose exponential draws are the given values."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def exponential(self, size):
+        assert size == len(self.values)
+        return self.values.copy()
+
+
+def test_sampler_draws_of_zero_and_on_edges():
+    # unit full rate: cumulative hazard 0, 0, 1.2, 5.2 at 0, 2, 5, 10 s; a
+    # draw of 0 starts at the first mining instant, not in the dead zone,
+    # and a draw on an edge lands on that edge's time
+    prof = HashrateProfile((0.0, 2.0, 5.0, 10.0), (0.0, 0.4, 0.8), 1.0)
+    e = [0.0, 1.2, 5.2, 600.0, 0.4, 5e-324]
+    x = ThetaSampler(prof).sample(_FixedExponentials(e), len(e))
+    assert np.all(np.isfinite(x))
+    assert_allclose(x, [2.0, 5.0, 10.0, 604.8, 3.0, 2.0], rtol=1e-15)
+    fixed = HashrateProfile.fixed_delay(10.0, 0.5)
+    y = ThetaSampler(fixed).sample(_FixedExponentials([0.0, 1.0]), 2)
+    assert np.array_equal(y, [10.0, 12.0])
+
+
+@pytest.mark.parametrize("profile, violations", [
+    (HashrateProfile((0.0, 2.0, 5.0, 10.0), (0.0, 0.4, 0.8), 1 / 589.6),
+     [10227, 6325, 4054, 2684, 1776, 1225]),
+    (HashrateProfile.zero_delay(ALPHA), [10100, 6128, 3982, 2595, 1711, 1217]),
+])
+def test_seeded_sweep_draws_are_pinned(profile, violations):
+    # violation counts of a seeded sweep: a faster sampler or race must
+    # keep every draw, bit for bit
+    config = SimConfig(profile=profile, beta=0.3 * profile.fullrate, k=6,
+                       delta_conf=profile.max_delay, warmup_blocks=1_000,
+                       trials=20_000, seed=7)
+    ests = simulate_attack_sweep(config, range(1, 7))
+    assert [ests[k].q_hat for k in range(1, 7)] == [
+        n / 20_000 for n in violations]
+
+
 def test_sampler_respects_dead_zone():
     # first segment mines at fraction zero: no sample can fall below 2 s
     rng = np.random.default_rng(1)
