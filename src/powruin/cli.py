@@ -182,10 +182,13 @@ def _apply_config_file(parser, path):
     """key=value file; flag values still override.
 
     String defaults are type-converted by argparse, so values can be set
-    on every subparser that knows the key.  A key that no command takes is
-    refused.
+    on every subparser that knows the key.  A boolean flag takes true or
+    false (any case).  A key that no command takes, or another value for a
+    boolean flag, is refused.
     """
     dests = [{a.dest for a in t._actions} for t in parser._config_targets]
+    flags = {a.dest for t in parser._config_targets for a in t._actions
+             if isinstance(a, argparse._StoreTrueAction)}
     defaults = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -198,6 +201,11 @@ def _apply_config_file(parser, path):
             dest = key.replace("-", "_")
             if not any(dest in known for known in dests):
                 raise ValueError(f"{path}:{lineno}: no command takes {key!r}")
+            if dest in flags:
+                if value.lower() not in ("true", "false"):
+                    raise ValueError(f"{path}:{lineno}: {key} takes true or "
+                                     f"false, got {value!r}")
+                value = value.lower() == "true"
             defaults[dest] = value
     for target, known in zip(parser._config_targets, dests):
         target.set_defaults(**{k: v for k, v in defaults.items() if k in known})

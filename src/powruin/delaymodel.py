@@ -9,9 +9,9 @@ time is an ME distribution with a block-bidiagonal subgenerator: each
 segment length is replaced by a concentrated ME approximation shifted by
 the segment's mining rate, chained into a final exponential phase at full
 rate.  A profile's distribution solves ``T - sI`` segment by segment, with
-no factorization, and builds its sparse ``T`` only when the density or
+no factorization, and builds its dense ``T`` only when the density or
 distribution function asks for it.  A random ME delay is chained into the
-full-rate phase as a general sparse ME and solves by sparse LU.
+full-rate phase as a general ME and solves by dense LU.
 
 Calibration rescales the single full-rate scalar by fixed-point iteration
 on the mean time after the profile's dead time until the model mean equals
@@ -25,9 +25,8 @@ from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.sparse
 
-from .medist import MEDistribution, _sparse_me, _validated, cme
+from .medist import MEDistribution, _me, _validated, cme
 
 __all__ = [
     "HashrateProfile", "CalibrationResult", "assemble_theta",
@@ -159,11 +158,10 @@ def random_delay_theta(delay_dist: MEDistribution, alpha: float) -> MEDistributi
     """ME-distributed random delay followed by exponential mining."""
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    T = scipy.sparse.bmat([[delay_dist.subgen, delay_dist.exit[:, None]],
-                           [None, [[-alpha]]]], format="csc")
+    T = np.block([[delay_dist.subgen, delay_dist.exit[:, None]],
+                  [np.zeros(delay_dist.order), -alpha]])
     v = np.append(delay_dist.init, 0.0)
-    return _validated(
-        _sparse_me(v, T, np.append(delay_dist.eigenvalues, -alpha)))
+    return _validated(_me(v, T, np.append(delay_dist.eigenvalues, -alpha)))
 
 
 @lru_cache(maxsize=None)
@@ -176,7 +174,7 @@ def _unit_blocks(K: int):
     Returns (d, rho, a, b, eigenvalues).
     """
     unit = cme(K, 1.0)
-    U = unit.subgen.toarray()
+    U = unit.subgen
     j = np.arange(1, K, 2)
     return U[0, 0], U[0, 1:], U[j, j], U[j, j + 1], unit.eigenvalues
 
@@ -194,8 +192,8 @@ class _ProfileTheta(MEDistribution):
     entry of segment i + 1, or the final phase at full rate alpha.  Every
     solve with T - sI is exact substitution in O(N K): 2x2 rotation solves
     and one dot product per block, and a scalar recurrence over the
-    segments through the coupling column.  The sparse ``subgen`` is
-    assembled on first access only.
+    segments through the coupling column.  The dense ``subgen`` is placed
+    block by block on first access only.
     """
 
     def __init__(self, profile: HashrateProfile, K: int):
@@ -218,102 +216,65 @@ class _ProfileTheta(MEDistribution):
 
     @cached_property
     def subgen(self):
-        """The sparse e_1-basis subgenerator, block-bidiagonal."""
-        N, K, delta = len(self._delta), self._K, self._delta
-        if N == 0:
-            return scipy.sparse.csc_matrix([[-self._alpha]])
-        unit = cme(K, 1.0)
-        blocks = (scipy.sparse.kron(scipy.sparse.diags(delta), unit.subgen)
-                  - scipy.sparse.diags(np.repeat(self._rates, K)))
-        coupling = scipy.sparse.kron(
-            scipy.sparse.diags(delta[:-1], 1, shape=(N, N)),
-            scipy.sparse.csr_matrix(np.outer(unit.exit, unit.init)))
-        last = np.zeros((N * K, 1))
-        last[-K:, 0] = unit.exit * delta[-1]
-        return scipy.sparse.bmat(
-            [[blocks + coupling, last], [None, [[-self._alpha]]]], format="csc")
+        """The e_1-basis subgenerator, block-bidiagonal."""
+        K, n = self._K, len(self._delta) * self._K
+        T = np.zeros((self.order, self.order))
+        T[n, n] = -self._alpha
+        if n:
+            unit = cme(K, 1.0)
+            for i, (delta, rate) in enumerate(zip(self._delta, self._rates)):
+                rows = slice(i * K, (i + 1) * K)
+                T[rows, rows] = delta * unit.subgen - rate * np.eye(K)
+                # the exit column feeds the next entry: the first of the
+                # next segment, since the CME starts in e_1, or the last phase
+                T[rows, (i + 1) * K] = delta * unit.exit
+        return T
 
     def solver(self, s: float = 0.0):
-        """Solver for (T - sI) x = b by substitution over the segments."""
-        return _SegmentSolver(self, s)
+        """The function b -> (T - sI)^{-1} b, by substitution over segments.
 
-
-class _SegmentSolver:
-    """Solves (T - sI) x = b for a profile's T, with SuperLU's signature.
-
-    ``solve(b)`` substitutes backwards: block i's solution is
-    u_i - t_{i+1} w_i, with u_i = M_i^{-1} b_i, w_i = delta_i M_i^{-1} h_U
-    and t_{i+1} the first entry of the next block, so the first entries
-    follow t_i = u_i[0] - g_i t_{i+1} with g_i = w_i[0].
-    ``solve(b, trans="T")`` substitutes forwards through the transposed
-    coupling, the scalar sigma_i = delta_i h_U . x_i, with the same g_i.
-    """
-
-    def __init__(self, theta: _ProfileTheta, s: float):
-        d, rho, a, b, _ = theta._unit
-        delta = theta._delta[:, None]
-        c = theta._rates[:, None] + s
-        self.p0 = delta[:, 0] * d - c[:, 0]
+        Block i's solution is u_i - t_{i+1} w_i, with u_i = M_i^{-1} b_i,
+        w_i = delta_i M_i^{-1} h_U and t_{i+1} the first entry of the next
+        block, so the first entries follow t_i = u_i[0] - g_i t_{i+1} with
+        g_i = w_i[0], backwards from the full-rate phase.
+        """
+        d, rho, a, b, _ = self._unit
+        delta = self._delta[:, None]
+        c = self._rates[:, None] + s
+        p0 = delta[:, 0] * d - c[:, 0]
         # the pair (x_{2j-1}, x_{2j}) as one complex number: block j is
         # division by (delta a_j - c) - i delta b_j
         rot = delta * a - c - 1j * (delta * b)
-        self.pf = -theta._alpha - s
-        if self.pf == 0 or not (np.all(self.p0) and np.all(rot)):
+        pf = -self._alpha - s
+        if pf == 0 or not (np.all(p0) and np.all(rot)):
             raise ValueError(f"T - sI singular at s={s}")
-        self.inv = 1.0 / rot
-        self.rho = delta * rho
-        self.c = c
+        inv = 1.0 / rot
+        rho = delta * rho
+
+        def blocks(y):
+            """x_i = M_i^{-1} y_i for every segment at once."""
+            x = np.empty_like(y)
+            pairs = x[:, 1:].view(complex)
+            np.multiply(y[:, 1:].view(complex), inv, out=pairs)
+            x[:, 0] = (y[:, 0] - np.einsum("ij,ij->i", rho, x[:, 1:])) / p0
+            return x
+
         # delta h_U = -delta U 1 = -(M + cI) 1, so w = M^{-1} delta h_U is
         # -1 - c M^{-1} 1: no cancellation in the exit column
-        ones = np.ones((len(delta), theta._K))
-        self.w = -1.0 - c * self._blocks(ones, False)
-        self.g = self.w[:, 0].tolist()
-        e1 = np.zeros_like(ones)
-        e1[:, 0] = 1.0
-        self.z = self._blocks(e1, True)
+        w = -1.0 - c * blocks(np.ones((len(delta), self._K)))
+        g = w[:, 0].tolist()
 
-    def _blocks(self, y, trans):
-        """x_i = M_i^{-1} y_i (or M_i^{-T} y_i) for every segment at once."""
-        x = np.empty_like(y)
-        pairs = x[:, 1:].view(complex)
-        if trans:
-            x[:, 0] = y[:, 0] / self.p0
-            rest = y[:, 1:] - self.rho * x[:, :1]
-            np.multiply(rest.view(complex), self.inv.conj(), out=pairs)
-        else:
-            np.multiply(y[:, 1:].view(complex), self.inv, out=pairs)
-            x[:, 0] = (y[:, 0] - np.einsum("ij,ij->i", self.rho, x[:, 1:])
-                       ) / self.p0
-        return x
-
-    def solve(self, b, trans="N"):
-        if trans not in ("N", "T"):
-            raise ValueError(f"trans must be 'N' or 'T', got {trans!r}")
-        b = np.ascontiguousarray(b, dtype=float)
-        g = self.g
-        N = len(g)
-        y = b[:-1].reshape(self.w.shape)
-        if trans == "N":
-            u = self._blocks(y, False)
+        def solve(rhs):
+            rhs = np.ascontiguousarray(rhs, dtype=float)
+            u = blocks(rhs[:-1].reshape(w.shape))
             u0 = u[:, 0].tolist()
-            last = t = b[-1] / self.pf
-            nxt = [0.0] * N
-            for i in range(N - 1, -1, -1):
+            last = t = rhs[-1] / pf
+            nxt = [0.0] * len(g)
+            for i in range(len(g) - 1, -1, -1):
                 nxt[i] = t
                 t = u0[i] - g[i] * t
-            x = u - np.array(nxt)[:, None] * self.w
-        else:
-            u = self._blocks(y, True)
-            # delta h_U . u = -1 . (M^T + cI) u = -(sum y + c sum u)
-            a = (-(y.sum(axis=1) + self.c[:, 0] * u.sum(axis=1))).tolist()
-            prev = [0.0] * N
-            sigma = 0.0
-            for i in range(N):
-                prev[i] = sigma
-                sigma = a[i] - g[i] * sigma
-            x = u - np.array(prev)[:, None] * self.z
-            last = (b[-1] - sigma) / self.pf
-        return np.append(x.ravel(), last)
+            return np.append((u - np.array(nxt)[:, None] * w).ravel(), last)
+        return solve
 
 
 def assemble_theta(profile: HashrateProfile, K: int) -> MEDistribution:
@@ -350,6 +311,8 @@ def calibrate_alpha(profile: HashrateProfile, block_interval: float, K: int,
             f"block_interval must be positive and finite, got {block_interval}")
     if rel_tol <= 0:
         raise ValueError("rel_tol must be positive")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     target = float(block_interval)
     dead = next((t for t, f in zip(profile.thresholds, profile.fractions)
                  if f > 0), profile.max_delay)

@@ -10,14 +10,13 @@ distribution function are
 and the moment generating function is the rational function
 ``M(s) = -v (sI + T)^{-1} h``.
 
-Every distribution carries its validated spectrum, and the mean, the
-squared coefficient of variation and the mgf all solve through one method,
-:meth:`MEDistribution.solver`, which returns a solver for ``T - sI``.  A
-general distribution holds ``T`` as a sparse CSC matrix and factors
-``T - sI`` by sparse LU; the inter-mining time of a hashrate profile
+Every distribution carries its validated spectrum and holds ``T`` as a
+dense array.  The mean, the squared coefficient of variation and the mgf
+all solve through one method, :meth:`MEDistribution.solver`, which returns
+the solve function of ``T - sI``.  A general distribution factors
+``T - sI`` by dense LU; the inter-mining time of a hashrate profile
 (:func:`powruin.delaymodel.assemble_theta`) solves segment by segment
-without a factorization and builds its sparse ``T`` only on first access.
-Only the density and distribution function densify ``T``.
+without a factorization and builds ``T`` only on first access.
 
 Two families approximating a deterministic value ``delta`` are provided:
 
@@ -34,12 +33,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from ._cmetable import CME_UNIT
 
@@ -57,13 +54,13 @@ class MEDistribution:
     """A validated matrix-exponential distribution.
 
     Instances are immutable; all fields are read-only after construction
-    and safe to share between threads.  ``subgen`` is a sparse CSC matrix
-    (a profile's theta builds it on first access) and ``eigenvalues`` its
+    and safe to share between threads.  ``subgen`` is a dense array (a
+    profile's theta builds it on first access) and ``eigenvalues`` its
     spectrum.  Use :func:`make_me` rather than instantiating directly.
     """
 
     init: np.ndarray
-    subgen: scipy.sparse.csc_matrix
+    subgen: np.ndarray
     exit: np.ndarray
     order: int
     eigenvalues: np.ndarray
@@ -71,24 +68,24 @@ class MEDistribution:
     # -- solves --------------------------------------------------------------
 
     def solver(self, s: float = 0.0):
-        """Solver for (T - sI) x = b, as ``.solve(b, trans="N" | "T")``.
+        """The function b -> (T - sI)^{-1} b.
 
-        Here a sparse LU of ``subgen - sI``; a singular matrix raises
+        Here a dense LU of ``subgen - sI``; a singular matrix raises
         ``ValueError``.
         """
-        mat = self.subgen - s * scipy.sparse.identity(self.order, format="csc")
-        try:
-            return scipy.sparse.linalg.splu(mat)
-        except RuntimeError as exc:
-            raise ValueError(f"T - sI singular at s={s}") from exc
+        lu = scipy.linalg.lu_factor(self.subgen - s * np.eye(self.order),
+                                    check_finite=False)
+        if not np.all(np.diag(lu[0])):  # lu_factor only warns of a zero pivot
+            raise ValueError(f"T - sI singular at s={s}")
+        return partial(scipy.linalg.lu_solve, lu, check_finite=False)
 
     def _solve_T(self, b):
         """Solve T x = b through the solver of T, made once and cached."""
-        solver = getattr(self, "_T_solver", None)
-        if solver is None:
-            solver = self.solver()
-            object.__setattr__(self, "_T_solver", solver)
-        return solver.solve(b)
+        solve = getattr(self, "_T_solver", None)
+        if solve is None:
+            solve = self.solver()
+            object.__setattr__(self, "_T_solver", solve)
+        return solve(b)
 
     # -- evaluation --------------------------------------------------------
 
@@ -96,7 +93,7 @@ class MEDistribution:
         """Density -v expm(Tx) T 1 at x >= 0."""
         if x < 0:
             raise ValueError(f"pdf requires x >= 0, got {x}")
-        w = self.init @ scipy.linalg.expm(self.subgen.toarray() * x)
+        w = self.init @ scipy.linalg.expm(self.subgen * x)
         val = float(w @ self.exit)
         if val < -1e-9:
             raise MEValidationError(f"negative density {val} at x={x}")
@@ -106,7 +103,7 @@ class MEDistribution:
         """Distribution function 1 - v expm(Tx) 1 at x >= 0, clamped to [0,1]."""
         if x < 0:
             raise ValueError(f"cdf requires x >= 0, got {x}")
-        w = self.init @ scipy.linalg.expm(self.subgen.toarray() * x)
+        w = self.init @ scipy.linalg.expm(self.subgen * x)
         val = 1.0 - float(w.sum())
         if val < -1e-9 or val > 1 + 1e-9:
             raise MEValidationError(f"cdf value {val} out of range at x={x}")
@@ -120,9 +117,8 @@ class MEDistribution:
         steps = np.diff(xs)
         if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-9):
             raise ValueError("grid must be equispaced ascending")
-        T = self.subgen.toarray()
-        step = scipy.linalg.expm(T * steps[0])
-        w = self.init @ scipy.linalg.expm(T * xs[0])
+        step = scipy.linalg.expm(self.subgen * steps[0])
+        w = self.init @ scipy.linalg.expm(self.subgen * xs[0])
         out = np.empty(len(xs))
         for i in range(len(xs)):
             out[i] = w @ self.exit
@@ -135,11 +131,15 @@ class MEDistribution:
         The caller must supply ``s`` inside the convergence region (to the
         left of the spectral abscissa of -T).
         """
-        return -float(self.init @ self.solver(-s).solve(self.exit))
+        return -float(self.init @ self.solver(-s)(self.exit))
 
     def mean(self) -> float:
-        """First moment -v T^{-1} 1."""
-        return -float(self.init @ self._solve_T(np.ones(self.order)))
+        """First moment -v T^{-1} 1, solved once and cached."""
+        mean = getattr(self, "_mean", None)
+        if mean is None:
+            mean = -float(self.init @ self._solve_T(np.ones(self.order)))
+            object.__setattr__(self, "_mean", mean)
+        return mean
 
     def scv(self) -> float:
         """Squared coefficient of variation, var/mean^2.
@@ -152,22 +152,20 @@ class MEDistribution:
         return m2 / m1**2 - 1.0
 
 
-def _sparse_me(init, subgen, eigenvalues) -> MEDistribution:
-    """An unchecked :class:`MEDistribution` on a sparse copy of ``subgen``,
-    with its exit vector -T 1."""
-    v = np.asarray(init, dtype=float)
-    T = scipy.sparse.csc_matrix(subgen, dtype=float)
-    return MEDistribution(init=v, subgen=T, exit=-(T @ np.ones(len(v))),
-                          order=len(v), eigenvalues=np.asarray(eigenvalues))
+def _me(init, subgen, eigenvalues) -> MEDistribution:
+    """An unchecked :class:`MEDistribution` with its exit vector -T 1."""
+    return MEDistribution(init=init, subgen=subgen,
+                          exit=-(subgen @ np.ones(len(init))),
+                          order=len(init), eigenvalues=np.asarray(eigenvalues))
 
 
 def _validated(d: MEDistribution) -> MEDistribution:
     """Check the initial mass, the spectrum, the mean and mgf(0) of ``d``.
 
     The mean and mgf(0) = -v T^{-1} h both solve through the one cached
-    solver of T.  Models derived from validated ones (chained, shifted or
-    rescaled) come here directly; outside input goes through
-    :func:`make_me`.
+    solver of T, and the mean stays cached.  Models derived from validated
+    ones (chained, shifted or rescaled) come here directly; outside input
+    goes through :func:`make_me`.
     """
     mass = float(d.init.sum())
     if abs(mass - 1.0) > 1e-10:
@@ -195,15 +193,15 @@ def make_me(init, subgen, *, eigenvalues=None) -> MEDistribution:
     part, a nonpositive mean, mgf(0) different from one, or a distribution
     function that decreases on a grid up to five means.
     """
-    v = np.atleast_1d(np.asarray(init, dtype=float)).ravel()
-    T = np.atleast_2d(np.asarray(subgen, dtype=float))
+    v = np.array(init, dtype=float, ndmin=1).ravel()
+    T = np.array(subgen, dtype=float, ndmin=2)
     m = len(v)
     if T.shape != (m, m):
         raise MEValidationError(
             f"dimension mismatch: init has length {m}, subgen is {T.shape}")
     if eigenvalues is None:
         eigenvalues = np.linalg.eigvals(T)
-    d = _validated(_sparse_me(v, T, eigenvalues))
+    d = _validated(_me(v, T, eigenvalues))
     grid = np.linspace(0.0, 5.0 * d.mean(), 16)
     F = np.array([d.cdf(x) for x in grid])
     if np.any(np.diff(F) < -1e-9):

@@ -4,18 +4,21 @@ With the honest inter-mining time ME-distributed as (v, T, h) and the
 adversary mining at fixed Poisson rate beta, the count of adversary blocks
 per interval has the matrix-geometric pmf
 
-    p(n) = c A^n b,   A = (I - T/beta)^{-1},   c = v A / beta,   b = h.
+    p(n) = v A^{n+1} h / beta,
+    A = (I - T/beta)^{-1} = -beta (T - beta I)^{-1}.
 
-A = -beta (T - beta I)^{-1} is never formed explicitly: every application
-is a solve with the one solver of T - beta I that theta returns (see
+A is never formed: with y_0 = h, each mass takes one forward solve
+x_n = (T - beta I)^{-1} y_n, gives p(n) = -v x_n and hands on
+y_{n+1} = A y_n = -beta x_n, so k masses take k solves with the one solver
+of T - beta I that theta returns (see
 :meth:`powruin.medist.MEDistribution.solver`).  A profile's theta solves
-segment by segment and builds no sparse matrix; a general ME, such as a
-random delay chain, solves by sparse LU.  Every eigenvalue lambda of T has
-negative real part (checked when theta was built), so each eigenvalue
-1/(1 - lambda/beta) of A lies inside the unit disc and the pmf is summable.
+segment by segment; a general ME, such as a random delay chain, solves by
+dense LU.  Every eigenvalue lambda of T has negative real part (checked
+when theta was built), so each eigenvalue 1/(1 - lambda/beta) of A lies
+inside the unit disc and the pmf is summable.
 
 Given theta the count is Poisson(beta theta), so its mean is beta E[theta]
-(Wald's identity), one solve with the solver of T cached with theta.
+(Wald's identity), the mean cached with theta.
 """
 
 from __future__ import annotations
@@ -61,13 +64,11 @@ def phi_from_theta(theta: MEDistribution, beta: float, k: int) -> PhiDistributio
     if k > 10_000:
         raise ValueError(f"k={k} exceeds the supported cap of 10000")
 
-    solver = theta.solver(beta)
-    c = solver.solve(-theta.init, trans="T")  # c = v A / beta
-
+    solve = theta.solver(beta)
     masses = np.empty(k)
     y = theta.exit
-    masses[0] = c @ y
-    for n in range(1, k):
-        y = solver.solve(-beta * y)  # y = A y
-        masses[n] = c @ y
+    for n in range(k):
+        x = solve(y)
+        masses[n] = -(theta.init @ x)
+        y = -beta * x
     return PhiDistribution(masses=masses, mean=beta * theta.mean())

@@ -99,6 +99,13 @@ class ThetaSampler:
         return e
 
 
+def _counts(sampler, beta, rng, size):
+    """Poisson(beta theta) adversary counts over ``size`` fresh theta draws."""
+    rate = sampler.sample(rng, size)
+    rate *= beta
+    return rng.poisson(rate)
+
+
 def _loynes_lead(increment, n, cap, stop_lead):
     """Maxima of n reversed walks, each stopped early or after cap steps.
 
@@ -130,19 +137,37 @@ def _race(z, depth, n_depths, sampler, beta, stop_lead, rng):
     z holds the honest lead at confirmation and ``depth`` the index of the
     depth each entry belongs to; entries < 0 violate outright, the rest walk
     Z <- Z + 1 - Phi until Z <= 0 (violation, ties included) or
-    Z >= stop_lead (safe).
+    Z >= stop_lead (safe).  The caller passes z without keeping it, so the
+    first copy of the live entries frees it.
     """
     nviol = np.bincount(depth[z < 0], minlength=n_depths)
     live = z >= 0
     z, depth = z[live], depth[live]
     while z.size:
         z += 1  # in place: z is this function's own copy
-        z -= rng.poisson(beta * sampler.sample(rng, z.size))
+        z -= _counts(sampler, beta, rng, z.size)
         hit = z <= 0
         nviol += np.bincount(depth[hit], minlength=n_depths)
         keep = ~hit & (z < stop_lead)
         z, depth = z[keep], depth[keep]
     return nviol
+
+
+def _confirmation_leads(lead, ks, sampler, beta, delta_conf, rng):
+    """Honest lead at confirmation for each depth in ks, raveled depth-major.
+
+    Each depth k adds k honest intervals plus the final propagation window
+    of adversary-only mining to the pre-mining ``lead``.
+    """
+    n = len(lead)
+    z = np.empty((len(ks), n), dtype=np.int64)
+    cum = np.zeros(n, dtype=np.int64)
+    for i in range(1, ks[-1] + 1):
+        cum += _counts(sampler, beta, rng, n)
+        if i in ks:
+            v = lead + cum + rng.poisson(beta * delta_conf, size=n)
+            z[ks.index(i)] = i - 1 - v
+    return z.ravel()
 
 
 def simulate_attack_sweep(config: SimConfig, ks) -> dict[int, SimEstimate]:
@@ -158,7 +183,6 @@ def simulate_attack_sweep(config: SimConfig, ks) -> dict[int, SimEstimate]:
         raise ValueError("confirmation depths must be >= 1")
     if config.stop_lead < max(ks):
         raise ValueError("stop_lead must cover the largest depth")
-    slot = {k: j for j, k in enumerate(ks)}
     sampler = ThetaSampler(config.profile)
     beta = config.beta
 
@@ -173,22 +197,14 @@ def simulate_attack_sweep(config: SimConfig, ks) -> dict[int, SimEstimate]:
 
         # Pre-mining: adversary lead right after an honest mining instant.
         lead = _loynes_lead(
-            lambda size: rng.poisson(beta * sampler.sample(rng, size)) - 1,
+            lambda size: _counts(sampler, beta, rng, size) - 1,
             n, config.warmup_blocks, config.stop_lead)
-
-        # Confirmation interval: k honest intervals plus the final
-        # propagation window of adversary-only mining.
-        z = np.empty((len(ks), n), dtype=np.int64)
-        cum = np.zeros(n, dtype=np.int64)
-        for i in range(1, ks[-1] + 1):
-            cum += rng.poisson(beta * sampler.sample(rng, n))
-            if i in slot:
-                v = lead + cum + rng.poisson(beta * config.delta_conf, size=n)
-                z[slot[i]] = i - 1 - v
         depth = np.repeat(np.arange(len(ks), dtype=np.min_scalar_type(
             len(ks) - 1)), n)
-        violations += _race(z.ravel(), depth, len(ks), sampler, beta,
-                            config.stop_lead, rng)
+        violations += _race(
+            _confirmation_leads(lead, ks, sampler, beta, config.delta_conf,
+                                rng), depth, len(ks), sampler, beta,
+            config.stop_lead, rng)
 
     out = {}
     for k, nviol in zip(ks, violations):

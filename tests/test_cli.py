@@ -403,6 +403,28 @@ def test_config_key_no_command_takes_is_input_error(key, tmp_path, capsys):
     assert f"run.cfg:2: no command takes {key!r}" in err
 
 
+@pytest.mark.parametrize("value, code", [
+    ("false", 0), ("False", 0), ("TRUE", EXIT_UNSTABLE)])
+def test_config_file_boolean_flag(value, code, tmp_path, capsys):
+    # beta = 0.9 alpha is unstable, so only --strict turns it into exit 5
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"strict = {value}\n")
+    got, _ = run_err(capsys, "--config", str(cfg), "sweep", "--model",
+                     "fixed", "--delay", "300", "--beta-fraction", "0.9",
+                     "--k-max", "2")
+    assert got == code
+
+
+@pytest.mark.parametrize("value", ["no", "1", ""])
+def test_config_file_boolean_flag_refuses_other_values(value, tmp_path,
+                                                       capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"k-max = 2\nstrict = {value}\n")
+    code, err = run_err(capsys, "--config", str(cfg), "sweep")
+    assert code == EXIT_INPUT
+    assert f"run.cfg:2: strict takes true or false, got {value!r}" in err
+
+
 def test_config_key_another_command_takes_is_allowed(tmp_path, capsys):
     # one config file serves every command
     cfg = tmp_path / "run.cfg"

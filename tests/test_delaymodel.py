@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from powruin.delaymodel import (HashrateProfile, assemble_theta,
                                 calibrate_alpha, fixed_delay_theta,
                                 random_delay_theta, zero_delay_theta)
-from powruin.medist import erlang_me
+from powruin.medist import MEDistribution, cme, erlang_me
 
 ALPHA = 1 / 600
 
@@ -86,7 +86,7 @@ def test_assemble_zero_profile_is_zero_delay_theta(K, monkeypatch):
     b = zero_delay_theta(ALPHA)
     assert a.order == b.order == 1
     assert np.array_equal(a.init, b.init)
-    assert np.array_equal(a.subgen.toarray(), b.subgen.toarray())
+    assert np.array_equal(a.subgen, b.subgen)
     assert np.array_equal(a.exit, b.exit)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
 
@@ -94,7 +94,7 @@ def test_assemble_zero_profile_is_zero_delay_theta(K, monkeypatch):
 def test_fixed_delay_theta_is_assembled_profile():
     a = fixed_delay_theta(10.0, 1 / 590, 9)
     b = assemble_theta(HashrateProfile.fixed_delay(10.0, 1 / 590), 9)
-    assert np.array_equal(a.subgen.toarray(), b.subgen.toarray())
+    assert np.array_equal(a.subgen, b.subgen)
     assert np.array_equal(a.init, b.init)
 
 
@@ -239,3 +239,25 @@ def test_calibrate_failure_reports_last_iterate():
         calibrate_alpha(prof, 600.0, 5, rel_tol=1e-15, max_iter=3)
     assert "last alpha" in str(info.value)
     assert "trace" not in str(info.value)
+
+
+def test_calibrate_refuses_no_iteration():
+    prof = HashrateProfile((0.0, 30.0, 90.0, 200.0), (0.0, 0.2, 0.5), 1.0)
+    with pytest.raises(ValueError, match="max_iter"):
+        calibrate_alpha(prof, 600.0, 5, max_iter=0)
+
+
+def test_calibrate_solves_each_iterate_mean_once(monkeypatch):
+    # validation solves for the mean and mgf(0); the loop and Phi's Wald
+    # mean read the cached mean
+    cme(9, 1.0)  # the unit CME, validated once per K
+    solves = []
+    solve_T = MEDistribution._solve_T
+    monkeypatch.setattr(MEDistribution, "_solve_T", lambda self, b:
+                        solves.append(self) or solve_T(self, b))
+    prof = HashrateProfile((0.0, 30.0, 90.0, 200.0), (0.0, 0.2, 0.5), 1.0)
+    res = calibrate_alpha(prof, 600.0, 9)
+    assert res.iterations > 1
+    assert len(solves) == 2 * res.iterations
+    assert res.theta.mean() == res.achieved_mean
+    assert len(solves) == 2 * res.iterations

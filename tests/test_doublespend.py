@@ -5,8 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-import scipy.sparse
-import scipy.sparse.linalg
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 import powruin
@@ -60,10 +59,11 @@ def test_cli_import_leaves_scipy_stats_out():
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, powruin.cli; print([m in sys.modules for m in "
-         "('scipy.stats', 'scipy.optimize')])"],
+         "('scipy.stats', 'scipy.optimize')], "
+         "[m for m in sys.modules if m.startswith('scipy.sparse')])"],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True,
         text=True, check=True).stdout
-    assert out.strip() == "[False, False]"
+    assert out.strip() == "[False, False] []"
 
 
 def test_truncated_product_hand_case():
@@ -186,14 +186,15 @@ def test_analyze_calibration_error_in_q_is_below_the_q_tolerance(monkeypatch):
         assert abs(q - ref) < min(1e-6, 1e-10 + 1e-4 * ref)
 
 
-def _spy_sparse(monkeypatch):
-    """Record every sparse LU, block assembly and Kronecker product."""
+def _spy_lu(monkeypatch):
+    """Record every dense LU and every read of a profile theta's subgen."""
     calls = []
-    for module, name in ((scipy.sparse.linalg, "splu"),
-                         (scipy.sparse, "bmat"), (scipy.sparse, "kron")):
-        orig = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *a, name=name, orig=orig,
-                            **kw: calls.append(name) or orig(*a, **kw))
+    lu_factor = scipy.linalg.lu_factor
+    monkeypatch.setattr(scipy.linalg, "lu_factor", lambda *a, **kw:
+                        calls.append("lu_factor") or lu_factor(*a, **kw))
+    subgen = delaymodel._ProfileTheta.subgen
+    monkeypatch.setattr(delaymodel._ProfileTheta, "subgen", property(
+        lambda self: calls.append("subgen") or subgen.__get__(self)))
     return calls
 
 
@@ -203,20 +204,21 @@ def _spy_sparse(monkeypatch):
                                                    "variable"])
 def test_analyze_profile_models_factor_nothing(model, monkeypatch):
     # a profile's theta solves segment by segment, for calibration and Phi
-    # alike; only the unit CME, validated once per K, is ever factored
+    # alike, and never builds its subgen; only the unit CME, validated
+    # once per K, is ever factored
     medist.cme(9, 1.0)
-    calls = _spy_sparse(monkeypatch)
+    calls = _spy_lu(monkeypatch)
     analyze(model, 0.2, 600.0, 6, K=9)
     assert calls == []
 
 
 def test_analyze_random_model_factors_theta_and_phi_once(monkeypatch):
-    # a random delay chain keeps sparse LU: one for its theta (its mean
+    # a random delay chain keeps dense LU: one for its theta (its mean
     # and mgf(0) share it) and one for Phi, whose mean is beta E[theta]
     model = DelayModel("random", delay_dist=erlang_me(2, 1.0))
-    calls = _spy_sparse(monkeypatch)
+    calls = _spy_lu(monkeypatch)
     analyze(model, 0.2, 600.0, 6, delta_conf=1.0)
-    assert calls.count("splu") == 2
+    assert calls == ["lu_factor"] * 2
 
 
 def test_analyze_builds_the_lead_once(monkeypatch):

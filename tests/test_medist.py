@@ -112,7 +112,7 @@ def test_cme_table_meets_criterion_06(K):
     d = cme(K, 600.0)
     assert abs(d.mean() - 600.0) / 600.0 <= 1e-9
     assert d.scv() <= 2.5 / K**2
-    make_me(d.init, d.subgen.toarray())
+    make_me(d.init, d.subgen)
 
 
 @pytest.mark.parametrize("K", [3, 5])
@@ -124,12 +124,27 @@ def test_table_generator_reproduces_rows(K):
     assert generator.search(K) == CME_UNIT[K]
 
 
+def test_make_me_keeps_its_own_copy_of_the_input():
+    init, T = np.array([0.5, 0.5]), np.array([[-1.0, 0.0], [0.0, -2.0]])
+    d = make_me(init, T)
+    init[0], T[0, 0] = 5.0, 3.0
+    assert np.array_equal(d.init, [0.5, 0.5])
+    assert d.subgen[0, 0] == -1.0
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_solver_refuses_a_singular_shift():
+    d = erlang_me(2, 1.0)  # T = 2 [[-1, 1], [0, -1]]
+    with pytest.raises(ValueError, match="singular"):
+        d.solver(-2.0)
+
+
 def test_cme_order_one_is_exponential():
     d = cme(1, 5.0)
     assert d.order == 1
     assert_allclose(d.scv(), 1.0, atol=1e-12)
     e = erlang_me(1, 5.0)
-    assert np.array_equal(d.subgen.toarray(), e.subgen.toarray())
+    assert np.array_equal(d.subgen, e.subgen)
     assert np.array_equal(d.init, e.init)
 
 

@@ -5,7 +5,9 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from powruin.delaymodel import (HashrateProfile, assemble_theta,
-                                fixed_delay_theta, zero_delay_theta)
+                                fixed_delay_theta, random_delay_theta,
+                                zero_delay_theta)
+from powruin.medist import erlang_me
 from powruin.phi import phi_from_theta
 
 ALPHA = 1 / 600
@@ -114,6 +116,24 @@ def test_quadrature_oracle(make_theta):
     phi = phi_from_theta(theta, BETA, 8)
     for n in range(8):
         assert abs(phi.masses[n] - quad_oracle(theta, BETA, n)) < 1e-6
+
+
+@pytest.mark.parametrize("make_theta", [
+    lambda: random_delay_theta(erlang_me(3, 5.0), 1 / 595),
+    lambda: fixed_delay_theta(10.0, 1 / 590, 9),
+    lambda: assemble_theta(
+        HashrateProfile((0.0, 2.0, 5.0, 10.0), (0.0, 0.4, 0.8), ALPHA), 9),
+], ids=["random", "fixed10", "criterion58"])
+def test_forward_solves_match_matrix_powers(make_theta):
+    # p(n) = v A^{n+1} h / beta with A = -beta (T - beta I)^{-1} inverted
+    theta = make_theta()
+    A = -BETA * np.linalg.inv(theta.subgen - BETA * np.eye(theta.order))
+    ref, y = [], theta.exit
+    for _ in range(12):
+        y = A @ y
+        ref.append(theta.init @ y / BETA)
+    masses = phi_from_theta(theta, BETA, 12).masses
+    assert np.max(np.abs(masses - ref) / np.abs(ref)) <= 1e-12
 
 
 def test_recursion_does_not_amplify():
