@@ -17,7 +17,6 @@ from .medist import MEDistribution, cme, erlang_me, make_me
 from .phi import PhiDistribution, phi_from_theta
 from .ruinlindley import (LeadDistribution, RuinTable, UnstableRegimeError,
                           lead_pmf, ruin_recursive, ruin_via_lindley)
-from .simulate import (SimConfig, SimEstimate, simulate_attack,
-                       simulate_attack_sweep, simulate_lindley)
+from .simulate import SimConfig, SimEstimate, simulate_attack_sweep
 
 __version__ = "0.1.0"

@@ -284,7 +284,7 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ArithmeticError, np.linalg.LinAlgError, RuntimeError) as exc:
+    except (ArithmeticError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -34,6 +34,8 @@ __all__ = [
     "calibrate_alpha",
 ]
 
+_MAX_ITER = 200  # calibrate_alpha gives up after this many iterates
+
 
 @dataclass(frozen=True)
 class HashrateProfile:
@@ -114,21 +116,29 @@ class HashrateProfile:
         fullrate = None
         thresholds = [0.0]
         fractions = []
+
+        def number(token):
+            try:
+                return float(token)
+            except ValueError:
+                raise ValueError(f"line {lineno}: cannot parse number "
+                                 f"{token.strip()!r}") from None
+
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line:
                 continue
             if line.startswith("#"):
                 if "fullrate_bps" in line:
-                    fullrate = float(line.partition("=")[2])
+                    fullrate = number(line.partition("=")[2])
                 continue
             if line.startswith("threshold_s"):
                 continue
             parts = line.split(",")
             if len(parts) != 2:
                 raise ValueError(f"line {lineno}: expected 'threshold,fraction'")
-            thresholds.append(float(parts[0]))
-            fractions.append(float(parts[1]))
+            thresholds.append(number(parts[0]))
+            fractions.append(number(parts[1]))
         if fullrate is None:
             raise ValueError("profile table missing '# fullrate_bps =' header")
         return cls(tuple(thresholds), tuple(fractions), fullrate)
@@ -293,7 +303,7 @@ def assemble_theta(profile: HashrateProfile, K: int) -> MEDistribution:
 
 
 def calibrate_alpha(profile: HashrateProfile, block_interval: float, K: int,
-                    rel_tol: float = 1e-6, max_iter: int = 200) -> CalibrationResult:
+                    rel_tol: float = 1e-6) -> CalibrationResult:
     """Find the full rate making the model mean equal the block interval.
 
     The model mean exceeds the profile's dead time D (where its first
@@ -303,16 +313,15 @@ def calibrate_alpha(profile: HashrateProfile, block_interval: float, K: int,
     alpha <- alpha * (mean - D)/(T - D) from 1/(T - D), converges
     monotonically with no bracketing fallback and lands on a fixed delay's
     root 1/(T - d) at the first step, and stops within ``rel_tol`` of T
-    (relative; every analysis uses the default).  The result carries the
-    theta it assembled at the calibrated rate.
+    (relative; every analysis uses the default), or raises ``RuntimeError``
+    after ``_MAX_ITER`` iterates.  The result carries the theta it
+    assembled at the calibrated rate.
     """
     if not 0 < block_interval < np.inf:
         raise ValueError(
             f"block_interval must be positive and finite, got {block_interval}")
     if rel_tol <= 0:
         raise ValueError("rel_tol must be positive")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     target = float(block_interval)
     dead = next((t for t, f in zip(profile.thresholds, profile.fractions)
                  if f > 0), profile.max_delay)
@@ -324,7 +333,7 @@ def calibrate_alpha(profile: HashrateProfile, block_interval: float, K: int,
     # and 1/(T - D) lies below the root: the iterates only rise
     alpha = 1.0 / (target - dead)
     trace = []
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         theta = assemble_theta(profile.with_fullrate(alpha), K)
         mean = theta.mean()
         trace.append((alpha, mean))
@@ -332,5 +341,5 @@ def calibrate_alpha(profile: HashrateProfile, block_interval: float, K: int,
             return CalibrationResult(alpha, mean, it, True, theta, tuple(trace))
         alpha = alpha * (mean - dead) / (target - dead)
     raise RuntimeError(
-        f"calibration did not converge in {max_iter} iterations; last "
+        f"calibration did not converge in {_MAX_ITER} iterations; last "
         f"alpha={trace[-1][0]!r}, mean={trace[-1][1]!r}")

@@ -29,7 +29,6 @@ _SUB_MS = 1e-3
 @dataclass(frozen=True)
 class DelayDataset:
     delays: np.ndarray  # seconds, sorted ascending
-    source_tag: str = ""
 
     def __post_init__(self):
         d = np.asarray(self.delays, dtype=float)
@@ -64,7 +63,7 @@ class BinningResult:
         object.__setattr__(self, "counts", np.asarray(self.counts, dtype=int))
 
 
-def load_delays(path, source_tag: str | None = None) -> DelayDataset:
+def load_delays(path) -> DelayDataset:
     """Parse a delay file: one delay in seconds per line.
 
     Lines starting with '#' are ignored; an optional second comma-separated
@@ -90,7 +89,7 @@ def load_delays(path, source_tag: str | None = None) -> DelayDataset:
             delays.append(value)
     if not delays:
         raise ValueError(f"{path}: no delay rows found")
-    return DelayDataset(np.array(delays), source_tag or str(path))
+    return DelayDataset(np.array(delays))
 
 
 def apply_cutoff(ds: DelayDataset, epsilon: float):
@@ -107,7 +106,7 @@ def apply_cutoff(ds: DelayDataset, epsilon: float):
     rank = max(math.ceil((1.0 - epsilon) * n), 1)
     cutoff = float(ds.delays[rank - 1])
     kept = ds.delays[ds.delays <= cutoff]
-    return DelayDataset(kept, ds.source_tag), cutoff
+    return DelayDataset(kept), cutoff
 
 
 def bin_delays(ds: DelayDataset, N_prime: int) -> BinningResult:
@@ -209,4 +208,4 @@ def synth_delays(spec: SynthSpec, n: int, seed: int = 0) -> DelayDataset:
     for ci, (_, median, sigma) in enumerate(spec.components, start=1):
         mask = choices == ci
         out[mask] = rng.lognormal(math.log(median), sigma, size=int(mask.sum()))
-    return DelayDataset(out, source_tag=f"synthetic(seed={seed})")
+    return DelayDataset(out)

@@ -163,9 +163,10 @@ def _validated(d: MEDistribution) -> MEDistribution:
     """Check the initial mass, the spectrum, the mean and mgf(0) of ``d``.
 
     The mean and mgf(0) = -v T^{-1} h both solve through the one cached
-    solver of T, and the mean stays cached.  Models derived from validated
-    ones (chained, shifted or rescaled) come here directly; outside input
-    goes through :func:`make_me`.
+    solver of T, and the mean stays cached.  The Erlang and the unit CME,
+    nonnegative by construction, and models derived from validated ones
+    (chained, shifted or rescaled) come here directly; outside input goes
+    through :func:`make_me`.
     """
     mass = float(d.init.sum())
     if abs(mass - 1.0) > 1e-10:
@@ -182,16 +183,14 @@ def _validated(d: MEDistribution) -> MEDistribution:
     return d
 
 
-def make_me(init, subgen, *, eigenvalues=None) -> MEDistribution:
+def make_me(init, subgen) -> MEDistribution:
     """Validate (init, subgen) and build an :class:`MEDistribution`.
 
-    ``eigenvalues`` may carry the spectrum when it is known by construction;
-    without it the spectrum is computed.
-
-    Raises :class:`MEValidationError` on dimension mismatch, initial mass
-    different from one, a subgenerator eigenvalue with nonnegative real
-    part, a nonpositive mean, mgf(0) different from one, or a distribution
-    function that decreases on a grid up to five means.
+    The spectrum is computed by a dense eigensolver.  Raises
+    :class:`MEValidationError` on dimension mismatch, initial mass different
+    from one, a subgenerator eigenvalue with nonnegative real part, a
+    nonpositive mean, mgf(0) different from one, or a distribution function
+    that decreases on a grid up to five means.
     """
     v = np.array(init, dtype=float, ndmin=1).ravel()
     T = np.array(subgen, dtype=float, ndmin=2)
@@ -199,9 +198,7 @@ def make_me(init, subgen, *, eigenvalues=None) -> MEDistribution:
     if T.shape != (m, m):
         raise MEValidationError(
             f"dimension mismatch: init has length {m}, subgen is {T.shape}")
-    if eigenvalues is None:
-        eigenvalues = np.linalg.eigvals(T)
-    d = _validated(_me(v, T, eigenvalues))
+    d = _validated(_me(v, T, np.linalg.eigvals(T)))
     grid = np.linspace(0.0, 5.0 * d.mean(), 16)
     F = np.array([d.cdf(x) for x in grid])
     if np.any(np.diff(F) < -1e-9):
@@ -216,14 +213,14 @@ def erlang_me(K: int, delta: float) -> MEDistribution:
     """
     if K < 1 or K != int(K):
         raise ValueError(f"K must be a positive integer, got {K}")
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not 0 < delta < np.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     K = int(K)
     rate = K / delta
     T = rate * (np.diag(-np.ones(K)) + np.diag(np.ones(K - 1), 1))
     v = np.zeros(K)
     v[0] = 1.0
-    return make_me(v, T, eigenvalues=np.full(K, -rate))
+    return _validated(_me(v, T, np.full(K, -rate)))
 
 
 # -- concentrated ME construction ------------------------------------------
@@ -284,7 +281,7 @@ def _cme_from_params(omega, phases) -> MEDistribution:
     e1[0] = 1.0
     eigs = np.concatenate([[-1.0], (-1.0 + 1j * omega * np.arange(1, n + 1)),
                            (-1.0 - 1j * omega * np.arange(1, n + 1))])
-    return make_me(e1, T, eigenvalues=eigs)
+    return _validated(_me(e1, T, eigs))
 
 
 def _check_cme_order(K) -> None:
@@ -305,8 +302,8 @@ def cme(K: int, delta: float) -> MEDistribution:
     validation.
     """
     _check_cme_order(K)
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not 0 < delta < np.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     unit = _cme_unit(K)
     scale = unit.mean() / delta  # time rescale X -> X * delta/mean
     return MEDistribution(init=unit.init, subgen=unit.subgen * scale,

@@ -25,12 +25,11 @@ import numpy as np
 
 from .delaymodel import HashrateProfile
 
-__all__ = [
-    "SimConfig", "SimEstimate", "ThetaSampler", "simulate_attack",
-    "simulate_attack_sweep", "simulate_lindley",
-]
+__all__ = ["SimConfig", "SimEstimate", "ThetaSampler", "simulate_attack_sweep"]
 
 _BATCH = 1_000_000
+# a race step draws its Poisson counts in slices this long, never all at once
+_SLICE = 65_536
 
 
 @dataclass(frozen=True)
@@ -138,14 +137,19 @@ def _race(z, depth, n_depths, sampler, beta, stop_lead, rng):
     depth each entry belongs to; entries < 0 violate outright, the rest walk
     Z <- Z + 1 - Phi until Z <= 0 (violation, ties included) or
     Z >= stop_lead (safe).  The caller passes z without keeping it, so the
-    first copy of the live entries frees it.
+    first copy of the live entries frees it.  A step's Poisson counts are
+    drawn slice by slice, which leaves every draw as one call would make it.
     """
     nviol = np.bincount(depth[z < 0], minlength=n_depths)
-    live = z >= 0
-    z, depth = z[live], depth[live]
+    keep = z >= 0
+    z, depth = z[keep], depth[keep]
     while z.size:
         z += 1  # in place: z is this function's own copy
-        z -= _counts(sampler, beta, rng, z.size)
+        rate = sampler.sample(rng, z.size)
+        rate *= beta
+        for i in range(0, z.size, _SLICE):
+            z[i:i + _SLICE] -= rng.poisson(rate[i:i + _SLICE])
+        del rate
         hit = z <= 0
         nviol += np.bincount(depth[hit], minlength=n_depths)
         keep = ~hit & (z < stop_lead)
@@ -212,25 +216,3 @@ def simulate_attack_sweep(config: SimConfig, ks) -> dict[int, SimEstimate]:
         se = float(np.sqrt(q_hat * (1.0 - q_hat) / config.trials))
         out[k] = SimEstimate(q_hat=q_hat, std_err=se, trials=config.trials)
     return out
-
-
-def simulate_attack(config: SimConfig) -> SimEstimate:
-    """Estimate the violation probability at the configured depth."""
-    return simulate_attack_sweep(config, [config.k])[config.k]
-
-
-def simulate_lindley(phi_sampler, steps: int, seed: int = 0) -> np.ndarray:
-    """Empirical stationary pmf of the lead recursion Q' = (Q + Phi - 1)+.
-
-    Uses the reflected-walk identity Q_n = S_n - min_{t<=n} S_t for a chain
-    started empty, discarding the first 10% as burn-in.  ``phi_sampler``
-    is a callable (rng, size) -> integer array.
-    """
-    if steps < 100_000:
-        raise ValueError("steps must be at least 1e5")
-    rng = np.random.default_rng(seed)
-    x = phi_sampler(rng, steps).astype(np.int64) - 1
-    s = np.concatenate([[0], np.cumsum(x)])
-    q = s - np.minimum.accumulate(s)
-    q = q[int(0.1 * len(q)):]
-    return np.bincount(q) / len(q)

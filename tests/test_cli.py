@@ -309,6 +309,8 @@ def test_non_finite_profile_row_is_input_error(row, field, tmp_path, capsys):
     (("--model", "zero", "--block-interval", "nan"), "block_interval"),
     (("--model", "zero", "--block-interval", "inf"), "block_interval"),
     (("--model", "zero", "--delta-conf", "nan"), "delta_conf"),
+    (("--model", "expdelay", "--delay-mean", "700", "--delta-conf", "1"),
+     "block_interval must be finite and above the mean delay"),
 ])
 def test_non_finite_flag_is_input_error(flags, field, capsys):
     code, err = run_err(capsys, "sweep", "--k-max", "2", *flags)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from powruin import delaymodel
 from powruin.delaymodel import (HashrateProfile, assemble_theta,
                                 calibrate_alpha, fixed_delay_theta,
                                 random_delay_theta, zero_delay_theta)
@@ -21,6 +22,8 @@ def test_profile_validation():
         HashrateProfile((0.0, 1.0), (1.5,), ALPHA)
     with pytest.raises(ValueError):
         HashrateProfile((0.0, 1.0), (0.5,), 0.0)
+    with pytest.raises(ValueError, match="one fraction per segment"):
+        HashrateProfile((0.0, 1.0, 2.0), (0.5,), ALPHA)
 
 
 @pytest.mark.parametrize("thresholds, fractions, fullrate, field", [
@@ -57,6 +60,20 @@ def test_profile_table_roundtrip():
     p = HashrateProfile((0.0, 0.001, 1.5, 3.5), (0.0, 0.2, 0.6), ALPHA)
     q = HashrateProfile.from_table(p.to_table())
     assert q == p
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# fullrate_bps = 1.0\n1.0,0.0\nfive,0.4\n",
+     "line 3: cannot parse number 'five'"),
+    ("# fullrate_bps = 1.0\nthreshold_s,cum_fraction\n1.0,0.x\n",
+     "line 3: cannot parse number '0.x'"),
+    ("# fullrate_bps = fast\n1.0,0.0\n", "line 1: cannot parse number 'fast'"),
+    ("# fullrate_bps = 1.0\n1.0\n", "line 2: expected 'threshold,fraction'"),
+])
+def test_profile_table_names_the_bad_line(text, message):
+    with pytest.raises(ValueError) as info:
+        HashrateProfile.from_table(text)
+    assert str(info.value) == message
 
 
 def test_zero_delay_theta():
@@ -233,18 +250,19 @@ def test_calibrate_iterates_rise_monotonically():
     assert all(b >= a for a, b in zip(alphas, alphas[1:]))
 
 
-def test_calibrate_failure_reports_last_iterate():
+def test_calibrate_failure_reports_last_iterate(monkeypatch):
+    monkeypatch.setattr(delaymodel, "_MAX_ITER", 3)
     prof = HashrateProfile((0.0, 30.0, 90.0, 200.0), (0.0, 0.2, 0.5), 1.0)
-    with pytest.raises(RuntimeError, match="did not converge") as info:
-        calibrate_alpha(prof, 600.0, 5, rel_tol=1e-15, max_iter=3)
+    with pytest.raises(RuntimeError, match="did not converge in 3") as info:
+        calibrate_alpha(prof, 600.0, 5, rel_tol=1e-15)
     assert "last alpha" in str(info.value)
     assert "trace" not in str(info.value)
 
 
-def test_calibrate_refuses_no_iteration():
+def test_calibrate_refuses_a_tolerance_of_zero():
     prof = HashrateProfile((0.0, 30.0, 90.0, 200.0), (0.0, 0.2, 0.5), 1.0)
-    with pytest.raises(ValueError, match="max_iter"):
-        calibrate_alpha(prof, 600.0, 5, max_iter=0)
+    with pytest.raises(ValueError, match="rel_tol must be positive"):
+        calibrate_alpha(prof, 600.0, 5, rel_tol=0)
 
 
 def test_calibrate_solves_each_iterate_mean_once(monkeypatch):

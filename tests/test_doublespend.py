@@ -287,6 +287,10 @@ def test_analyze_rejects_bad_args():
         DelayModel("fixed")
     with pytest.raises(ValueError):
         DelayModel("bogus")
+    with pytest.raises(ValueError, match="needs a delay distribution"):
+        DelayModel("random")
+    with pytest.raises(ValueError, match="needs a hashrate profile"):
+        DelayModel("variable")
 
 
 def test_analyze_rejects_non_finite_inputs():

@@ -81,8 +81,9 @@ def test_erlang_mean_exact():
 def test_erlang_rejects_bad_args():
     with pytest.raises(ValueError):
         erlang_me(0, 1.0)
-    with pytest.raises(ValueError):
-        erlang_me(3, -1.0)
+    for delta in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            erlang_me(3, delta)
 
 
 def test_cme_mean():
@@ -97,8 +98,9 @@ def test_cme_scv_bound(K):
 def test_cme_rejects_even_order():
     with pytest.raises(ValueError):
         cme(4, 1.0)
-    with pytest.raises(ValueError):
-        cme(3, 0.0)
+    for delta in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            cme(27, delta)
 
 
 @pytest.mark.parametrize("K", [4, 0, -1, 2.5, 53, 201])
@@ -226,6 +228,12 @@ def test_pdf_grid_matches_pointwise():
     grid = d.pdf_grid(xs)
     pointwise = np.array([d.pdf(x) for x in xs])
     assert_allclose(grid, pointwise, rtol=1e-8, atol=1e-12)
+
+
+@pytest.mark.parametrize("xs", [[1.0], [0.0, 1.0, 3.0], [2.0, 1.0, 0.0]])
+def test_pdf_grid_refuses_a_bad_grid(xs):
+    with pytest.raises(ValueError, match="grid"):
+        cme(11, 2.0).pdf_grid(xs)
 
 
 def test_pdf_grid_steps_a_dense_expm_above_order_200(monkeypatch):

@@ -3,13 +3,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from powruin import simulate
-from powruin.delaymodel import (HashrateProfile, calibrate_alpha,
-                                zero_delay_theta)
+from powruin.delaymodel import HashrateProfile, calibrate_alpha
 from powruin.phi import phi_from_theta
 from powruin.ruinlindley import lead_pmf
 from powruin.simulate import (SimConfig, ThetaSampler, _loynes_lead,
-                              simulate_attack, simulate_attack_sweep,
-                              simulate_lindley)
+                              simulate_attack_sweep)
 
 ALPHA = 1 / 600
 
@@ -116,19 +114,19 @@ def test_draw_scalar_and_vector():
 def test_deterministic_given_seed():
     config = SimConfig(profile=zero_profile(), beta=0.2 * ALPHA, k=2,
                        warmup_blocks=1_000, trials=20_000, seed=7)
-    a = simulate_attack(config)
-    b = simulate_attack(config)
+    a = simulate_attack_sweep(config, [2])[2]
+    b = simulate_attack_sweep(config, [2])[2]
     assert a.q_hat == b.q_hat
-    c = simulate_attack(SimConfig(profile=zero_profile(), beta=0.2 * ALPHA,
-                                  k=2, warmup_blocks=1_000, trials=20_000,
-                                  seed=8))
+    c = simulate_attack_sweep(
+        SimConfig(profile=zero_profile(), beta=0.2 * ALPHA, k=2,
+                  warmup_blocks=1_000, trials=20_000, seed=8), [2])[2]
     assert c.q_hat != a.q_hat
 
 
 def test_single_trial():
     config = SimConfig(profile=zero_profile(), beta=0.2 * ALPHA, k=1,
                        warmup_blocks=1_000, trials=1, seed=0)
-    est = simulate_attack(config)
+    est = simulate_attack_sweep(config, [1])[1]
     assert est.q_hat in (0.0, 1.0)
     assert est.trials == 1
 
@@ -235,22 +233,3 @@ def test_sweep_runs_one_race_per_batch(monkeypatch):
                        warmup_blocks=1_000, trials=1_200, seed=4)
     simulate_attack_sweep(config, [1, 2, 3])
     assert races == [[500] * 3, [500] * 3, [200] * 3]
-
-
-def test_lindley_simulation_matches_lead_pmf():
-    rho = 0.2
-    phi = phi_from_theta(zero_delay_theta(ALPHA), rho * ALPHA, 8)
-    analytic = lead_pmf(phi, 8).masses
-
-    def sampler(rng, size):
-        return rng.geometric(1.0 / (1.0 + rho), size=size) - 1
-
-    emp = simulate_lindley(sampler, steps=400_000, seed=5)
-    n = min(len(emp), 8)
-    se = 1.0 / np.sqrt(400_000)
-    assert_allclose(emp[:n], analytic[:n], atol=5 * se)
-
-
-def test_lindley_rejects_short_runs():
-    with pytest.raises(ValueError):
-        simulate_lindley(lambda rng, size: np.zeros(size), steps=10)

@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import minimize
 
-from powruin.medist import MEValidationError, _cme_from_params, _cosine_harmonics
+from powruin.medist import (MEValidationError, _cme_from_params,
+                            _cosine_harmonics, make_me)
 
 TABLE = Path(__file__).resolve().parents[1] / "src" / "powruin" / "_cmetable.py"
 
@@ -71,7 +72,8 @@ def supported_rows():
     for K in itertools.count(1, 2):
         omega, phases = search(K)
         try:
-            scv = _cme_from_params(omega, phases).scv()
+            d = _cme_from_params(omega, phases)
+            scv = make_me(d.init, d.subgen).scv()
         except MEValidationError as exc:
             print(f"K={K}: stop, {exc}")
             return rows
