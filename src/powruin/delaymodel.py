@@ -11,7 +11,7 @@ the segment's mining rate, chained into a final exponential phase at full
 rate.  A profile's distribution solves ``T - sI`` segment by segment, with
 no factorization, and builds its dense ``T`` only when the density or
 distribution function asks for it.  A random ME delay is chained into the
-full-rate phase as a general ME and solves by dense LU.
+full-rate phase as a general ME and solves by its dense inverse.
 
 Calibration rescales the single full-rate scalar by fixed-point iteration
 on the mean time after the profile's dead time until the model mean equals

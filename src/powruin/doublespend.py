@@ -17,10 +17,11 @@ stay nonnegative, so :func:`compute_q` checks only the final p_Z.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from . import delaymodel
 from .delaymodel import HashrateProfile, calibrate_alpha
@@ -71,14 +72,51 @@ class DelayModel:
             raise ValueError("variable model needs a hashrate profile")
 
 
+def _lgam_int(x: int) -> float:
+    """log Gamma(x) for an integer x >= 1, bit for bit SciPy's ``gammaln``.
+
+    As Cephes' ``lgam``: below 13 the log of the exact product (x-1)!,
+    above it Stirling's series with five terms.  Cephes drops to three
+    terms from 1000 and to none above 1e8; for integer x those give the
+    same doubles (checked for every x < 3e5 and 2e5 random x up to 1e12).
+    """
+    if x < 13:
+        return math.log(math.factorial(x - 1))
+    p = 1.0 / (x * x)
+    return ((x - 0.5) * math.log(x) - x + 0.91893853320467274178
+            + ((((8.11614167470508450300e-4 * p
+                  - 5.95061904284301438324e-4) * p
+                 + 7.93650340457716943945e-4) * p
+                - 2.77777777730099687205e-3) * p
+               + 8.33333333333331927722e-2) / x)
+
+
+@lru_cache(maxsize=None)
+def _log_factorial_table(size: int) -> np.ndarray:
+    """Read-only log n! for n < size, computed once per process."""
+    table = np.array([_lgam_int(n + 1) for n in range(size)])
+    table.flags.writeable = False
+    return table
+
+
+def _log_factorial(k: int) -> np.ndarray:
+    """log n! for n = 0..k-1, read from the table of the next power of two."""
+    return _log_factorial_table(1 << (k - 1).bit_length())[:k]
+
+
 def poisson_partial_pgf(lam: float, k: int) -> np.ndarray:
-    """First k Poisson masses exp(n log(lam) - log(n!) - lam)."""
+    """First k Poisson masses exp(n log(lam) - log(n!) - lam).
+
+    n log(lam) is 0 at n = 0, as ``xlogy`` has it, so lam = 0 gives the
+    point mass at 0.
+    """
     if lam < 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    n = np.arange(k)
-    return np.exp(special.xlogy(n, lam) - special.gammaln(n + 1) - lam)
+    xlogy = np.arange(k, dtype=float)
+    xlogy[1:] *= math.log(lam) if lam > 0 else -math.inf
+    return np.exp(xlogy - _log_factorial(k) - lam)
 
 
 def truncated_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -68,28 +68,45 @@ def load_delays(path) -> DelayDataset:
 
     Lines starting with '#' are ignored; an optional second comma-separated
     column (e.g. a date) is dropped.  Malformed or negative rows are
-    reported with their line number.
+    reported with their line number.  The rows are parsed in one pass by
+    ``float`` and checked as one array, and the first bad entry is mapped
+    back to its line.
     """
     path = Path(path)
-    delays = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            token = line.split(",")[0].strip()
-            try:
-                value = float(token)
-            except ValueError as exc:
-                raise ValueError(
-                    f"{path}:{lineno}: cannot parse delay {token!r}") from exc
-            if not math.isfinite(value) or value < 0:
-                raise ValueError(
-                    f"{path}:{lineno}: invalid delay {value}")
-            delays.append(value)
-    if not delays:
+    text = path.read_text(encoding="utf-8")
+    lines = text.split("\n")
+    linenos = [n for n, line in enumerate(lines, start=1)
+               if (s := line.lstrip()) and s[0] != "#"]
+    if not linenos:
         raise ValueError(f"{path}: no delay rows found")
-    return DelayDataset(np.array(delays))
+    rows = [lines[n - 1] for n in linenos]
+    if "," in text:
+        rows = [row.split(",", 1)[0] for row in rows]
+    tokens = list(map(str.strip, rows))
+    try:
+        delays = np.fromiter(map(float, tokens), float, len(tokens))
+    except ValueError:
+        delays = _parsed_prefix(tokens)
+    bad = np.flatnonzero(~np.isfinite(delays) | (delays < 0))
+    if bad.size or len(delays) < len(tokens):
+        i = int(bad[0]) if bad.size else len(delays)
+        if i < len(delays):
+            raise ValueError(
+                f"{path}:{linenos[i]}: invalid delay {delays[i]}")
+        raise ValueError(
+            f"{path}:{linenos[i]}: cannot parse delay {tokens[i]!r}")
+    return DelayDataset(delays)
+
+
+def _parsed_prefix(tokens) -> np.ndarray:
+    """``float`` of the tokens before the first one it refuses."""
+    values = []
+    for token in tokens:
+        try:
+            values.append(float(token))
+        except ValueError:
+            break
+    return np.array(values)
 
 
 def apply_cutoff(ds: DelayDataset, epsilon: float):

@@ -13,10 +13,12 @@ and the moment generating function is the rational function
 Every distribution carries its validated spectrum and holds ``T`` as a
 dense array.  The mean, the squared coefficient of variation and the mgf
 all solve through one method, :meth:`MEDistribution.solver`, which returns
-the solve function of ``T - sI``.  A general distribution factors
-``T - sI`` by dense LU; the inter-mining time of a hashrate profile
-(:func:`powruin.delaymodel.assemble_theta`) solves segment by segment
-without a factorization and builds ``T`` only on first access.
+the solve function of ``T - sI``.  A general distribution inverts
+``T - sI`` once and multiplies by the inverse; the inter-mining time of a
+hashrate profile (:func:`powruin.delaymodel.assemble_theta`) solves
+segment by segment without a factorization and builds ``T`` only on first
+access.  Only the density and distribution function need SciPy, for
+``expm``, and import it on first use.
 
 Two families approximating a deterministic value ``delta`` are provided:
 
@@ -33,10 +35,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from ._cmetable import CME_UNIT
 
@@ -70,14 +71,14 @@ class MEDistribution:
     def solver(self, s: float = 0.0):
         """The function b -> (T - sI)^{-1} b.
 
-        Here a dense LU of ``subgen - sI``; a singular matrix raises
-        ``ValueError``.
+        Here the product with the dense inverse of ``subgen - sI``, one
+        factorization per solver; a singular matrix raises ``ValueError``.
         """
-        lu = scipy.linalg.lu_factor(self.subgen - s * np.eye(self.order),
-                                    check_finite=False)
-        if not np.all(np.diag(lu[0])):  # lu_factor only warns of a zero pivot
-            raise ValueError(f"T - sI singular at s={s}")
-        return partial(scipy.linalg.lu_solve, lu, check_finite=False)
+        try:
+            inv = np.linalg.inv(self.subgen - s * np.eye(self.order))
+        except np.linalg.LinAlgError:
+            raise ValueError(f"T - sI singular at s={s}") from None
+        return inv.dot
 
     def _solve_T(self, b):
         """Solve T x = b through the solver of T, made once and cached."""
@@ -93,7 +94,7 @@ class MEDistribution:
         """Density -v expm(Tx) T 1 at x >= 0."""
         if x < 0:
             raise ValueError(f"pdf requires x >= 0, got {x}")
-        w = self.init @ scipy.linalg.expm(self.subgen * x)
+        w = self.init @ _expm(self.subgen * x)
         val = float(w @ self.exit)
         if val < -1e-9:
             raise MEValidationError(f"negative density {val} at x={x}")
@@ -103,7 +104,7 @@ class MEDistribution:
         """Distribution function 1 - v expm(Tx) 1 at x >= 0, clamped to [0,1]."""
         if x < 0:
             raise ValueError(f"cdf requires x >= 0, got {x}")
-        w = self.init @ scipy.linalg.expm(self.subgen * x)
+        w = self.init @ _expm(self.subgen * x)
         val = 1.0 - float(w.sum())
         if val < -1e-9 or val > 1 + 1e-9:
             raise MEValidationError(f"cdf value {val} out of range at x={x}")
@@ -117,8 +118,8 @@ class MEDistribution:
         steps = np.diff(xs)
         if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-9):
             raise ValueError("grid must be equispaced ascending")
-        step = scipy.linalg.expm(self.subgen * steps[0])
-        w = self.init @ scipy.linalg.expm(self.subgen * xs[0])
+        step = _expm(self.subgen * steps[0])
+        w = self.init @ _expm(self.subgen * xs[0])
         out = np.empty(len(xs))
         for i in range(len(xs)):
             out[i] = w @ self.exit
@@ -150,6 +151,12 @@ class MEDistribution:
         m2 = 2.0 * float(self.init @ self._solve_T(x))
         m1 = self.mean()
         return m2 / m1**2 - 1.0
+
+
+def _expm(a):
+    """``scipy.linalg.expm``, imported on first use: the solves need no SciPy."""
+    from scipy.linalg import expm
+    return expm(a)
 
 
 def _me(init, subgen, eigenvalues) -> MEDistribution:

@@ -12,10 +12,10 @@ x_n = (T - beta I)^{-1} y_n, gives p(n) = -v x_n and hands on
 y_{n+1} = A y_n = -beta x_n, so k masses take k solves with the one solver
 of T - beta I that theta returns (see
 :meth:`powruin.medist.MEDistribution.solver`).  A profile's theta solves
-segment by segment; a general ME, such as a random delay chain, solves by
-dense LU.  Every eigenvalue lambda of T has negative real part (checked
-when theta was built), so each eigenvalue 1/(1 - lambda/beta) of A lies
-inside the unit disc and the pmf is summable.
+segment by segment; a general ME, such as a random delay chain, multiplies
+by the dense inverse of T - beta I.  Every eigenvalue lambda of T has
+negative real part (checked when theta was built), so each eigenvalue
+1/(1 - lambda/beta) of A lies inside the unit disc and the pmf is summable.
 
 Given theta the count is Poisson(beta theta), so its mean is beta E[theta]
 (Wald's identity), the mean cached with theta.

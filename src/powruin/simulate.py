@@ -28,7 +28,8 @@ from .delaymodel import HashrateProfile
 __all__ = ["SimConfig", "SimEstimate", "ThetaSampler", "simulate_attack_sweep"]
 
 _BATCH = 1_000_000
-# a race step draws its Poisson counts in slices this long, never all at once
+# a race step draws its Poisson counts and compacts its live entries in
+# slices this long, never all at once
 _SLICE = 65_536
 
 
@@ -136,15 +137,15 @@ def _race(z, depth, n_depths, sampler, beta, stop_lead, rng):
     z holds the honest lead at confirmation and ``depth`` the index of the
     depth each entry belongs to; entries < 0 violate outright, the rest walk
     Z <- Z + 1 - Phi until Z <= 0 (violation, ties included) or
-    Z >= stop_lead (safe).  The caller passes z without keeping it, so the
-    first copy of the live entries frees it.  A step's Poisson counts are
-    drawn slice by slice, which leaves every draw as one call would make it.
+    Z >= stop_lead (safe).  Both arrays are this function's own: the live
+    entries are compacted to their fronts in place, so no second copy of z
+    is made.  A step's Poisson counts are drawn slice by slice, which
+    leaves every draw as one call would make it.
     """
     nviol = np.bincount(depth[z < 0], minlength=n_depths)
-    keep = z >= 0
-    z, depth = z[keep], depth[keep]
+    z, depth = _compact(z >= 0, z, depth)
     while z.size:
-        z += 1  # in place: z is this function's own copy
+        z += 1
         rate = sampler.sample(rng, z.size)
         rate *= beta
         for i in range(0, z.size, _SLICE):
@@ -152,9 +153,21 @@ def _race(z, depth, n_depths, sampler, beta, stop_lead, rng):
         del rate
         hit = z <= 0
         nviol += np.bincount(depth[hit], minlength=n_depths)
-        keep = ~hit & (z < stop_lead)
-        z, depth = z[keep], depth[keep]
+        z, depth = _compact(~hit & (z < stop_lead), z, depth)
     return nviol
+
+
+def _compact(keep, *arrays):
+    """Move the kept entries of each array to its front, in order, slice by
+    slice; return the prefix views."""
+    n = 0
+    for i in range(0, keep.size, _SLICE):
+        part = keep[i:i + _SLICE]
+        m = np.count_nonzero(part)
+        for a in arrays:
+            a[n:n + m] = a[i:i + _SLICE][part]
+        n += m
+    return [a[:n] for a in arrays]
 
 
 def _confirmation_leads(lead, ks, sampler, beta, delta_conf, rng):
@@ -203,12 +216,11 @@ def simulate_attack_sweep(config: SimConfig, ks) -> dict[int, SimEstimate]:
         lead = _loynes_lead(
             lambda size: _counts(sampler, beta, rng, size) - 1,
             n, config.warmup_blocks, config.stop_lead)
-        depth = np.repeat(np.arange(len(ks), dtype=np.min_scalar_type(
-            len(ks) - 1)), n)
+        depth = np.arange(len(ks), dtype=np.min_scalar_type(len(ks) - 1))
         violations += _race(
             _confirmation_leads(lead, ks, sampler, beta, config.delta_conf,
-                                rng), depth, len(ks), sampler, beta,
-            config.stop_lead, rng)
+                                rng), np.repeat(depth, n), len(ks), sampler,
+            beta, config.stop_lead, rng)
 
     out = {}
     for k, nviol in zip(ks, violations):

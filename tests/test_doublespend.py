@@ -1,11 +1,11 @@
 import functools
+import json
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-import scipy.linalg
 from numpy.testing import assert_allclose
 
 import powruin
@@ -54,16 +54,78 @@ def test_poisson_partial_pgf_equals_scipy_stats(lam):
                               stats.poisson.pmf(np.arange(k), lam))
 
 
-def test_cli_import_leaves_scipy_stats_out():
+def test_log_factorial_equals_scipy_gammaln():
+    # n < 5000 covers the exact product (n + 1 < 13) and Stirling's
+    # series, past 1000, where Cephes switches to three terms
+    from scipy import special
+    n = np.arange(5_000)
+    assert np.array_equal(doublespend._log_factorial(5_000),
+                          special.gammaln(n + 1))
+    assert not doublespend._log_factorial(3).flags.writeable
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-300, 1e-12, 0.0033, 0.2, 3.7,
+                                 50.0, 700.0])
+def test_poisson_partial_pgf_equals_scipy_stats_at_depth_2000(lam):
+    from scipy import stats
+    assert np.array_equal(poisson_partial_pgf(lam, 2_000),
+                          stats.poisson.pmf(np.arange(2_000), lam))
+
+
+# Records the scipy modules loaded after each step and prints them as JSON.
+# SciPy is needed only for expm, which the last step (argv[1]) calls:
+# density, or make_me's cdf check.
+_SCIPY_STEPS = r"""
+import json, sys
+import numpy as np
+
+loaded = {}
+def step(name):
+    loaded[name] = sorted(m for m in sys.modules
+                          if m.partition(".")[0] == "scipy")
+
+import powruin.cli
+step("import")
+from powruin import DelayModel, HashrateProfile, analyze, erlang_me, make_me
+from powruin.simulate import SimConfig, simulate_attack_sweep
+profile = HashrateProfile((0.0, 2.0, 5.0, 10.0), (0.0, 0.4, 0.8), 1 / 600)
+for model in [DelayModel("zero"), DelayModel("fixed", delay=10.0),
+              DelayModel("variable", profile=profile)]:
+    analyze(model, 0.2, 600.0, 6, K=27)
+    step(model.kind)
+analyze(DelayModel("random", delay_dist=erlang_me(2, 1.0)), 0.2, 600.0, 6,
+        delta_conf=1.0)
+step("random")
+simulate_attack_sweep(SimConfig(profile, beta=0.2 / 600, k=2, trials=500,
+                                warmup_blocks=1_000), [1, 2])
+step("simulate")
+np.savetxt("d.txt", np.random.default_rng(1).lognormal(2.0, 1.0, 200))
+assert powruin.cli.main(["ingest", "--data", "d.txt", "--bins", "4"]) == 0
+step("ingest")
+if sys.argv[1] == "density":
+    assert powruin.cli.main(["density", "--model", "expdelay",
+                             "--delay-mean", "5", "--points", "5"]) == 0
+else:
+    assert make_me([0.5, 0.5], [[-1.0, 0.0], [0.0, -2.0]]).mean() == 0.75
+step(sys.argv[1])
+print(json.dumps(loaded))
+"""
+
+
+@pytest.mark.parametrize("expm_user", ["density", "make_me"])
+def test_only_expm_loads_scipy(tmp_path, expm_user):
     src = os.path.dirname(os.path.dirname(powruin.__file__))
     out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, powruin.cli; print([m in sys.modules for m in "
-         "('scipy.stats', 'scipy.optimize')], "
-         "[m for m in sys.modules if m.startswith('scipy.sparse')])"],
+        [sys.executable, "-c", _SCIPY_STEPS, expm_user], cwd=tmp_path,
         env=dict(os.environ, PYTHONPATH=src), capture_output=True,
         text=True, check=True).stdout
-    assert out.strip() == "[False, False] []"
+    loaded = json.loads(out.splitlines()[-1])
+    *steps, last = loaded
+    assert steps == ["import", "zero", "fixed", "variable", "random",
+                     "simulate", "ingest"]
+    assert last == expm_user
+    assert {name: loaded[name] for name in steps} == dict.fromkeys(steps, [])
+    assert "scipy.linalg" in loaded[last]
 
 
 def test_truncated_product_hand_case():
@@ -186,12 +248,13 @@ def test_analyze_calibration_error_in_q_is_below_the_q_tolerance(monkeypatch):
         assert abs(q - ref) < min(1e-6, 1e-10 + 1e-4 * ref)
 
 
-def _spy_lu(monkeypatch):
-    """Record every dense LU and every read of a profile theta's subgen."""
+def _spy_inv(monkeypatch):
+    """Record every dense inverse and every read of a profile theta's
+    subgen."""
     calls = []
-    lu_factor = scipy.linalg.lu_factor
-    monkeypatch.setattr(scipy.linalg, "lu_factor", lambda *a, **kw:
-                        calls.append("lu_factor") or lu_factor(*a, **kw))
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda *a, **kw:
+                        calls.append("inv") or inv(*a, **kw))
     subgen = delaymodel._ProfileTheta.subgen
     monkeypatch.setattr(delaymodel._ProfileTheta, "subgen", property(
         lambda self: calls.append("subgen") or subgen.__get__(self)))
@@ -207,18 +270,18 @@ def test_analyze_profile_models_factor_nothing(model, monkeypatch):
     # alike, and never builds its subgen; only the unit CME, validated
     # once per K, is ever factored
     medist.cme(9, 1.0)
-    calls = _spy_lu(monkeypatch)
+    calls = _spy_inv(monkeypatch)
     analyze(model, 0.2, 600.0, 6, K=9)
     assert calls == []
 
 
 def test_analyze_random_model_factors_theta_and_phi_once(monkeypatch):
-    # a random delay chain keeps dense LU: one for its theta (its mean
-    # and mgf(0) share it) and one for Phi, whose mean is beta E[theta]
+    # a random delay chain keeps a dense inverse: one for its theta (its
+    # mean and mgf(0) share it) and one for Phi, whose mean is beta E[theta]
     model = DelayModel("random", delay_dist=erlang_me(2, 1.0))
-    calls = _spy_lu(monkeypatch)
+    calls = _spy_inv(monkeypatch)
     analyze(model, 0.2, 600.0, 6, delta_conf=1.0)
-    assert calls == ["lu_factor"] * 2
+    assert calls == ["inv"] * 2
 
 
 def test_analyze_builds_the_lead_once(monkeypatch):

@@ -28,6 +28,28 @@ def test_load_reports_line_numbers(tmp_path):
         load_delays(p2)
 
 
+@pytest.mark.parametrize("bad, message", [
+    ("abc, 2024-01-01", r":49999: cannot parse delay 'abc'"),
+    ("-0.5", r":49999: invalid delay -0\.5"),
+    ("nan", r":49999: invalid delay nan"),
+])
+def test_load_reports_a_bad_row_deep_in_a_large_file(tmp_path, bad, message):
+    # rows are parsed as one array; the first bad one is mapped back to its
+    # line, past comments, blank lines and a second column
+    lines = ["# delays", ""] + [f"{i % 97 + 0.5}" for i in range(49_997)]
+    lines[10] += ", 2024-01-01"
+    lines += ["inf"]  # a later bad row is not the one reported
+    lines[49_998] = bad
+    p = write(tmp_path, "\n".join(lines) + "\n")
+    assert len(lines) == 50_000
+    with pytest.raises(ValueError, match=message):
+        load_delays(p)
+    lines[49_998] = "7.25"
+    lines[49_999] = "1e3"
+    ds = load_delays(write(tmp_path, "\n".join(lines) + "\n"))
+    assert len(ds) == 49_998 and ds.delays[-1] == 1e3
+
+
 def test_load_rejects_empty(tmp_path):
     p = write(tmp_path, "# only comments\n")
     with pytest.raises(ValueError, match="no delay rows"):
