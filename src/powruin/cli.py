@@ -52,16 +52,22 @@ def _add_model_flags(p):
                        help=f"{text} (--model {' or '.join(readers)}{default})")
 
 
+def _ingested(args):
+    """The profile of ``--data``, with its cutoff delay and binning."""
+    ds = ingest.load_delays(args.data)
+    ds, cutoff = ingest.apply_cutoff(ds, args.epsilon)
+    binning = ingest.bin_delays(ds, args.bins)
+    profile = ingest.to_profile(binning, 1.0 / args.block_interval)
+    return profile, cutoff, binning
+
+
 def _load_profile(args) -> HashrateProfile:
     if (args.data is None) == (args.profile is None):
         raise ValueError("variable model needs --data or --profile, not both")
     if args.profile is not None:
         with open(args.profile, "r", encoding="utf-8") as fh:
             return HashrateProfile.from_table(fh.read())
-    ds = ingest.load_delays(args.data)
-    ds, _ = ingest.apply_cutoff(ds, args.epsilon)
-    binning = ingest.bin_delays(ds, args.bins)
-    return ingest.to_profile(binning, 1.0 / args.block_interval)
+    return _ingested(args)[0]
 
 
 def _build_model(args) -> doublespend.DelayModel:
@@ -108,10 +114,7 @@ def _write(path, text):
 
 
 def cmd_ingest(args) -> int:
-    ds = ingest.load_delays(args.data)
-    ds, cutoff = ingest.apply_cutoff(ds, args.epsilon)
-    binning = ingest.bin_delays(ds, args.bins)
-    profile = ingest.to_profile(binning, 1.0 / args.block_interval)
+    profile, cutoff, binning = _ingested(args)
     _write(args.out, profile.to_table())
     print(f"# cutoff_delay_s = {cutoff!r}", file=sys.stderr)
     print(f"# sub_ms_fraction = {binning.sub_ms_fraction!r}", file=sys.stderr)

@@ -9,9 +9,11 @@ time is an ME distribution with a block-bidiagonal subgenerator: each
 segment length is replaced by a concentrated ME approximation shifted by
 the segment's mining rate, chained into a final exponential phase at full
 rate.  A profile's distribution solves ``T - sI`` segment by segment, with
-no factorization, and builds its dense ``T`` only when the density or
-distribution function asks for it.  A random ME delay is chained into the
-full-rate phase as a general ME and solves by its dense inverse.
+no factorization, on the e_1-basis pieces of the mean-one CME that
+:mod:`powruin.medist` owns (order 1 for the zero profile), and builds its
+dense ``T`` only when the density or distribution function asks for it.
+A random ME delay is chained into the full-rate phase as a general ME and
+solves by its dense inverse.
 
 Calibration rescales the single full-rate scalar by fixed-point iteration
 on the mean time after the profile's dead time until the model mean equals
@@ -21,12 +23,13 @@ so no bracketing fallback is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from copy import copy
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .medist import MEDistribution, _me, _validated, cme
+from .medist import MEDistribution, _cme_unit, _me, _validated, cme
 
 __all__ = [
     "HashrateProfile", "CalibrationResult", "assemble_theta",
@@ -35,6 +38,11 @@ __all__ = [
 ]
 
 _MAX_ITER = 200  # calibrate_alpha gives up after this many iterates
+
+
+def _check_fullrate(rate) -> None:
+    if not 0 < rate < np.inf:
+        raise ValueError("fullrate must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -69,8 +77,7 @@ class HashrateProfile:
             raise ValueError("fractions must lie in [0, 1]")
         if any(b < a for a, b in zip(fr, fr[1:])):
             raise ValueError("fractions must be nondecreasing")
-        if not 0 < self.fullrate < np.inf:
-            raise ValueError("fullrate must be positive and finite")
+        _check_fullrate(self.fullrate)
 
     @property
     def n_segments(self) -> int:
@@ -85,7 +92,11 @@ class HashrateProfile:
         return self.thresholds[-1]
 
     def with_fullrate(self, rate: float) -> "HashrateProfile":
-        return replace(self, fullrate=rate)
+        """This profile at full rate ``rate``; only the new rate is checked."""
+        _check_fullrate(rate)
+        profile = copy(self)
+        object.__setattr__(profile, "fullrate", rate)
+        return profile
 
     @classmethod
     def zero_delay(cls, alpha: float) -> "HashrateProfile":
@@ -174,32 +185,14 @@ def random_delay_theta(delay_dist: MEDistribution, alpha: float) -> MEDistributi
     return _validated(_me(v, T, np.append(delay_dist.eigenvalues, -alpha)))
 
 
-@lru_cache(maxsize=None)
-def _unit_blocks(K: int):
-    """The mean-one CME[K] as the pieces a segment solve reads.
-
-    In the e_1 basis its subgenerator U has a dense first row (U[0, 0] = d,
-    U[0, 1:] = rho) and, below it, n = (K - 1)/2 independent rotation
-    blocks [[a_j, b_j], [-b_j, a_j]] on rows and columns 2j - 1, 2j.
-    Returns (d, rho, a, b, eigenvalues).
-    """
-    unit = cme(K, 1.0)
-    U = unit.subgen
-    j = np.arange(1, K, 2)
-    return U[0, 0], U[0, 1:], U[j, j], U[j, j + 1], unit.eigenvalues
-
-
-# The unit exponential in the same pieces: the zero profile builds no CME.
-_EXPONENTIAL = (-1.0, np.empty(0), np.empty(0), np.empty(0), np.array([-1.0]))
-
-
 class _ProfileTheta(MEDistribution):
     """Inter-mining time of a profile, solved segment by segment.
 
     Segment i has the diagonal block M_i = delta_i U - r_i I, with U the
     mean-one CME subgenerator, delta_i the inverse segment length and r_i
     the segment's mining rate; its exit column delta_i h_U feeds the first
-    entry of segment i + 1, or the final phase at full rate alpha.  Every
+    entry of segment i + 1, or the final phase at full rate alpha.  U is
+    read as medist's e_1-basis pieces (d, rho, a, b, eigenvalues).  Every
     solve with T - sI is exact substitution in O(N K): 2x2 rotation solves
     and one dot product per block, and a scalar recurrence over the
     segments through the coupling column.  The dense ``subgen`` is placed
@@ -209,7 +202,7 @@ class _ProfileTheta(MEDistribution):
     def __init__(self, profile: HashrateProfile, K: int):
         N = profile.n_segments
         alpha = profile.fullrate
-        unit = _unit_blocks(K) if N else _EXPONENTIAL
+        unit = _cme_unit(K if N else 1)  # order 1: the unit exponential
         K = len(unit[1]) + 1
         delta = 1.0 / np.asarray(profile.segment_lengths)
         rates = np.asarray(profile.fractions) * alpha

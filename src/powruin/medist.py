@@ -26,9 +26,11 @@ Two families approximating a deterministic value ``delta`` are provided:
 * :func:`cme` -- a concentrated ME family with density
   ``c exp(-lam x) prod_i cos^2((omega x - phi_i)/2)`` for odd K up to 51,
   whose frequency and phases (squared coefficient of variation roughly
-  2/K^2) are read from the table in :mod:`powruin._cmetable`, then scaled
-  to the requested mean.  ``tools/make_cme_table.py`` regenerates the
-  table by numerical search.
+  2/K^2) are read from the table in :mod:`powruin._cmetable`.  This module
+  alone knows the CME's layout: it builds, once per K, the mean-one CME's
+  e_1-basis pieces that a profile's segment solve reads, and :func:`cme`
+  places them, scaled to the requested mean, into a dense matrix.
+  ``tools/make_cme_table.py`` regenerates the table by numerical search.
 """
 
 from __future__ import annotations
@@ -242,53 +244,58 @@ def _cosine_harmonics(phases):
     return coeffs  # coeffs[j + n] multiplies e^{i j w x}
 
 
-@lru_cache(maxsize=None)
-def _cme_unit(K: int) -> MEDistribution:
-    """The unit-rate order-K concentrated ME, built and validated once."""
-    return _cme_from_params(*CME_UNIT[K])
+def _cme_pieces(omega, phases):
+    """The mean-one concentrated ME of order 2 len(phases) + 1, as pieces.
+
+    In the basis where its initial vector is e_1 the subgenerator U has a
+    dense first row (U[0, 0] = d, U[0, 1:] = rho) and, below it, n =
+    len(phases) independent rotation blocks [[a_j, b_j], [-b_j, a_j]] on
+    rows and columns 2j - 1, 2j.  Returns (d, rho, a, b, eigenvalues).  A
+    chain of CME blocks in this basis hands its exit mass on through one
+    column, not a dense exit-init product, whose rounding left the Phi
+    masses of the criterion-10 model 6e-11 off a long-double solve.
+    """
+    n = len(phases)
+    c = _cosine_harmonics(phases)[n:] / 2**n
+    w = omega * np.arange(1, n + 1)
+    # At unit rate f(x) = e^{-x} (c_0 + sum_j 2 Re(c_j e^{ijwx})).  Over the
+    # rotation blocks [[-1, w_j], [-w_j, -1]] the initial vector has v_0 =
+    # c_0 and, read as one complex number, the pair v_{2j-1} + i v_{2j} =
+    # (1 + i) c_j / (1 - i w_j).  Moving v, normalized, to e_1 keeps the
+    # blocks and turns row 0 into (-1, ..., i w_j (v_{2j-1} + i v_{2j}), ...).
+    pairs = (1 + 1j) * c[1:] / (1 - 1j * w)
+    mass = c[0].real + pairs.real.sum() + pairs.imag.sum()
+    rho = (1j * w * pairs / mass).view(float)
+    # the unit-rate mean -x_0 of U x = 1: 2x2 rotation solves, then row 0
+    mean = 1.0 - rho @ ((1 + 1j) / (-1.0 - 1j * w)).view(float)
+    eigs = np.concatenate([[-1.0], -1.0 + 1j * w, -1.0 - 1j * w])
+    return -mean, rho * mean, np.full(n, -mean), w * mean, eigs * mean
+
+
+def _placed(pieces, delta) -> MEDistribution:
+    """The dense CME with subgenerator U / delta from its e_1-basis pieces."""
+    d, rho, a, b, eigs = pieces
+    K = len(rho) + 1
+    U = np.zeros((K, K))
+    U[0, 0], U[0, 1:] = d, rho
+    i = np.arange(1, K, 2)
+    U[i, i] = U[i + 1, i + 1] = a
+    U[i, i + 1], U[i + 1, i] = b, -b
+    return _me(np.eye(1, K)[0], U / delta, eigs / delta)
 
 
 def _cme_from_params(omega, phases) -> MEDistribution:
-    """The unit-rate concentrated ME of order 2 len(phases) + 1."""
-    n = len(phases)
-    K = 2 * n + 1
-    coeffs = _cosine_harmonics(phases) / 2**n
-    # f(x) = e^{-x} [a_0 + sum_j a_j cos(j w x) + b_j sin(j w x)]
-    a = np.empty(n + 1)
-    b = np.empty(n + 1)
-    a[0] = coeffs[n].real
-    for j in range(1, n + 1):
-        a[j] = 2.0 * coeffs[n + j].real
-        b[j] = -2.0 * coeffs[n + j].imag
+    """The dense mean-one concentrated ME of order 2 len(phases) + 1."""
+    return _placed(_cme_pieces(omega, phases), 1.0)
 
-    T = np.zeros((K, K))
-    T[0, 0] = -1.0
-    v = np.zeros(K)
-    v[0] = a[0]
-    for j in range(1, n + 1):
-        i = 2 * j - 1
-        w = j * omega
-        T[i:i + 2, i:i + 2] = [[-1.0, w], [-w, -1.0]]
-        # Match the cos/sin coefficients of -v expm(Tx) T 1 on this block.
-        sys = np.array([[1.0 - w, 1.0 + w], [1.0 + w, -(1.0 - w)]])
-        v[i:i + 2] = np.linalg.solve(sys, [a[j], b[j]])
-    v /= v.sum()  # normalize total mass; density sign is already nonneg
 
-    # Change basis by P^{-1} = [v; e_2; ...; e_K], so that the initial
-    # vector becomes e_1.  Rows 2..K of T stay; the first row becomes
-    # [-1, ..., -w v_{i+1}, w v_i, ...] over the rotation blocks.  A chain
-    # of CME blocks then hands its exit mass on through one column, not a
-    # dense exit-init product, whose independently rounded entries left
-    # the Phi masses of the criterion-10 model 6e-11 off a long-double
-    # solve (2e-12 in this basis).
-    for j in range(1, n + 1):
-        i = 2 * j - 1
-        T[0, i], T[0, i + 1] = -j * omega * v[i + 1], j * omega * v[i]
-    e1 = np.zeros(K)
-    e1[0] = 1.0
-    eigs = np.concatenate([[-1.0], (-1.0 + 1j * omega * np.arange(1, n + 1)),
-                           (-1.0 - 1j * omega * np.arange(1, n + 1))])
-    return _validated(_me(e1, T, eigs))
+@lru_cache(maxsize=None)
+def _cme_unit(K: int):
+    """The mean-one CME[K]'s pieces, checked once; refuses an untabled K."""
+    _check_cme_order(K)
+    pieces = _cme_pieces(*CME_UNIT[K])
+    _validated(_placed(pieces, 1.0))
+    return pieces
 
 
 def _check_cme_order(K) -> None:
@@ -303,16 +310,12 @@ def cme(K: int, delta: float) -> MEDistribution:
 
     ``K`` must be one of the tabulated orders, an odd integer from 1 to
     51; the order-K family achieves scv on the order of 2/K^2, and K=1 is
-    the exponential distribution.  The result is a time-rescaled copy of
-    the cached unit-rate model; rescaling changes neither the mass, the
-    sign of an eigenvalue nor monotonicity, so it needs no second
-    validation.
+    the exponential distribution.  The result places the cached mean-one
+    pieces, divided by ``delta``, into a dense matrix; rescaling time
+    changes neither the mass, the sign of an eigenvalue nor monotonicity,
+    so it needs no second validation.
     """
-    _check_cme_order(K)
+    unit = _cme_unit(K)
     if not 0 < delta < np.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")
-    unit = _cme_unit(K)
-    scale = unit.mean() / delta  # time rescale X -> X * delta/mean
-    return MEDistribution(init=unit.init, subgen=unit.subgen * scale,
-                          exit=unit.exit * scale, order=unit.order,
-                          eigenvalues=unit.eigenvalues * scale)
+    return _placed(unit, delta)

@@ -26,6 +26,20 @@ def test_profile_validation():
         HashrateProfile((0.0, 1.0, 2.0), (0.5,), ALPHA)
 
 
+def test_with_fullrate_checks_only_the_new_rate(monkeypatch):
+    p = HashrateProfile((0.0, 2.0, 5.0), (0.0, 0.4), ALPHA)
+    expected = HashrateProfile(p.thresholds, p.fractions, 0.5)
+
+    def no_checks(self):
+        raise AssertionError("a validated profile is not checked again")
+    monkeypatch.setattr(HashrateProfile, "__post_init__", no_checks)
+    assert p.with_fullrate(0.5) == expected
+    assert p.fullrate == ALPHA
+    for rate in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="fullrate must be positive"):
+            p.with_fullrate(rate)
+
+
 @pytest.mark.parametrize("thresholds, fractions, fullrate, field", [
     ((0.0, np.nan), (0.5,), ALPHA, "thresholds"),
     ((0.0, 1.0, np.nan), (0.0, 0.5), ALPHA, "thresholds"),
@@ -98,7 +112,11 @@ def test_fixed_delay_theta_mean():
 def test_assemble_zero_profile_is_zero_delay_theta(K, monkeypatch):
     def no_cme(*args):
         raise AssertionError("the zero profile builds no CME")
+    orders = []
+    unit = delaymodel._cme_unit
     monkeypatch.setattr("powruin.delaymodel.cme", no_cme)
+    monkeypatch.setattr("powruin.delaymodel._cme_unit",
+                        lambda K: orders.append(K) or unit(K))
     a = assemble_theta(HashrateProfile.zero_delay(ALPHA), K)
     b = zero_delay_theta(ALPHA)
     assert a.order == b.order == 1
@@ -106,6 +124,7 @@ def test_assemble_zero_profile_is_zero_delay_theta(K, monkeypatch):
     assert np.array_equal(a.subgen, b.subgen)
     assert np.array_equal(a.exit, b.exit)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
+    assert set(orders) == {1}
 
 
 def test_fixed_delay_theta_is_assembled_profile():

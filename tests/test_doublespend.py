@@ -268,7 +268,8 @@ def _spy_inv(monkeypatch):
 def test_analyze_profile_models_factor_nothing(model, monkeypatch):
     # a profile's theta solves segment by segment, for calibration and Phi
     # alike, and never builds its subgen; only the unit CME, validated
-    # once per K, is ever factored
+    # once per K, is ever factored (order 1 for the zero profile)
+    medist.cme(1, 1.0)
     medist.cme(9, 1.0)
     calls = _spy_inv(monkeypatch)
     analyze(model, 0.2, 600.0, 6, K=9)

@@ -1,4 +1,5 @@
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,8 @@ from numpy.testing import assert_allclose
 
 from powruin._cmetable import CME_UNIT
 from powruin.delaymodel import HashrateProfile, assemble_theta
-from powruin.medist import MEValidationError, cme, erlang_me, make_me
+from powruin.medist import (MEValidationError, _cme_from_params, _cme_unit,
+                            cme, erlang_me, make_me)
 
 
 def test_make_me_exponential():
@@ -124,6 +126,53 @@ def test_table_generator_reproduces_rows(K):
     generator = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(generator)
     assert generator.search(K) == CME_UNIT[K]
+
+
+@pytest.mark.parametrize("K", sorted(CME_UNIT))
+def test_cme_pieces_have_mean_one_in_exact_arithmetic(K):
+    # -x_0 of U x = 1, solved in rationals on the cached float pieces:
+    # each rotation block [[a, b], [-b, a]] maps (a - b, a + b)/(a^2 + b^2)
+    # to (1, 1), then row 0 gives x_0
+    d, rho, a, b = ([Fraction(x) for x in np.ravel(p)]
+                    for p in _cme_unit(K)[:4])
+    x = [x for aj, bj in zip(a, b) for x in ((aj - bj) / (aj**2 + bj**2),
+                                              (aj + bj) / (aj**2 + bj**2))]
+    mean = -(1 - sum(r * xj for r, xj in zip(rho, x))) / d[0]
+    assert abs(float(mean - 1)) < 5e-14
+
+
+@pytest.mark.parametrize("K, delta", [(1, 5.0), (9, 0.3), (51, 600.0)])
+def test_cme_places_the_pieces_divided_by_delta(K, delta):
+    d, rho, a, b, eigenvalues = _cme_unit(K)
+    me = cme(K, delta)
+    T, i = me.subgen, np.arange(1, K, 2)
+    assert T[0, 0] == d / delta
+    assert np.array_equal(T[0, 1:], rho / delta)
+    assert np.array_equal(T[i, i], a / delta)
+    assert np.array_equal(T[i + 1, i + 1], a / delta)
+    assert np.array_equal(T[i, i + 1], b / delta)
+    assert np.array_equal(T[i + 1, i], -b / delta)
+    placed = np.zeros((K, K), dtype=bool)
+    placed[0] = placed[i, i] = placed[i + 1, i + 1] = True
+    placed[i, i + 1] = placed[i + 1, i] = True
+    assert not T[~placed].any()
+    assert np.array_equal(me.init, np.eye(K)[0])
+    assert np.array_equal(me.eigenvalues, eigenvalues / delta)
+
+
+@pytest.mark.parametrize("K", [3, 5, 9])
+def test_generator_candidate_passes_make_me_with_the_closed_form_scv(K):
+    # the path tools/make_cme_table.supported_rows takes for each row; the
+    # closed-form scv is ill-conditioned above K of about 27
+    path = Path(__file__).resolve().parents[1] / "tools" / "make_cme_table.py"
+    spec = importlib.util.spec_from_file_location("make_cme_table", path)
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    omega, phases = CME_UNIT[K]
+    d = _cme_from_params(omega, phases)
+    assert_allclose(make_me(d.init, d.subgen).scv(),
+                    generator.cosine_scv(np.r_[omega, phases], len(phases)),
+                    rtol=1e-9)
 
 
 def test_make_me_keeps_its_own_copy_of_the_input():
