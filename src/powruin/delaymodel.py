@@ -15,10 +15,12 @@ dense ``T`` only when the density or distribution function asks for it.
 A random ME delay is chained into the full-rate phase as a general ME and
 solves by its dense inverse.
 
+A profile's mean is in closed form, in O(N K) from the same pieces.
 Calibration rescales the single full-rate scalar by fixed-point iteration
-on the mean time after the profile's dead time until the model mean equals
-the protocol block interval; the iterates rise monotonically to the root,
-so no bracketing fallback is needed.
+on the mean time after the profile's dead time until that closed-form mean
+equals the protocol block interval; the iterates rise monotonically to the
+root, so no bracketing fallback is needed.  Only the theta at the
+calibrated rate is assembled and validated.
 """
 
 from __future__ import annotations
@@ -195,17 +197,17 @@ class _ProfileTheta(MEDistribution):
     read as medist's e_1-basis pieces (d, rho, a, b, eigenvalues).  Every
     solve with T - sI is exact substitution in O(N K): 2x2 rotation solves
     and one dot product per block, and a scalar recurrence over the
-    segments through the coupling column.  The dense ``subgen`` is placed
-    block by block on first access only.
+    segments through the coupling column.  The mean reads the same pieces
+    in closed form.  The dense ``subgen`` is placed block by block on first
+    access only.
     """
 
     def __init__(self, profile: HashrateProfile, K: int):
         N = profile.n_segments
         alpha = profile.fullrate
-        unit = _cme_unit(K if N else 1)  # order 1: the unit exponential
+        unit, delta, fractions = _segments(profile, K)
         K = len(unit[1]) + 1
-        delta = 1.0 / np.asarray(profile.segment_lengths)
-        rates = np.asarray(profile.fractions) * alpha
+        rates = fractions * alpha
         init = np.zeros(N * K + 1)
         init[0] = 1.0
         fields = dict(
@@ -233,13 +235,22 @@ class _ProfileTheta(MEDistribution):
                 T[rows, (i + 1) * K] = delta * unit.exit
         return T
 
+    def mean(self) -> float:
+        """E[theta] in closed form (see :func:`_profile_mean`), cached."""
+        if "_mean" not in vars(self):
+            object.__setattr__(self, "_mean", _profile_mean(
+                self._unit, self._delta, self._rates, self._alpha))
+        return self._mean
+
     def solver(self, s: float = 0.0):
         """The function b -> (T - sI)^{-1} b, by substitution over segments.
 
         Block i's solution is u_i - t_{i+1} w_i, with u_i = M_i^{-1} b_i,
         w_i = delta_i M_i^{-1} h_U and t_{i+1} the first entry of the next
         block, so the first entries follow t_i = u_i[0] - g_i t_{i+1} with
-        g_i = w_i[0], backwards from the full-rate phase.
+        g_i = w_i[0], backwards from the full-rate phase.  The recurrence
+        multiplies only, so it stays finite where the product of the g_i
+        underflows.
         """
         d, rho, a, b, _ = self._unit
         delta = self._delta[:, None]
@@ -253,10 +264,10 @@ class _ProfileTheta(MEDistribution):
             raise ValueError(f"T - sI singular at s={s}")
         inv = 1.0 / rot
         rho = delta * rho
+        N, K = len(p0), self._K
 
-        def blocks(y):
-            """x_i = M_i^{-1} y_i for every segment at once."""
-            x = np.empty_like(y)
+        def blocks(y, x):
+            """x_i = M_i^{-1} y_i for every segment at once, into x."""
             pairs = x[:, 1:].view(complex)
             np.multiply(y[:, 1:].view(complex), inv, out=pairs)
             x[:, 0] = (y[:, 0] - np.einsum("ij,ij->i", rho, x[:, 1:])) / p0
@@ -264,20 +275,48 @@ class _ProfileTheta(MEDistribution):
 
         # delta h_U = -delta U 1 = -(M + cI) 1, so w = M^{-1} delta h_U is
         # -1 - c M^{-1} 1: no cancellation in the exit column
-        w = -1.0 - c * blocks(np.ones((len(delta), self._K)))
+        w = -1.0 - c * blocks(np.ones((N, K)), np.empty((N, K)))
         g = w[:, 0].tolist()
 
         def solve(rhs):
             rhs = np.ascontiguousarray(rhs, dtype=float)
-            u = blocks(rhs[:-1].reshape(w.shape))
-            u0 = u[:, 0].tolist()
-            last = t = rhs[-1] / pf
-            nxt = [0.0] * len(g)
-            for i in range(len(g) - 1, -1, -1):
-                nxt[i] = t
-                t = u0[i] - g[i] * t
-            return np.append((u - np.array(nxt)[:, None] * w).ravel(), last)
+            out = np.empty(N * K + 1)
+            u = blocks(rhs[:-1].reshape(N, K), out[:-1].reshape(N, K))
+            # a Python float: NumPy scalar arithmetic would slow the loop
+            out[-1] = t = float(rhs[-1] / pf)
+            nxt = u[:, 0].tolist()  # u_i[0] in, t_{i+1} out
+            for i in range(N - 1, -1, -1):
+                nxt[i], t = t, nxt[i] - g[i] * t
+            u -= np.array(nxt)[:, None] * w
+            return out
         return solve
+
+
+def _segments(profile: HashrateProfile, K: int):
+    """The unit CME's pieces (order 1 with no segment), the inverse segment
+    lengths delta_i and the rate fractions, as arrays."""
+    unit = _cme_unit(K if profile.n_segments else 1)
+    return (unit, 1.0 / np.asarray(profile.segment_lengths),
+            np.asarray(profile.fractions))
+
+
+def _profile_mean(unit, delta, rates, alpha) -> float:
+    """E[theta] of a profile in closed form, in O(N K).
+
+    Once entered, segment i takes a mean time tau_i = e_1^T (r_i I -
+    delta_i U)^{-1} 1 of theta and is left without mining with probability
+    1 - r_i tau_i, so with S_1 = 1 and S_{i+1} = S_i (1 - r_i tau_i) the
+    mean is sum_i S_i tau_i + S_{N+1} / alpha.  tau_i reads the pieces of
+    U as the segment solve does: one complex division per rotation block,
+    then row 0.  In sigma_i = r_i / delta_i, tau_i is L1(sigma_i) /
+    delta_i with L1(sigma) = e_1^T (sigma I - U)^{-1} 1.
+    """
+    d, rho, a, b, _ = unit
+    pairs = (1 + 1j) / (rates[:, None] - delta[:, None] * (a - 1j * b))
+    row0 = pairs.view(float) @ rho  # Re sum_j conj(rho_j) pair_j
+    tau = (1.0 + delta * row0) / (rates - delta * d)
+    passed = np.cumprod(np.append(1.0, 1.0 - rates * tau))
+    return float(passed[:-1] @ tau + passed[-1] / alpha)
 
 
 def assemble_theta(profile: HashrateProfile, K: int) -> MEDistribution:
@@ -307,8 +346,10 @@ def calibrate_alpha(profile: HashrateProfile, block_interval: float, K: int,
     monotonically with no bracketing fallback and lands on a fixed delay's
     root 1/(T - d) at the first step, and stops within ``rel_tol`` of T
     (relative; every analysis uses the default), or raises ``RuntimeError``
-    after ``_MAX_ITER`` iterates.  The result carries the theta it
-    assembled at the calibrated rate.
+    after ``_MAX_ITER`` iterates.  Each iterate reads the closed-form mean
+    (:func:`_profile_mean`) and builds neither a profile nor a theta; the
+    result carries the one theta assembled and validated, at the
+    calibrated rate, whose mean is the last iterate's.
     """
     if not 0 < block_interval < np.inf:
         raise ValueError(
@@ -324,13 +365,15 @@ def calibrate_alpha(profile: HashrateProfile, block_interval: float, K: int,
 
     # nondecreasing fractions make alpha*E[theta - D] nondecreasing in alpha,
     # and 1/(T - D) lies below the root: the iterates only rise
+    unit, delta, fractions = _segments(profile, K)
     alpha = 1.0 / (target - dead)
     trace = []
     for it in range(1, _MAX_ITER + 1):
-        theta = assemble_theta(profile.with_fullrate(alpha), K)
-        mean = theta.mean()
+        _check_fullrate(alpha)
+        mean = _profile_mean(unit, delta, fractions * alpha, alpha)
         trace.append((alpha, mean))
         if abs(mean - target) / target <= rel_tol:
+            theta = assemble_theta(profile.with_fullrate(alpha), K)
             return CalibrationResult(alpha, mean, it, True, theta, tuple(trace))
         alpha = alpha * (mean - dead) / (target - dead)
     raise RuntimeError(

@@ -10,9 +10,14 @@ truncation is exact for the retained coefficients since degrees only add.
 The honest lead at confirmation is the index reversal Z = k-1-V, and the
 violation probability is q = 1 - sum_u p_Z(u) (1 - psi(u)).
 
-Phi, the lead and psi are built and validated once for k_max, and each
-depth reads their first k entries.  Products of nonnegative coefficients
-stay nonnegative, so :func:`compute_q` checks only the final p_Z.
+Phi, the lead and psi are built and validated once for k_max, and
+:func:`analyze` takes every depth in one pass: starting from the lead
+convolved with the final window's Poisson count, each depth convolves the
+previous depth's k_max-partial pgf with Phi once, and depth k reads its
+first k masses.  :func:`adversary_lead_pmf` computes one depth on its own,
+with Phi raised to the k-th power.  Products of nonnegative coefficients
+stay nonnegative, so :func:`compute_q` checks only the final p_Z, and it
+refuses NaN, as the discrete layers' constructors do.
 """
 
 from __future__ import annotations
@@ -183,9 +188,9 @@ def compute_q(p_Z: np.ndarray, deficit_mass: float, ruin: RuinTable,
     psi = ruin.psi[:k]
     if len(psi) < k:
         raise ValueError("ruin table shorter than p_Z")
-    if np.any(p_Z < 0) or np.any(p_Z > 1):
-        raise ValueError("p_Z out of [0, 1]")
-    if p_Z.sum() > 1 + 1e-8:
+    if not np.all((p_Z >= 0) & (p_Z <= 1)):
+        raise ValueError("p_Z out of [0, 1] or NaN")
+    if not p_Z.sum() <= 1 + 1e-8:
         raise ValueError(f"p_Z sums to {p_Z.sum()} > 1")
     q = 1.0 - float(np.sum(p_Z * (1.0 - psi)))
     q = min(max(q, 0.0), 1.0)
@@ -240,8 +245,9 @@ def analyze(model: DelayModel, beta_fraction: float, block_interval: float,
 
     Calibrates the honest rate to the block interval, to 1e-6 on the mean,
     builds the adversary count distribution, the lead and the ruin table
-    once with k_max masses, and reads their first k entries per depth.
-    The adversary rate is beta_fraction times the calibrated full rate.
+    once with k_max masses, and computes every depth in one pass (see the
+    module docstring).  The adversary rate is beta_fraction times the
+    calibrated full rate.
     """
     _check_attack(beta_fraction, delta_conf)
     if k_max < 1:
@@ -263,9 +269,13 @@ def analyze(model: DelayModel, beta_fraction: float, block_interval: float,
     lead = lead_pmf(phi, k_max)
     ruin = _ruin_from_lead(phi, lead)
 
+    # G_0 = lead * Poisson(beta delta_conf) and G_k = G_{k-1} * Phi, each
+    # truncated to k_max masses; depth k's p_V is the first k masses of G_k
+    G = truncated_product(lead.masses,
+                          poisson_partial_pgf(delta_conf * beta, k_max))
     results = []
     for k in range(1, k_max + 1):
-        p_V = adversary_lead_pmf(lead, phi, delta_conf, beta, k)
-        p_Z, deficit = honest_lead_pmf(p_V, k)
+        G = truncated_product(G, phi.masses)
+        p_Z, deficit = honest_lead_pmf(G[:k], k)
         results.append(compute_q(p_Z, deficit, ruin, model_tag=tag))
     return results

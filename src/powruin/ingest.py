@@ -24,6 +24,7 @@ __all__ = [
 ]
 
 _SUB_MS = 1e-3
+_CHUNK_BYTES = 1 << 16  # load_delays reads about this much text at a time
 
 
 @dataclass(frozen=True)
@@ -66,47 +67,52 @@ class BinningResult:
 def load_delays(path) -> DelayDataset:
     """Parse a delay file: one delay in seconds per line.
 
-    Lines starting with '#' are ignored; an optional second comma-separated
-    column (e.g. a date) is dropped.  Malformed or negative rows are
-    reported with their line number.  The rows are parsed in one pass by
-    ``float`` and checked as one array, and the first bad entry is mapped
-    back to its line.
+    Blank lines and lines starting with '#' are ignored; an optional second
+    comma-separated column (e.g. a date) is dropped; '\\n', '\\r\\n' and a
+    lone '\\r' each end a line.  The file is read in chunks of about 64 KB
+    of lines, and each chunk's rows are parsed by ``float`` and checked as
+    one array, so no more than a chunk of text is held at once.  The first
+    malformed, negative or non-finite row is reported with its line number,
+    which is counted only for the chunk that holds it.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    lines = text.split("\n")
-    linenos = [n for n, line in enumerate(lines, start=1)
-               if (s := line.lstrip()) and s[0] != "#"]
-    if not linenos:
+    parts = []
+    first = 1  # line number of the chunk's first line
+    with open(path, encoding="utf-8") as fh:
+        while lines := fh.readlines(_CHUNK_BYTES):
+            rows = [s for line in lines if (s := line.strip()) and s[0] != "#"]
+            if "," in "".join(rows):
+                rows = [row.split(",", 1)[0] for row in rows]
+            try:
+                delays = np.fromiter(map(float, rows), float, len(rows))
+                ok = (delays.min(initial=0.0) >= 0
+                      and delays.max(initial=0.0) < np.inf)
+            except ValueError:
+                ok = False
+            if not ok:
+                raise _bad_row(path, lines, first, rows)
+            parts.append(delays)
+            first += len(lines)
+    if not any(map(len, parts)):
         raise ValueError(f"{path}: no delay rows found")
-    rows = [lines[n - 1] for n in linenos]
-    if "," in text:
-        rows = [row.split(",", 1)[0] for row in rows]
-    tokens = list(map(str.strip, rows))
-    try:
-        delays = np.fromiter(map(float, tokens), float, len(tokens))
-    except ValueError:
-        delays = _parsed_prefix(tokens)
-    bad = np.flatnonzero(~np.isfinite(delays) | (delays < 0))
-    if bad.size or len(delays) < len(tokens):
-        i = int(bad[0]) if bad.size else len(delays)
-        if i < len(delays):
-            raise ValueError(
-                f"{path}:{linenos[i]}: invalid delay {delays[i]}")
-        raise ValueError(
-            f"{path}:{linenos[i]}: cannot parse delay {tokens[i]!r}")
-    return DelayDataset(delays)
+    return DelayDataset(np.concatenate(parts))
 
 
-def _parsed_prefix(tokens) -> np.ndarray:
-    """``float`` of the tokens before the first one it refuses."""
-    values = []
-    for token in tokens:
+def _bad_row(path, lines, first, rows) -> ValueError:
+    """The error naming a chunk's first row that ``float`` refuses or whose
+    delay is negative or not finite, by its line number."""
+    for i, row in enumerate(rows):
         try:
-            values.append(float(token))
+            delay = float(row)
         except ValueError:
+            problem = f"cannot parse delay {row.strip()!r}"
             break
-    return np.array(values)
+        if not 0 <= delay < math.inf:
+            problem = f"invalid delay {delay}"
+            break
+    lineno = [n for n, line in enumerate(lines, start=first)
+              if (s := line.strip()) and s[0] != "#"][i]
+    return ValueError(f"{path}:{lineno}: {problem}")
 
 
 def apply_cutoff(ds: DelayDataset, epsilon: float):

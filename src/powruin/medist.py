@@ -13,7 +13,8 @@ and the moment generating function is the rational function
 Every distribution carries its validated spectrum and holds ``T`` as a
 dense array.  The mean, the squared coefficient of variation and the mgf
 all solve through one method, :meth:`MEDistribution.solver`, which returns
-the solve function of ``T - sI``.  A general distribution inverts
+the solve function of ``T - sI``; only a profile's theta reads its mean in
+closed form.  A general distribution inverts
 ``T - sI`` once and multiplies by the inverse; the inter-mining time of a
 hashrate profile (:func:`powruin.delaymodel.assemble_theta`) solves
 segment by segment without a factorization and builds ``T`` only on first

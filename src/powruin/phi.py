@@ -41,13 +41,14 @@ class PhiDistribution:
 
     def __post_init__(self):
         masses = np.asarray(self.masses, dtype=float)
-        if np.any(masses < -1e-12):
-            raise ValueError("negative probability mass")
+        # written so that NaN fails each check
+        if not np.all(masses >= -1e-12):
+            raise ValueError("negative or NaN probability mass")
         masses = np.maximum(masses, 0.0)
-        if masses.sum() > 1 + 1e-8:
+        if not masses.sum() <= 1 + 1e-8:
             raise ValueError(f"masses sum to {masses.sum()} > 1")
-        if self.mean < 0:
-            raise ValueError("mean must be nonnegative")
+        if not self.mean >= 0:
+            raise ValueError(f"mean must be nonnegative, got {self.mean}")
         object.__setattr__(self, "masses", masses)
 
     @property

@@ -32,10 +32,11 @@ class LeadDistribution:
 
     def __post_init__(self):
         masses = np.asarray(self.masses, dtype=float)
-        if np.any(masses < -1e-12):
-            raise ValueError("negative lead mass")
+        # written so that NaN fails each check
+        if not np.all(masses >= -1e-12):
+            raise ValueError("negative or NaN lead mass")
         # large assembled models carry ~1e-10 absolute error per mass
-        if masses.sum() > 1 + 1e-8:
+        if not masses.sum() <= 1 + 1e-8:
             raise ValueError("lead masses sum above one")
         object.__setattr__(self, "masses", np.maximum(masses, 0.0))
 
@@ -46,8 +47,8 @@ class RuinTable:
 
     def __post_init__(self):
         psi = np.asarray(self.psi, dtype=float)
-        if np.any(psi < -1e-12) or np.any(psi > 1 + 1e-12):
-            raise ValueError("ruin probability out of [0, 1]")
+        if not np.all((psi >= -1e-12) & (psi <= 1 + 1e-12)):
+            raise ValueError("ruin probability out of [0, 1] or NaN")
         object.__setattr__(self, "psi", np.clip(psi, 0.0, 1.0))
 
 

@@ -285,16 +285,20 @@ def test_calibrate_refuses_a_tolerance_of_zero():
 
 
 def test_calibrate_solves_each_iterate_mean_once(monkeypatch):
-    # validation solves for the mean and mgf(0); the loop and Phi's Wald
-    # mean read the cached mean
+    # the iterates read the closed-form mean and build no solver; only the
+    # returned theta is validated, whose mgf(0) is the one solve, and its
+    # cached mean is the last iterate's
     cme(9, 1.0)  # the unit CME, validated once per K
-    solves = []
+    solves, solvers = [], []
     solve_T = MEDistribution._solve_T
     monkeypatch.setattr(MEDistribution, "_solve_T", lambda self, b:
                         solves.append(self) or solve_T(self, b))
+    solver = delaymodel._ProfileTheta.solver
+    monkeypatch.setattr(delaymodel._ProfileTheta, "solver", lambda self, s=0.0:
+                        solvers.append(s) or solver(self, s))
     prof = HashrateProfile((0.0, 30.0, 90.0, 200.0), (0.0, 0.2, 0.5), 1.0)
     res = calibrate_alpha(prof, 600.0, 9)
     assert res.iterations > 1
-    assert len(solves) == 2 * res.iterations
-    assert res.theta.mean() == res.achieved_mean
-    assert len(solves) == 2 * res.iterations
+    assert len(solves) == 1 and solvers == [0.0]
+    assert res.theta.mean() == res.achieved_mean == res.trace[-1][1]
+    assert len(solves) == 1 and solvers == [0.0]

@@ -17,6 +17,8 @@ from powruin.doublespend import (DelayModel, adversary_lead_pmf, analyze,
                                  compute_q, honest_lead_pmf,
                                  poisson_partial_pgf, truncated_power,
                                  truncated_product)
+from powruin.ingest import (BITCOIN_LIKE, apply_cutoff, bin_delays,
+                            synth_delays, to_profile)
 from powruin.medist import erlang_me
 from powruin.phi import phi_from_theta
 from powruin.ruinlindley import (RuinTable, lead_pmf, ruin_recursive,
@@ -225,15 +227,16 @@ def test_analyze_zero_delay_matches_manual_pipeline(model, profile):
 
 
 def test_analyze_assembles_theta_once_per_calibration_iteration(monkeypatch):
-    # calibration's last iterate is the calibrated theta; analyze reuses it
+    # calibration iterates on the closed-form mean and assembles theta once,
+    # at the calibrated rate; analyze reuses it
     cal = calibrate_alpha(PROFILE, 600.0, 9, rel_tol=1e-6)
+    assert cal.iterations > 1
     assembled = []
     assemble = delaymodel.assemble_theta
     monkeypatch.setattr(delaymodel, "assemble_theta",
                         lambda *args: assembled.append(args) or assemble(*args))
     analyze(DelayModel("variable", profile=PROFILE), 0.2, 600.0, 6, K=9)
-    assert len(assembled) == cal.iterations
-    assert assembled[-1] == (PROFILE.with_fullrate(cal.calibrated_rate), 9)
+    assert assembled == [(PROFILE.with_fullrate(cal.calibrated_rate), 9)]
 
 
 def test_analyze_calibration_error_in_q_is_below_the_q_tolerance(monkeypatch):
@@ -393,3 +396,43 @@ def test_analyze_k27_profile_deep_lead():
     phi = phi_from_theta(theta, 0.2 * rate, 30)
     gap = np.abs(ruin_recursive(phi, 30).psi - ruin_via_lindley(phi, 30).psi)
     assert gap.max() <= 1e-10
+
+
+def test_compute_q_refuses_nan():
+    # each check is written so that NaN fails it, rather than q = nan
+    with pytest.raises(ValueError, match="NaN"):
+        compute_q(np.array([np.nan]), 0.0, RuinTable([0.5]))
+
+
+def _grid_deep_profile():
+    """The 4-bin ingested profile of 2 100 delays at epsilon = 0.01."""
+    kept, _ = apply_cutoff(synth_delays(BITCOIN_LIKE, 2_100, seed=7), 0.01)
+    return to_profile(bin_delays(kept, 4), 1.0)
+
+
+@pytest.mark.parametrize("kind", ["zero", "fixed", "ingested"])
+def test_one_pass_matches_the_per_depth_layers_at_depth_200(kind):
+    # analyze convolves one more Phi per depth; the per-depth route raises
+    # Phi to the k-th power for each depth on its own
+    beta_fraction, k_max, K = 0.45, 200, 27
+    if kind == "zero":
+        model, theta, rate, dconf = (DelayModel("zero"),
+                                     zero_delay_theta(ALPHA), ALPHA, 0.0)
+    elif kind == "fixed":
+        rate = 1 / 590
+        model, theta, dconf = (DelayModel("fixed", delay=10.0),
+                               fixed_delay_theta(10.0, rate, K), 10.0)
+    else:
+        profile = _grid_deep_profile()
+        cal = calibrate_alpha(profile, 600.0, K)
+        model, theta, rate = (DelayModel("variable", profile=profile),
+                              cal.theta, cal.calibrated_rate)
+        dconf = profile.max_delay
+    qs = [r.q for r in analyze(model, beta_fraction, 600.0, k_max, K=K)]
+    beta = beta_fraction * rate
+    phi = phi_from_theta(theta, beta, k_max)
+    lead, ruin = lead_pmf(phi, k_max), ruin_via_lindley(phi, k_max)
+    for k, q in enumerate(qs, start=1):
+        p_V = adversary_lead_pmf(lead, phi, dconf, beta, k)
+        p_Z, deficit = honest_lead_pmf(p_V, k)
+        assert abs(q - compute_q(p_Z, deficit, ruin).q) <= 1e-14

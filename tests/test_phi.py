@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -8,7 +10,7 @@ from powruin.delaymodel import (HashrateProfile, assemble_theta,
                                 fixed_delay_theta, random_delay_theta,
                                 zero_delay_theta)
 from powruin.medist import erlang_me
-from powruin.phi import phi_from_theta
+from powruin.phi import PhiDistribution, phi_from_theta
 
 ALPHA = 1 / 600
 BETA = 0.2 * ALPHA
@@ -149,3 +151,29 @@ def test_large_sparse_model_matches_small_dense():
     big = phi_from_theta(assemble_theta(prof, 27), BETA, 6)
     assert_allclose(small.masses, big.masses, atol=2e-5)
     assert_allclose(small.mean, big.mean, rtol=1e-6)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 50])
+@pytest.mark.parametrize("ratio", [0.1, 0.3, 0.45])
+def test_random_delay_phi_is_negbin_convolved_with_geometric(n, ratio):
+    # an Erlang(n, lam = n/mu) delay, then Exp(alpha): over each phase the
+    # adversary count is geometric, so Phi = NegBin(n, lam/(lam + beta)) *
+    # Geometric(alpha/(alpha + beta)).  Measured at most 8.0e-14 relative
+    # over the 40 masses (n = 50, ratio 0.1), down to masses of 2e-41.
+    mu, alpha, k = 10.0, 1 / 590, 40
+    beta, lam = ratio * alpha, n / mu
+    p, q = lam / (lam + beta), alpha / (alpha + beta)
+    negbin = np.array([math.comb(j + n - 1, j) * p**n * (1 - p)**j
+                       for j in range(k)])
+    exact = np.convolve(negbin, q * (1 - q) ** np.arange(k))[:k]
+    phi = phi_from_theta(random_delay_theta(erlang_me(n, mu), alpha), beta, k)
+    assert np.max(np.abs(phi.masses - exact) / exact) < 3e-13
+    assert_allclose(phi.mean, beta * (mu + 1 / alpha), rtol=1e-14)
+
+
+@pytest.mark.parametrize("masses, mean", [([0.8, np.nan], 0.2),
+                                          ([0.8], np.nan)],
+                         ids=["nan-mass", "nan-mean"])
+def test_phi_distribution_refuses_nan(masses, mean):
+    with pytest.raises(ValueError, match="NaN|nan"):
+        PhiDistribution(masses=masses, mean=mean)

@@ -4,7 +4,8 @@ from numpy.testing import assert_allclose
 
 from powruin.delaymodel import zero_delay_theta
 from powruin.phi import PhiDistribution, phi_from_theta
-from powruin.ruinlindley import (UnstableRegimeError, lead_pmf,
+from powruin.ruinlindley import (LeadDistribution, RuinTable,
+                                 UnstableRegimeError, lead_pmf,
                                  ruin_recursive, ruin_via_lindley)
 
 ALPHA = 1 / 600
@@ -121,3 +122,11 @@ def test_masses_summing_above_one_keep_tails_nonnegative():
     assert np.all(lead_pmf(phi, 40).masses >= 0)
     assert_allclose(ruin_recursive(phi, 40).psi, ruin_via_lindley(phi, 40).psi,
                     atol=1e-10)
+
+
+def test_lead_and_ruin_tables_refuse_nan():
+    # each check is written so that NaN fails it
+    with pytest.raises(ValueError, match="NaN"):
+        LeadDistribution([np.nan, 0.1])
+    with pytest.raises(ValueError, match="NaN"):
+        RuinTable([np.nan])

@@ -154,3 +154,21 @@ def test_validation_still_raises_on_a_corrupted_profile_theta(corruption,
     fresh = _ProfileTheta(PROFILES["criterion58"](), 9)
     with pytest.raises(MEValidationError, match=message):
         _validated(_corrupt(fresh, **corruption(theta)))
+
+
+def test_segment_solve_stays_finite_where_pass_products_underflow():
+    # a 10 s dead time, then 200 full-rate segments of 1e4 s: each is left
+    # without mining with probability about exp(-17), so the product of the
+    # pass probabilities underflows.  Full rate is memoryless, so Phi is the
+    # fixed 10 s delay's; measured 3.5e-14 relative at K = 27
+    thresholds = (0.0, 10.0) + tuple(10.0 + 1e4 * np.arange(1, 201))
+    profile = HashrateProfile(thresholds, (0.0,) + (1.0,) * 200, RATE)
+    theta = assemble_theta(profile, 27)
+    beta = 0.2 * RATE
+    masses = phi_from_theta(theta, beta, 20).masses
+    assert np.all(np.isfinite(masses))
+    np.testing.assert_allclose(masses[:3], [0.83051, 0.14123, 0.02354],
+                               atol=1e-5)
+    ref = phi_from_theta(assemble_theta(PROFILES["fixed10"](), 27), beta, 20)
+    assert _rel(masses, ref.masses) <= 2e-13
+    assert _rel(theta.mean(), 600.0) <= 1e-14
