@@ -87,12 +87,10 @@ def _build_model(args) -> doublespend.DelayModel:
         return doublespend.DelayModel("zero")
     if args.model == "fixed":
         return doublespend.DelayModel("fixed", delay=args.delay)
-    if args.model == "expdelay":
+    if args.model in ("expdelay", "medelay"):
+        order = 1 if args.model == "expdelay" else args.delay_order
         return doublespend.DelayModel(
-            "random", delay_dist=erlang_me(1, args.delay_mean))
-    if args.model == "medelay":
-        return doublespend.DelayModel(
-            "random", delay_dist=erlang_me(args.delay_order, args.delay_mean))
+            "random", delay_dist=erlang_me(order, args.delay_mean))
     return doublespend.DelayModel("variable", profile=_load_profile(args))
 
 

@@ -31,7 +31,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .medist import MEDistribution, _cme_unit, _me, _validated, cme
+from .medist import (MEDistribution, _cme_unit, _entry_means, _me, _validated,
+                     cme)
 
 __all__ = [
     "HashrateProfile", "CalibrationResult", "assemble_theta",
@@ -197,9 +198,10 @@ class _ProfileTheta(MEDistribution):
     read as medist's e_1-basis pieces (d, rho, a, b, eigenvalues).  Every
     solve with T - sI is exact substitution in O(N K): 2x2 rotation solves
     and one dot product per block, and a scalar recurrence over the
-    segments through the coupling column.  The mean reads the same pieces
-    in closed form.  The dense ``subgen`` is placed block by block on first
-    access only.
+    segments through the coupling column.  The mean, in closed form from
+    the same pieces (:func:`_profile_mean`), is stored when theta is built,
+    and :meth:`MEDistribution.mean` returns it.  The dense ``subgen`` is
+    placed block by block on first access only.
     """
 
     def __init__(self, profile: HashrateProfile, K: int):
@@ -215,7 +217,8 @@ class _ProfileTheta(MEDistribution):
             order=N * K + 1,
             eigenvalues=np.append(np.outer(delta, unit[4]) - rates[:, None],
                                   -alpha),
-            _K=K, _delta=delta, _rates=rates, _alpha=alpha, _unit=unit)
+            _K=K, _delta=delta, _rates=rates, _alpha=alpha, _unit=unit,
+            _mean=_profile_mean(unit, delta, rates, alpha))
         for name, value in fields.items():
             object.__setattr__(self, name, value)
 
@@ -234,13 +237,6 @@ class _ProfileTheta(MEDistribution):
                 # next segment, since the CME starts in e_1, or the last phase
                 T[rows, (i + 1) * K] = delta * unit.exit
         return T
-
-    def mean(self) -> float:
-        """E[theta] in closed form (see :func:`_profile_mean`), cached."""
-        if "_mean" not in vars(self):
-            object.__setattr__(self, "_mean", _profile_mean(
-                self._unit, self._delta, self._rates, self._alpha))
-        return self._mean
 
     def solver(self, s: float = 0.0):
         """The function b -> (T - sI)^{-1} b, by substitution over segments.
@@ -306,15 +302,11 @@ def _profile_mean(unit, delta, rates, alpha) -> float:
     Once entered, segment i takes a mean time tau_i = e_1^T (r_i I -
     delta_i U)^{-1} 1 of theta and is left without mining with probability
     1 - r_i tau_i, so with S_1 = 1 and S_{i+1} = S_i (1 - r_i tau_i) the
-    mean is sum_i S_i tau_i + S_{N+1} / alpha.  tau_i reads the pieces of
-    U as the segment solve does: one complex division per rotation block,
-    then row 0.  In sigma_i = r_i / delta_i, tau_i is L1(sigma_i) /
-    delta_i with L1(sigma) = e_1^T (sigma I - U)^{-1} 1.
+    mean is sum_i S_i tau_i + S_{N+1} / alpha.  The tau_i come from
+    :func:`powruin.medist._entry_means`, the first-moment formula that also
+    scales the unit CME to mean one.
     """
-    d, rho, a, b, _ = unit
-    pairs = (1 + 1j) / (rates[:, None] - delta[:, None] * (a - 1j * b))
-    row0 = pairs.view(float) @ rho  # Re sum_j conj(rho_j) pair_j
-    tau = (1.0 + delta * row0) / (rates - delta * d)
+    tau = _entry_means(unit, delta, rates)
     passed = np.cumprod(np.append(1.0, 1.0 - rates * tau))
     return float(passed[:-1] @ tau + passed[-1] / alpha)
 

@@ -119,13 +119,13 @@ def apply_cutoff(ds: DelayDataset, epsilon: float):
     """Drop delays above the 100(1-epsilon)-th percentile.
 
     Nearest-rank percentile: the value at 1-based index ceil((1-eps) * n)
-    of the sorted data.  Returns the retained dataset and the cutoff delay.
+    of the sorted data.  Returns the retained dataset and the cutoff delay;
+    epsilon = 0 gives rank n, so the cutoff is the largest delay and every
+    delay is kept.
     """
     if not 0 <= epsilon < 1:
         raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
     n = len(ds)
-    if epsilon == 0:
-        return ds, float(ds.delays[-1])
     rank = max(math.ceil((1.0 - epsilon) * n), 1)
     cutoff = float(ds.delays[rank - 1])
     kept = ds.delays[ds.delays <= cutoff]
@@ -137,7 +137,8 @@ def bin_delays(ds: DelayDataset, N_prime: int) -> BinningResult:
 
     The sub-ms bin pins each report to exactly one millisecond.  The
     remaining delays form N' bins of floor(M'/N') entries in ascending
-    order, with any leftover largest delays in one final bin.
+    order, the rows of one N'-row array whose row means are the bin means,
+    with any leftover largest delays in one final bin.
     """
     if N_prime < 1:
         raise ValueError("N_prime must be >= 1")
@@ -152,12 +153,9 @@ def bin_delays(ds: DelayDataset, N_prime: int) -> BinningResult:
         raise ValueError(f"N_prime={N_prime} exceeds {M_prime} binnable delays")
 
     per_bin = M_prime // N_prime
-    counts = [n_sub]
-    means = [_SUB_MS]
-    for i in range(N_prime):
-        chunk = rest[i * per_bin:(i + 1) * per_bin]
-        counts.append(len(chunk))
-        means.append(float(chunk.mean()))
+    counts = [n_sub] + [per_bin] * N_prime
+    means = [_SUB_MS] + rest[:N_prime * per_bin].reshape(
+        N_prime, per_bin).mean(axis=1).tolist()
     leftover = rest[N_prime * per_bin:]
     if len(leftover):
         counts.append(len(leftover))

@@ -13,8 +13,8 @@ and the moment generating function is the rational function
 Every distribution carries its validated spectrum and holds ``T`` as a
 dense array.  The mean, the squared coefficient of variation and the mgf
 all solve through one method, :meth:`MEDistribution.solver`, which returns
-the solve function of ``T - sI``; only a profile's theta reads its mean in
-closed form.  A general distribution inverts
+the solve function of ``T - sI``; only a profile's theta stores its mean,
+in closed form, when it is built.  A general distribution inverts
 ``T - sI`` once and multiplies by the inverse; the inter-mining time of a
 hashrate profile (:func:`powruin.delaymodel.assemble_theta`) solves
 segment by segment without a factorization and builds ``T`` only on first
@@ -138,7 +138,8 @@ class MEDistribution:
         return -float(self.init @ self.solver(-s)(self.exit))
 
     def mean(self) -> float:
-        """First moment -v T^{-1} 1, solved once and cached."""
+        """First moment -v T^{-1} 1, solved once and cached (a profile's
+        theta stores its closed-form mean when it is built)."""
         mean = getattr(self, "_mean", None)
         if mean is None:
             mean = -float(self.init @ self._solve_T(np.ones(self.order)))
@@ -172,11 +173,11 @@ def _me(init, subgen, eigenvalues) -> MEDistribution:
 def _validated(d: MEDistribution) -> MEDistribution:
     """Check the initial mass, the spectrum, the mean and mgf(0) of ``d``.
 
-    The mean and mgf(0) = -v T^{-1} h both solve through the one cached
-    solver of T, and the mean stays cached.  The Erlang and the unit CME,
-    nonnegative by construction, and models derived from validated ones
-    (chained, shifted or rescaled) come here directly; outside input goes
-    through :func:`make_me`.
+    Unless stored already, the mean solves through the one cached solver of
+    T, as mgf(0) = -v T^{-1} h does, and stays cached.  The Erlang and the
+    unit CME, nonnegative by construction, and models derived from
+    validated ones (chained, shifted or rescaled) come here directly;
+    outside input goes through :func:`make_me`.
     """
     mass = float(d.init.sum())
     if abs(mass - 1.0) > 1e-10:
@@ -251,10 +252,12 @@ def _cme_pieces(omega, phases):
     In the basis where its initial vector is e_1 the subgenerator U has a
     dense first row (U[0, 0] = d, U[0, 1:] = rho) and, below it, n =
     len(phases) independent rotation blocks [[a_j, b_j], [-b_j, a_j]] on
-    rows and columns 2j - 1, 2j.  Returns (d, rho, a, b, eigenvalues).  A
-    chain of CME blocks in this basis hands its exit mass on through one
-    column, not a dense exit-init product, whose rounding left the Phi
-    masses of the criterion-10 model 6e-11 off a long-double solve.
+    rows and columns 2j - 1, 2j.  Returns (d, rho, a, b, eigenvalues): the
+    unit-rate pieces times their mean, which :func:`_entry_means` gives at
+    delta = 1 and r = 0, the formula a profile's mean reads.  A chain of
+    CME blocks in this basis hands its exit mass on through one column, not
+    a dense exit-init product, whose rounding left the Phi masses of the
+    criterion-10 model 6e-11 off a long-double solve.
     """
     n = len(phases)
     c = _cosine_harmonics(phases)[n:] / 2**n
@@ -267,10 +270,23 @@ def _cme_pieces(omega, phases):
     pairs = (1 + 1j) * c[1:] / (1 - 1j * w)
     mass = c[0].real + pairs.real.sum() + pairs.imag.sum()
     rho = (1j * w * pairs / mass).view(float)
-    # the unit-rate mean -x_0 of U x = 1: 2x2 rotation solves, then row 0
-    mean = 1.0 - rho @ ((1 + 1j) / (-1.0 - 1j * w)).view(float)
     eigs = np.concatenate([[-1.0], -1.0 + 1j * w, -1.0 - 1j * w])
-    return -mean, rho * mean, np.full(n, -mean), w * mean, eigs * mean
+    unit_rate = (-1.0, rho, np.full(n, -1.0), w, eigs)
+    mean = _entry_means(unit_rate, np.ones(1), np.zeros(1))[0]
+    return tuple(piece * mean for piece in unit_rate)
+
+
+def _entry_means(pieces, delta, rates):
+    """tau_i = e_1^T (r_i I - delta_i U)^{-1} 1, the mean time in the block
+    delta_i U - r_i I entered in e_1, from U's pieces (d, rho, a, b, ...).
+
+    One complex division per rotation block, then row 0; at delta = 1 and
+    r = 0 it is the mean of U itself.
+    """
+    d, rho, a, b = pieces[:4]
+    pairs = (1 + 1j) / (rates[:, None] - delta[:, None] * (a - 1j * b))
+    row0 = pairs.view(float) @ rho  # Re sum_j conj(rho_j) pair_j
+    return (1.0 + delta * row0) / (rates - delta * d)
 
 
 def _placed(pieces, delta) -> MEDistribution:

@@ -40,20 +40,29 @@ class PhiDistribution:
     mean: float
 
     def __post_init__(self):
-        masses = np.asarray(self.masses, dtype=float)
-        # written so that NaN fails each check
-        if not np.all(masses >= -1e-12):
-            raise ValueError("negative or NaN probability mass")
-        masses = np.maximum(masses, 0.0)
-        if not masses.sum() <= 1 + 1e-8:
-            raise ValueError(f"masses sum to {masses.sum()} > 1")
+        object.__setattr__(self, "masses", _checked_pmf(self.masses, "Phi"))
         if not self.mean >= 0:
             raise ValueError(f"mean must be nonnegative, got {self.mean}")
-        object.__setattr__(self, "masses", masses)
 
     @property
     def k(self) -> int:
         return len(self.masses)
+
+
+def _checked_pmf(masses, layer: str) -> np.ndarray:
+    """``masses`` clamped at 0, refusing a mass below -1e-12 or a sum above
+    1 + 1e-8 (large models carry ~1e-10 absolute error per mass).
+
+    Each check is written so that NaN fails it; ``layer`` names the masses
+    in the messages.
+    """
+    masses = np.asarray(masses, dtype=float)
+    if not np.all(masses >= -1e-12):
+        raise ValueError(f"negative or NaN {layer} mass")
+    masses = np.maximum(masses, 0.0)
+    if not masses.sum() <= 1 + 1e-8:
+        raise ValueError(f"{layer} masses sum to {masses.sum()} > 1")
+    return masses
 
 
 def phi_from_theta(theta: MEDistribution, beta: float, k: int) -> PhiDistribution:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phi import PhiDistribution
+from .phi import PhiDistribution, _checked_pmf
 
 __all__ = [
     "UnstableRegimeError", "LeadDistribution", "RuinTable",
@@ -31,14 +31,7 @@ class LeadDistribution:
     masses: np.ndarray
 
     def __post_init__(self):
-        masses = np.asarray(self.masses, dtype=float)
-        # written so that NaN fails each check
-        if not np.all(masses >= -1e-12):
-            raise ValueError("negative or NaN lead mass")
-        # large assembled models carry ~1e-10 absolute error per mass
-        if not masses.sum() <= 1 + 1e-8:
-            raise ValueError("lead masses sum above one")
-        object.__setattr__(self, "masses", np.maximum(masses, 0.0))
+        object.__setattr__(self, "masses", _checked_pmf(self.masses, "lead"))
 
 
 @dataclass(frozen=True)
@@ -52,30 +45,31 @@ class RuinTable:
         object.__setattr__(self, "psi", np.clip(psi, 0.0, 1.0))
 
 
-def _check_stable(phi: PhiDistribution):
+def _tails(phi: PhiDistribution, k: int):
+    """p(0) and the tails P(count > j), j = 0..k-1, of a stable ``phi``.
+
+    Both recursions start here.  Refuses a mean count of one or more, p(0)
+    = 0 and a k outside 1..phi.k, in that order.  Masses of a large model
+    can sum to 1 + O(1e-11), which would leave a negative tail; a tail
+    probability is clamped at 0.
+    """
     if phi.mean >= 1.0:
         raise UnstableRegimeError(
             f"mean adversary count {phi.mean} >= 1: attack always succeeds")
     if phi.masses[0] <= 0.0:
         raise ValueError("p(0) = 0: recursions are undefined")
-
-
-def _ccdf(phi: PhiDistribution, upto: int) -> np.ndarray:
-    """Tail values P(count > j) for j = 0..upto-1.
-
-    Masses of a large model can sum to 1 + O(1e-11), which would leave a
-    negative tail; a tail probability is clamped at 0.
-    """
-    return np.maximum(1.0 - np.cumsum(phi.masses[:upto]), 0.0)
+    if k < 1 or k > phi.k:
+        raise ValueError(f"k={k} needs phi masses up to index {k - 1}")
+    return phi.masses[0], np.maximum(1.0 - np.cumsum(phi.masses[:k]), 0.0)
 
 
 def lead_pmf(phi: PhiDistribution, k: int) -> LeadDistribution:
-    """First k stationary masses of the lead recursion Q' = (Q + count - 1)+."""
-    _check_stable(phi)
-    if k < 1 or k > phi.k:
-        raise ValueError(f"k={k} needs phi masses up to index {k - 1}")
-    p0 = phi.masses[0]
-    tail = _ccdf(phi, k)
+    """First k stationary masses of the lead recursion Q' = (Q + count - 1)+.
+
+    Starts from p(0) and the tails of :func:`_tails`, as
+    :func:`ruin_recursive` does.
+    """
+    p0, tail = _tails(phi, k)
     q = np.empty(k)
     q[0] = (1.0 - phi.mean) / p0
     for n in range(1, k):
@@ -88,13 +82,10 @@ def ruin_recursive(phi: PhiDistribution, k: int) -> RuinTable:
     """Ruin probabilities psi(0..k-1) by the direct recursion.
 
     The defining relation contains psi(u) on both sides (the j=0 term);
-    rearranging and dividing by p(0) makes it explicit.
+    rearranging and dividing by p(0) makes it explicit.  It starts from
+    p(0) and the tails of :func:`_tails`, as :func:`lead_pmf` does.
     """
-    _check_stable(phi)
-    if k < 1 or k > phi.k:
-        raise ValueError(f"k={k} needs phi masses up to index {k - 1}")
-    p0 = phi.masses[0]
-    tail = _ccdf(phi, k)
+    p0, tail = _tails(phi, k)
     psi = np.empty(k)
     psi[0] = phi.mean
     for u in range(1, k):

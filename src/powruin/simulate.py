@@ -53,8 +53,9 @@ class SimConfig:
             raise ValueError("stop_lead must be at least k")
         if self.warmup_blocks < 1_000:
             raise ValueError("warmup_blocks must be at least 1000")
-        if self.beta < 0 or self.delta_conf < 0:
-            raise ValueError("beta and delta_conf must be nonnegative")
+        for name in ("beta", "delta_conf"):
+            if not 0 <= getattr(self, name) < np.inf:  # NaN fails it too
+                raise ValueError(f"{name} must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -111,7 +112,8 @@ def _loynes_lead(increment, n, cap, stop_lead):
 
     ``increment(size)`` draws the next Phi - 1 for the ``size`` trials
     still walking, in trial order.  Each trial keeps s += Phi - 1 and
-    m = max(m, s) until s <= m - stop_lead or the cap; its lead is m.
+    m = max(m, s) until s <= m - stop_lead or the cap; its lead is m.  The
+    walking trials are compacted in place, as in :func:`_race`.
     """
     lead = np.zeros(n, dtype=np.int64)
     active = np.arange(n)
@@ -123,8 +125,7 @@ def _loynes_lead(increment, n, cap, stop_lead):
         done = s <= m - stop_lead
         if done.any():
             lead[active[done]] = m[done]
-            keep = ~done
-            active, s, m = active[keep], s[keep], m[keep]
+            active, s, m = _compact(~done, active, s, m)
             if not active.size:
                 break
     lead[active] = m

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import powruin
-from powruin import simulate
-from powruin.cli import EXIT_INPUT, EXIT_UNSTABLE, main
+from powruin import delaymodel, simulate
+from powruin.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_UNSTABLE, main
 from powruin.delaymodel import HashrateProfile, calibrate_alpha
 from powruin.ingest import BITCOIN_LIKE, synth_delays
 
@@ -323,6 +323,17 @@ def test_simulate_refuses_random_delays(capsys):
                         "--k-max", "1", "--trials", "100")
     assert code == EXIT_INPUT
     assert "'expdelay' is not supported by simulate" in err
+
+
+@pytest.mark.parametrize("command", ["calibrate", "sweep"])
+def test_numerical_failure_exits_4(command, profile_file, capsys,
+                                   monkeypatch):
+    # the criterion-5/8 profile needs more than one calibration iterate
+    monkeypatch.setattr(delaymodel, "_MAX_ITER", 1)
+    code, err = run_err(capsys, command, "--model", "variable", "--profile",
+                        str(profile_file), "--cme-order", "9")
+    assert code == EXIT_NUMERIC == 4
+    assert err.startswith("numerical failure: calibration did not converge")
 
 
 def test_calibrate_prints_the_rate_simulate_uses(profile_file, capsys,

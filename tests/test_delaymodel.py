@@ -302,3 +302,8 @@ def test_calibrate_solves_each_iterate_mean_once(monkeypatch):
     assert len(solves) == 1 and solvers == [0.0]
     assert res.theta.mean() == res.achieved_mean == res.trace[-1][1]
     assert len(solves) == 1 and solvers == [0.0]
+
+
+def test_random_delay_theta_refuses_a_zero_rate():
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        random_delay_theta(erlang_me(2, 1.0), 0.0)

@@ -20,9 +20,9 @@ from powruin.doublespend import (DelayModel, adversary_lead_pmf, analyze,
 from powruin.ingest import (BITCOIN_LIKE, apply_cutoff, bin_delays,
                             synth_delays, to_profile)
 from powruin.medist import erlang_me
-from powruin.phi import phi_from_theta
-from powruin.ruinlindley import (RuinTable, lead_pmf, ruin_recursive,
-                                 ruin_via_lindley)
+from powruin.phi import PhiDistribution, phi_from_theta
+from powruin.ruinlindley import (LeadDistribution, RuinTable, lead_pmf,
+                                 ruin_recursive, ruin_via_lindley)
 
 ALPHA = 1 / 600
 BETA = 0.2 * ALPHA
@@ -436,3 +436,22 @@ def test_one_pass_matches_the_per_depth_layers_at_depth_200(kind):
         p_V = adversary_lead_pmf(lead, phi, dconf, beta, k)
         p_Z, deficit = honest_lead_pmf(p_V, k)
         assert abs(q - compute_q(p_Z, deficit, ruin).q) <= 1e-14
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: poisson_partial_pgf(1.0, 0), "k must be >= 1"),
+    (lambda: truncated_product(np.ones(2), np.ones(3)), "length mismatch"),
+    (lambda: truncated_power(np.ones(2), -1), "power must be nonnegative"),
+    (lambda: adversary_lead_pmf(LeadDistribution([0.5, 0.2]),
+                                PhiDistribution([0.5, 0.2, 0.1], 0.4),
+                                0.0, BETA, 3),
+     "lead and phi must carry k masses"),
+    (lambda: honest_lead_pmf(np.array([0.5, 0.2]), 3),
+     "p_V has 2 coefficients, expected 3"),
+    (lambda: compute_q(np.array([0.5, 0.2]), 0.0, RuinTable([0.5])),
+     "ruin table shorter than p_Z"),
+], ids=["pgf-k0", "product-lengths", "negative-power", "short-lead",
+        "p_V-length", "short-ruin-table"])
+def test_pgf_algebra_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from powruin.ingest import (BITCOIN_LIKE, DelayDataset, SynthSpec,
-                            apply_cutoff, bin_delays, load_delays, synth_delays,
+from powruin.ingest import (BITCOIN_LIKE, BinningResult, DelayDataset,
+                            SynthSpec, apply_cutoff, bin_delays, load_delays, synth_delays,
                             to_profile)
 
 
@@ -106,6 +106,20 @@ def test_bin_leftover_goes_to_extra_bin():
     assert_allclose(b.bin_means, [0.001, 1.5, 3.5, 10.0])
 
 
+@pytest.mark.parametrize("seed", [6, 7])
+@pytest.mark.parametrize("n_bins", [1, 7, 128, 661])
+def test_bin_means_equal_a_per_bin_loop(seed, n_bins):
+    # the equal-count bins are averaged as rows of one array; the means
+    # are bit for bit each bin's own mean
+    kept, _ = apply_cutoff(synth_delays(BITCOIN_LIKE, 5_000, seed=seed), 0.01)
+    rest = kept.delays[kept.delays >= 1e-3]
+    per_bin = len(rest) // n_bins
+    loop = [rest[i * per_bin:(i + 1) * per_bin].mean() for i in range(n_bins)]
+    b = bin_delays(kept, n_bins)
+    assert b.bin_means[1:n_bins + 1].tolist() == loop
+    assert list(b.counts[1:n_bins + 1]) == [per_bin] * n_bins
+
+
 def test_bin_rejects_bad_args():
     ds = DelayDataset(np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
@@ -154,3 +168,25 @@ def test_synth_spec_validation():
         SynthSpec(atom_weight=0.5, components=((0.4, 1.0, 1.0),))
     with pytest.raises(ValueError):
         SynthSpec(atom_weight=0.5, components=((0.5, -1.0, 1.0),))
+
+
+def _binning(**fields):
+    base = dict(sub_ms_fraction=0.1, bin_means=[0.001, 1.0], counts=[1, 9],
+                M=10, M_prime=9, N=2)
+    return BinningResult(**{**base, **fields})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: _binning(sub_ms_fraction=1.5), "sub-ms fraction out of"),
+    (lambda: _binning(counts=[1, 8]), "bin counts do not sum"),
+    (lambda: to_profile(_binning(bin_means=[0.001, 1.0, 2.0, 3.0],
+                                 counts=[1, 6, 3], N=4), 1.0),
+     "cumulative fractions exceed one"),
+    (lambda: SynthSpec(atom_weight=-0.5, components=((1.5, 1.0, 1.0),)),
+     "negative mixture weight"),
+    (lambda: synth_delays(BITCOIN_LIKE, 0), "n must be >= 1"),
+], ids=["sub-ms-fraction", "counts-sum", "fractions-past-one",
+        "negative-weight", "no-delays"])
+def test_binning_and_synthesis_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

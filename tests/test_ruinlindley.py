@@ -130,3 +130,14 @@ def test_lead_and_ruin_tables_refuse_nan():
         LeadDistribution([np.nan, 0.1])
     with pytest.raises(ValueError, match="NaN"):
         RuinTable([np.nan])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda m: PhiDistribution(m, 0.5), "Phi masses sum to"),
+    (lambda m: LeadDistribution(m), "lead masses sum to"),
+], ids=["phi", "lead"])
+def test_masses_summing_past_one_are_refused(build, message):
+    # the shared pmf check allows 1e-8 above one, not 2e-8
+    build([0.6, 0.4 + 1e-8])
+    with pytest.raises(ValueError, match=message):
+        build([0.6, 0.4 + 2e-8])

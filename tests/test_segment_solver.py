@@ -143,13 +143,14 @@ def _corrupt(theta, **fields):
 @pytest.mark.parametrize("corruption, message", [
     (lambda t: dict(init=2.0 * t.init), "init mass"),
     (lambda t: dict(eigenvalues=-t.eigenvalues), "eigenvalue"),
-    (lambda t: dict(_alpha=-t._alpha), "mean"),
+    (lambda t: dict(_mean=-t._mean), "mean"),
+    pytest.param(lambda t: dict(_alpha=-t._alpha), "mgf", id="alpha-mgf"),
     (lambda t: dict(exit=1.01 * t.exit), "mgf"),
 ])
 def test_validation_still_raises_on_a_corrupted_profile_theta(corruption,
                                                               message):
-    # an unvalidated copy, without the solver of T and the mean that
-    # validation caches
+    # an unvalidated copy, without the solver of T that validation caches;
+    # its mean is stored when it is built
     theta = assemble_theta(PROFILES["criterion58"](), 9)
     fresh = _ProfileTheta(PROFILES["criterion58"](), 9)
     with pytest.raises(MEValidationError, match=message):

@@ -29,6 +29,17 @@ def test_config_validation():
         SimConfig(profile=zero_profile(), beta=1.0, k=1, warmup_blocks=10)
     with pytest.raises(ValueError):
         SimConfig(profile=zero_profile(), beta=-1.0, k=1)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        SimConfig(profile=zero_profile(), beta=1.0, k=1, trials=0)
+
+
+@pytest.mark.parametrize("field", ["beta", "delta_conf"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+def test_config_refuses_a_negative_or_non_finite_rate_field(field, value):
+    fields = {"beta": 1.0, "delta_conf": 0.0, field: value}
+    with pytest.raises(ValueError,
+                       match=f"^{field} must be nonnegative and finite"):
+        SimConfig(profile=zero_profile(), k=1, **fields)
 
 
 def test_sampler_zero_delay_is_exponential():
