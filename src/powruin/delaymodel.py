@@ -31,8 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .medist import (MEDistribution, _cme_unit, _entry_means, _me, _validated,
-                     cme)
+from .medist import MEDistribution, _cme_unit, _entry_means, _validated, cme
 
 __all__ = [
     "HashrateProfile", "CalibrationResult", "assemble_theta",
@@ -185,7 +184,8 @@ def random_delay_theta(delay_dist: MEDistribution, alpha: float) -> MEDistributi
     T = np.block([[delay_dist.subgen, delay_dist.exit[:, None]],
                   [np.zeros(delay_dist.order), -alpha]])
     v = np.append(delay_dist.init, 0.0)
-    return _validated(_me(v, T, np.append(delay_dist.eigenvalues, -alpha)))
+    return _validated(
+        MEDistribution(v, T, np.append(delay_dist.eigenvalues, -alpha)))
 
 
 class _ProfileTheta(MEDistribution):
@@ -200,27 +200,25 @@ class _ProfileTheta(MEDistribution):
     and one dot product per block, and a scalar recurrence over the
     segments through the coupling column.  The mean, in closed form from
     the same pieces (:func:`_profile_mean`), is stored when theta is built,
-    and :meth:`MEDistribution.mean` returns it.  The dense ``subgen`` is
-    placed block by block on first access only.
+    shadowing the cached mean, and :meth:`MEDistribution.mean` returns it.
+    The constructor assigns the attributes directly and, unlike
+    :class:`MEDistribution`'s, builds no ``T``: the dense ``subgen`` is a
+    ``cached_property``, placed block by block on first access only.
     """
 
     def __init__(self, profile: HashrateProfile, K: int):
-        N = profile.n_segments
         alpha = profile.fullrate
         unit, delta, fractions = _segments(profile, K)
         K = len(unit[1]) + 1
         rates = fractions * alpha
-        init = np.zeros(N * K + 1)
-        init[0] = 1.0
-        fields = dict(
-            init=init, exit=np.append(np.repeat(rates, K), alpha),
-            order=N * K + 1,
-            eigenvalues=np.append(np.outer(delta, unit[4]) - rates[:, None],
-                                  -alpha),
-            _K=K, _delta=delta, _rates=rates, _alpha=alpha, _unit=unit,
-            _mean=_profile_mean(unit, delta, rates, alpha))
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
+        self.order = len(delta) * K + 1
+        self.init = np.eye(1, self.order)[0]
+        self.exit = np.append(np.repeat(rates, K), alpha)
+        self.eigenvalues = np.append(
+            np.outer(delta, unit[4]) - rates[:, None], -alpha)
+        self._K, self._delta, self._rates, self._alpha, self._unit = (
+            K, delta, rates, alpha, unit)
+        self._mean = _profile_mean(unit, delta, rates, alpha)
 
     @cached_property
     def subgen(self):

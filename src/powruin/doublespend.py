@@ -57,7 +57,8 @@ class DelayModel:
 
     kind: 'zero' | 'fixed' | 'random' | 'variable'.
     'fixed' needs ``delay``; 'random' needs ``delay_dist`` plus an explicit
-    ``delta_conf`` at analyze time; 'variable' needs ``profile``.
+    ``delta_conf`` at analyze time; 'variable' needs ``profile``.  A
+    field that the kind does not read is refused.
     """
 
     kind: str
@@ -66,8 +67,13 @@ class DelayModel:
     profile: HashrateProfile | None = None
 
     def __post_init__(self):
-        if self.kind not in ("zero", "fixed", "random", "variable"):
+        reads = {"zero": None, "fixed": "delay", "random": "delay_dist",
+                 "variable": "profile"}
+        if self.kind not in reads:
             raise ValueError(f"unknown delay model kind {self.kind!r}")
+        for name in ("delay", "delay_dist", "profile"):
+            if name != reads[self.kind] and getattr(self, name) is not None:
+                raise ValueError(f"{self.kind} model does not read {name}")
         if self.kind == "fixed" and (self.delay is None
                                      or not 0 <= self.delay < np.inf):
             raise ValueError("fixed model needs a nonnegative finite delay")
@@ -115,8 +121,8 @@ def poisson_partial_pgf(lam: float, k: int) -> np.ndarray:
     n log(lam) is 0 at n = 0, as ``xlogy`` has it, so lam = 0 gives the
     point mass at 0.
     """
-    if lam < 0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"lambda must be nonnegative and finite, got {lam}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     xlogy = np.arange(k, dtype=float)

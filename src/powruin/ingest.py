@@ -27,7 +27,7 @@ _SUB_MS = 1e-3
 _CHUNK_BYTES = 1 << 16  # load_delays reads about this much text at a time
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DelayDataset:
     delays: np.ndarray  # seconds, sorted ascending
 
@@ -35,33 +35,49 @@ class DelayDataset:
         d = np.asarray(self.delays, dtype=float)
         if len(d) == 0:
             raise ValueError("empty delay dataset")
-        if np.any(d < 0):
-            raise ValueError("negative delay in dataset")
+        if not np.all((d >= 0) & (d < np.inf)):
+            raise ValueError("negative or non-finite delay in dataset")
         object.__setattr__(self, "delays", np.sort(d))
 
     def __len__(self):
         return len(self.delays)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinningResult:
-    sub_ms_fraction: float
+    """Bin means and the number of delays in each bin, the first bin being
+    the sub-ms reports; the sizes and the sub-ms fraction derive from them."""
+
     bin_means: np.ndarray  # b_0 .. b_{N-1}, strictly increasing
     counts: np.ndarray
-    M: int
-    M_prime: int
-    N: int
 
     def __post_init__(self):
         means = np.asarray(self.bin_means, dtype=float)
+        counts = np.asarray(self.counts, dtype=int)
         if np.any(np.diff(means) <= 0):
             raise ValueError("bin means must be strictly increasing")
-        if not 0 <= self.sub_ms_fraction <= 1:
-            raise ValueError("sub-ms fraction out of [0, 1]")
-        if int(np.sum(self.counts)) != self.M:
-            raise ValueError("bin counts do not sum to the dataset size")
+        if counts.shape != means.shape:
+            raise ValueError("bin counts and means differ in length")
+        if np.any(counts < 0) or not counts.sum():
+            raise ValueError("bin counts must be nonnegative, not all 0")
         object.__setattr__(self, "bin_means", means)
-        object.__setattr__(self, "counts", np.asarray(self.counts, dtype=int))
+        object.__setattr__(self, "counts", counts)
+
+    @property
+    def N(self) -> int:
+        return len(self.bin_means)
+
+    @property
+    def M(self) -> int:
+        return int(self.counts.sum())
+
+    @property
+    def M_prime(self) -> int:
+        return self.M - int(self.counts[0])
+
+    @property
+    def sub_ms_fraction(self) -> float:
+        return int(self.counts[0]) / self.M
 
 
 def load_delays(path) -> DelayDataset:
@@ -142,9 +158,7 @@ def bin_delays(ds: DelayDataset, N_prime: int) -> BinningResult:
     """
     if N_prime < 1:
         raise ValueError("N_prime must be >= 1")
-    M = len(ds)
     sub = ds.delays < _SUB_MS
-    n_sub = int(sub.sum())
     rest = ds.delays[~sub]
     M_prime = len(rest)
     if M_prime == 0:
@@ -153,17 +167,14 @@ def bin_delays(ds: DelayDataset, N_prime: int) -> BinningResult:
         raise ValueError(f"N_prime={N_prime} exceeds {M_prime} binnable delays")
 
     per_bin = M_prime // N_prime
-    counts = [n_sub] + [per_bin] * N_prime
+    counts = [int(sub.sum())] + [per_bin] * N_prime
     means = [_SUB_MS] + rest[:N_prime * per_bin].reshape(
         N_prime, per_bin).mean(axis=1).tolist()
     leftover = rest[N_prime * per_bin:]
     if len(leftover):
         counts.append(len(leftover))
         means.append(float(leftover.mean()))
-    return BinningResult(sub_ms_fraction=n_sub / M,
-                         bin_means=np.array(means),
-                         counts=np.array(counts),
-                         M=M, M_prime=M_prime, N=len(means))
+    return BinningResult(np.array(means), np.array(counts))
 
 
 def to_profile(binning: BinningResult, fullrate_seed: float) -> HashrateProfile:

@@ -10,16 +10,21 @@ distribution function are
 and the moment generating function is the rational function
 ``M(s) = -v (sI + T)^{-1} h``.
 
-Every distribution carries its validated spectrum and holds ``T`` as a
-dense array.  The mean, the squared coefficient of variation and the mgf
-all solve through one method, :meth:`MEDistribution.solver`, which returns
-the solve function of ``T - sI``; only a profile's theta stores its mean,
-in closed form, when it is built.  A general distribution inverts
+:class:`MEDistribution` is a plain class built by one constructor from
+``init``, ``T`` and the spectrum; it adds the exit vector and the order.
+Its attributes are read-only by convention, its solver of ``T`` and its
+mean are cached with ``functools.cached_property``, and instances
+compare and hash by identity.  Every distribution carries its validated
+spectrum and holds ``T`` as a dense array.  The mean, the squared
+coefficient of variation and the mgf all solve through one method,
+:meth:`MEDistribution.solver`, which returns the solve function of
+``T - sI``; only a profile's theta stores its mean, in closed form, when
+it is built, shadowing the cached one.  A general distribution inverts
 ``T - sI`` once and multiplies by the inverse; the inter-mining time of a
 hashrate profile (:func:`powruin.delaymodel.assemble_theta`) solves
-segment by segment without a factorization and builds ``T`` only on first
-access.  Only the density and distribution function need SciPy, for
-``expm``, and import it on first use.
+segment by segment without a factorization and builds ``T`` only on
+first access.  Only the density and distribution function need SciPy,
+for ``expm``, and import it on first use.
 
 Two families approximating a deterministic value ``delta`` are provided:
 
@@ -37,8 +42,7 @@ Two families approximating a deterministic value ``delta`` are provided:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -53,21 +57,23 @@ class MEValidationError(ValueError):
     """Raised when (init, subgen) do not define a valid ME distribution."""
 
 
-@dataclass(frozen=True)
 class MEDistribution:
     """A validated matrix-exponential distribution.
 
-    Instances are immutable; all fields are read-only after construction
-    and safe to share between threads.  ``subgen`` is a dense array (a
-    profile's theta builds it on first access) and ``eigenvalues`` its
-    spectrum.  Use :func:`make_me` rather than instantiating directly.
+    Built from ``init``, the dense ``subgen`` and its spectrum
+    ``eigenvalues``; the constructor adds ``exit`` and ``order``.  Its
+    attributes are read-only by convention: nothing assigns them after
+    construction.  The solver of T and the mean are cached on first use
+    (``functools.cached_property``), and instances compare and hash by
+    identity.  Use :func:`make_me` rather than instantiating directly.
     """
 
-    init: np.ndarray
-    subgen: np.ndarray
-    exit: np.ndarray
-    order: int
-    eigenvalues: np.ndarray
+    def __init__(self, init, subgen, eigenvalues):
+        self.init = init
+        self.subgen = subgen
+        self.exit = -(subgen @ np.ones(len(init)))
+        self.order = len(init)
+        self.eigenvalues = np.asarray(eigenvalues)
 
     # -- solves --------------------------------------------------------------
 
@@ -83,13 +89,13 @@ class MEDistribution:
             raise ValueError(f"T - sI singular at s={s}") from None
         return inv.dot
 
+    @cached_property
+    def _T_solver(self):
+        return self.solver()
+
     def _solve_T(self, b):
         """Solve T x = b through the solver of T, made once and cached."""
-        solve = getattr(self, "_T_solver", None)
-        if solve is None:
-            solve = self.solver()
-            object.__setattr__(self, "_T_solver", solve)
-        return solve(b)
+        return self._T_solver(b)
 
     # -- evaluation --------------------------------------------------------
 
@@ -137,14 +143,14 @@ class MEDistribution:
         """
         return -float(self.init @ self.solver(-s)(self.exit))
 
+    @cached_property
+    def _mean(self) -> float:
+        return -float(self.init @ self._solve_T(np.ones(self.order)))
+
     def mean(self) -> float:
         """First moment -v T^{-1} 1, solved once and cached (a profile's
         theta stores its closed-form mean when it is built)."""
-        mean = getattr(self, "_mean", None)
-        if mean is None:
-            mean = -float(self.init @ self._solve_T(np.ones(self.order)))
-            object.__setattr__(self, "_mean", mean)
-        return mean
+        return self._mean
 
     def scv(self) -> float:
         """Squared coefficient of variation, var/mean^2.
@@ -161,13 +167,6 @@ def _expm(a):
     """``scipy.linalg.expm``, imported on first use: the solves need no SciPy."""
     from scipy.linalg import expm
     return expm(a)
-
-
-def _me(init, subgen, eigenvalues) -> MEDistribution:
-    """An unchecked :class:`MEDistribution` with its exit vector -T 1."""
-    return MEDistribution(init=init, subgen=subgen,
-                          exit=-(subgen @ np.ones(len(init))),
-                          order=len(init), eigenvalues=np.asarray(eigenvalues))
 
 
 def _validated(d: MEDistribution) -> MEDistribution:
@@ -209,7 +208,7 @@ def make_me(init, subgen) -> MEDistribution:
     if T.shape != (m, m):
         raise MEValidationError(
             f"dimension mismatch: init has length {m}, subgen is {T.shape}")
-    d = _validated(_me(v, T, np.linalg.eigvals(T)))
+    d = _validated(MEDistribution(v, T, np.linalg.eigvals(T)))
     grid = np.linspace(0.0, 5.0 * d.mean(), 16)
     F = np.array([d.cdf(x) for x in grid])
     if np.any(np.diff(F) < -1e-9):
@@ -231,7 +230,7 @@ def erlang_me(K: int, delta: float) -> MEDistribution:
     T = rate * (np.diag(-np.ones(K)) + np.diag(np.ones(K - 1), 1))
     v = np.zeros(K)
     v[0] = 1.0
-    return _validated(_me(v, T, np.full(K, -rate)))
+    return _validated(MEDistribution(v, T, np.full(K, -rate)))
 
 
 # -- concentrated ME construction ------------------------------------------
@@ -298,7 +297,7 @@ def _placed(pieces, delta) -> MEDistribution:
     i = np.arange(1, K, 2)
     U[i, i] = U[i + 1, i + 1] = a
     U[i, i + 1], U[i + 1, i] = b, -b
-    return _me(np.eye(1, K)[0], U / delta, eigs / delta)
+    return MEDistribution(np.eye(1, K)[0], U / delta, eigs / delta)
 
 
 def _cme_from_params(omega, phases) -> MEDistribution:

@@ -32,7 +32,7 @@ from .medist import MEDistribution
 __all__ = ["PhiDistribution", "phi_from_theta"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhiDistribution:
     """First k probability masses and the mean of the per-interval count."""
 

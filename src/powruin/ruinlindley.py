@@ -26,7 +26,7 @@ class UnstableRegimeError(ValueError):
     """Mean adversary count per interval >= 1: the attack trivially succeeds."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LeadDistribution:
     masses: np.ndarray
 
@@ -34,7 +34,7 @@ class LeadDistribution:
         object.__setattr__(self, "masses", _checked_pmf(self.masses, "lead"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RuinTable:
     psi: np.ndarray
 

@@ -307,3 +307,12 @@ def test_calibrate_solves_each_iterate_mean_once(monkeypatch):
 def test_random_delay_theta_refuses_a_zero_rate():
     with pytest.raises(ValueError, match="alpha must be positive"):
         random_delay_theta(erlang_me(2, 1.0), 0.0)
+
+
+def test_calibration_repr_leaves_the_dense_subgen_unbuilt():
+    # a profile theta's repr names the object only; printing the
+    # calibration must not place the order-(N K + 1) dense T
+    prof = HashrateProfile((0.0, 30.0, 90.0, 200.0), (0.0, 0.2, 0.5), 1.0)
+    cal = calibrate_alpha(prof, 600.0, 9)
+    assert "_ProfileTheta object" in repr(cal)
+    assert "subgen" not in vars(cal.theta)

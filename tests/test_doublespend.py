@@ -358,6 +358,16 @@ def test_analyze_rejects_bad_args():
         DelayModel("random")
     with pytest.raises(ValueError, match="needs a hashrate profile"):
         DelayModel("variable")
+    profile = HashrateProfile.fixed_delay(10.0, ALPHA)
+    with pytest.raises(ValueError, match="zero model does not read delay"):
+        DelayModel("zero", delay=599.0)
+    with pytest.raises(ValueError, match="fixed model does not read profile"):
+        DelayModel("fixed", delay=10.0, profile=profile)
+    with pytest.raises(ValueError, match="random model does not read delay$"):
+        DelayModel("random", delay=1.0, delay_dist=erlang_me(2, 1.0))
+    with pytest.raises(ValueError,
+                       match="variable model does not read delay_dist"):
+        DelayModel("variable", delay_dist=erlang_me(2, 1.0), profile=profile)
 
 
 def test_analyze_rejects_non_finite_inputs():
@@ -440,6 +450,8 @@ def test_one_pass_matches_the_per_depth_layers_at_depth_200(kind):
 
 @pytest.mark.parametrize("call, message", [
     (lambda: poisson_partial_pgf(1.0, 0), "k must be >= 1"),
+    (lambda: poisson_partial_pgf(np.inf, 3), "nonnegative and finite"),
+    (lambda: poisson_partial_pgf(np.nan, 3), "nonnegative and finite"),
     (lambda: truncated_product(np.ones(2), np.ones(3)), "length mismatch"),
     (lambda: truncated_power(np.ones(2), -1), "power must be nonnegative"),
     (lambda: adversary_lead_pmf(LeadDistribution([0.5, 0.2]),
@@ -450,7 +462,7 @@ def test_one_pass_matches_the_per_depth_layers_at_depth_200(kind):
      "p_V has 2 coefficients, expected 3"),
     (lambda: compute_q(np.array([0.5, 0.2]), 0.0, RuinTable([0.5])),
      "ruin table shorter than p_Z"),
-], ids=["pgf-k0", "product-lengths", "negative-power", "short-lead",
+], ids=["pgf-k0", "pgf-inf", "pgf-nan", "product-lengths", "negative-power", "short-lead",
         "p_V-length", "short-ruin-table"])
 def test_pgf_algebra_refusals(call, message):
     with pytest.raises(ValueError, match=message):

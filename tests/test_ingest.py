@@ -63,6 +63,9 @@ def test_dataset_sorts_and_validates():
         DelayDataset(np.array([]))
     with pytest.raises(ValueError):
         DelayDataset(np.array([-1.0]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite delay"):
+            DelayDataset(np.array([1.0, bad]))
 
 
 def test_cutoff_nearest_rank():
@@ -171,22 +174,33 @@ def test_synth_spec_validation():
 
 
 def _binning(**fields):
-    base = dict(sub_ms_fraction=0.1, bin_means=[0.001, 1.0], counts=[1, 9],
-                M=10, M_prime=9, N=2)
+    base = dict(bin_means=[0.001, 1.0], counts=[1, 9])
     return BinningResult(**{**base, **fields})
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: _binning(sub_ms_fraction=1.5), "sub-ms fraction out of"),
-    (lambda: _binning(counts=[1, 8]), "bin counts do not sum"),
+    (lambda: _binning(counts=[1, -1]), "bin counts must be nonnegative"),
+    (lambda: _binning(counts=[1, 8, 1]),
+     "bin counts and means differ in length"),
     (lambda: to_profile(_binning(bin_means=[0.001, 1.0, 2.0, 3.0],
-                                 counts=[1, 6, 3], N=4), 1.0),
+                                 counts=[1, 6, 1, 1]), 1.0),
      "cumulative fractions exceed one"),
     (lambda: SynthSpec(atom_weight=-0.5, components=((1.5, 1.0, 1.0),)),
      "negative mixture weight"),
     (lambda: synth_delays(BITCOIN_LIKE, 0), "n must be >= 1"),
-], ids=["sub-ms-fraction", "counts-sum", "fractions-past-one",
+], ids=["negative-count", "length-mismatch", "fractions-past-one",
         "negative-weight", "no-delays"])
 def test_binning_and_synthesis_refusals(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_binning_derives_its_sizes_as_python_numbers():
+    # Python int and float: `powruin ingest` prints them, and a NumPy 2
+    # scalar would print as np.float64(...)
+    b = BinningResult([0.001, 1.5, 3.5], [1, 2, 2])
+    sizes = (b.N, b.M, b.M_prime, b.sub_ms_fraction)
+    assert sizes == (3, 5, 4, 0.2)
+    assert [type(x) for x in sizes] == [int, int, int, float]
+    with pytest.raises(ValueError, match="not all 0"):
+        BinningResult([0.001, 1.0], [0, 0])
