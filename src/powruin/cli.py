@@ -26,6 +26,7 @@ EXIT_INPUT = 3
 EXIT_NUMERIC = 4
 EXIT_UNSTABLE = 5
 
+_BLOCK_INTERVAL = 600.0  # s, the default --block-interval of every command
 
 # model flag -> (type, default, the models that read it, help); "variable
 # --data" is the variable model built from a delay file.  A flag given, on
@@ -45,7 +46,7 @@ def _add_model_flags(p):
     p.add_argument("--model", default="zero",
                    choices=["zero", "fixed", "expdelay", "medelay", "variable"])
     p.add_argument("--cme-order", type=int, default=27, dest="cme_order")
-    p.add_argument("--block-interval", type=float, default=600.0)
+    p.add_argument("--block-interval", type=float, default=_BLOCK_INTERVAL)
     for dest, (kind, default, readers, text) in _MODEL_FLAGS.items():
         default = "" if default is None else f"; default {default:g}"
         p.add_argument(f"--{dest.replace('_', '-')}", type=kind,
@@ -222,9 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="delay data -> hashrate profile")
     p.add_argument("--data", required=True)
-    p.add_argument("--epsilon", type=float, default=0.01)
-    p.add_argument("--bins", type=int, default=128)
-    p.add_argument("--block-interval", type=float, default=600.0)
+    for dest in ("epsilon", "bins"):  # the defaults of variable --data
+        kind, default, _, _ = _MODEL_FLAGS[dest]
+        p.add_argument(f"--{dest}", type=kind, default=default)
+    p.add_argument("--block-interval", type=float, default=_BLOCK_INTERVAL)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_ingest)
 

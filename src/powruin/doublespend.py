@@ -30,7 +30,7 @@ import numpy as np
 
 from . import delaymodel
 from .delaymodel import HashrateProfile, calibrate_alpha
-from .medist import MEDistribution
+from .medist import MEDistribution, _check_cme_order
 from .phi import PhiDistribution, phi_from_theta
 from .ruinlindley import (LeadDistribution, RuinTable, _ruin_from_lead,
                           lead_pmf)
@@ -258,6 +258,9 @@ def analyze(model: DelayModel, beta_fraction: float, block_interval: float,
     _check_attack(beta_fraction, delta_conf)
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    # also on models that build no CME, so that no q is tagged with an
+    # order the table lacks
+    _check_cme_order(K)
     theta, fullrate, default_dconf, tag = _build_theta(model, block_interval, K)
     if delta_conf is None:
         if default_dconf is None:

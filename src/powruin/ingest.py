@@ -53,15 +53,17 @@ class BinningResult:
 
     def __post_init__(self):
         means = np.asarray(self.bin_means, dtype=float)
-        counts = np.asarray(self.counts, dtype=int)
+        counts = np.asarray(self.counts, dtype=float)
         if np.any(np.diff(means) <= 0):
             raise ValueError("bin means must be strictly increasing")
         if counts.shape != means.shape:
             raise ValueError("bin counts and means differ in length")
-        if np.any(counts < 0) or not counts.sum():
-            raise ValueError("bin counts must be nonnegative, not all 0")
+        if not (np.all((counts >= 0) & (counts == np.floor(counts))
+                       & (counts < np.inf)) and counts.sum()):
+            raise ValueError(
+                "bin counts must be nonnegative whole numbers, not all 0")
         object.__setattr__(self, "bin_means", means)
-        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "counts", counts.astype(int))
 
     @property
     def N(self) -> int:
@@ -180,25 +182,14 @@ def bin_delays(ds: DelayDataset, N_prime: int) -> BinningResult:
 def to_profile(binning: BinningResult, fullrate_seed: float) -> HashrateProfile:
     """Hashrate profile with thresholds at the bin means.
 
-    Segment i runs up to threshold b_{i-1}; the first segment mines at
-    fraction 0, the second at the sub-ms fraction, and each further segment
-    adds one equal-count bin's share of the data.
+    Segment i runs from threshold b_{i-1} (from 0 for i = 0) up to b_i
+    and mines at the cumulative share of the delays in bins 0..i-1: the
+    first segment at fraction 0, the second at the sub-ms fraction.  The
+    rule reads the counts, so it holds for bins of any sizes.
     """
-    N = binning.N
-    thresholds = np.concatenate([[0.0], binning.bin_means])
-    fractions = np.empty(N)
-    fractions[0] = 0.0
-    if N > 1:
-        fractions[1] = binning.sub_ms_fraction
-    if N > 2:
-        # every equal-count bin carries floor(M'/N') entries
-        increment = binning.counts[1] / binning.M
-        for i in range(2, N):
-            fractions[i] = fractions[i - 1] + increment
-    if np.any(fractions > 1.0 + 1e-12):
-        raise ValueError("cumulative fractions exceed one")
-    return HashrateProfile(tuple(thresholds), tuple(np.minimum(fractions, 1.0)),
-                           fullrate_seed)
+    shares = np.cumsum(np.concatenate([[0], binning.counts[:-1]]))
+    return HashrateProfile(np.concatenate([[0.0], binning.bin_means]),
+                           shares / binning.M, fullrate_seed)
 
 
 @dataclass(frozen=True)

@@ -120,13 +120,15 @@ class MEDistribution:
         return min(max(val, 0.0), 1.0)
 
     def pdf_grid(self, xs: np.ndarray) -> np.ndarray:
-        """Density on an equispaced ascending grid, stepping a dense expm."""
+        """Density on an equispaced ascending grid from x >= 0, stepping a
+        dense expm; a raw value below 0 is clamped to 0."""
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 1 or len(xs) < 2:
             raise ValueError("need a 1-d grid with at least two points")
         steps = np.diff(xs)
-        if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-9):
-            raise ValueError("grid must be equispaced ascending")
+        if (xs[0] < 0 or np.any(steps <= 0)
+                or not np.allclose(steps, steps[0], rtol=1e-9)):
+            raise ValueError("grid must be equispaced ascending from x >= 0")
         step = _expm(self.subgen * steps[0])
         w = self.init @ _expm(self.subgen * xs[0])
         out = np.empty(len(xs))

@@ -67,8 +67,8 @@ def _checked_pmf(masses, layer: str) -> np.ndarray:
 
 def phi_from_theta(theta: MEDistribution, beta: float, k: int) -> PhiDistribution:
     """Masses p(0..k-1) and mean of the adversary count per interval."""
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    if not 0 < beta < np.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k > 10_000:

@@ -197,8 +197,8 @@ def simulate_attack_sweep(config: SimConfig, ks) -> dict[int, SimEstimate]:
     all depths run in one loop.
     """
     ks = sorted(set(int(k) for k in ks))
-    if min(ks) < 1:
-        raise ValueError("confirmation depths must be >= 1")
+    if min(ks, default=0) < 1:
+        raise ValueError("need one or more confirmation depths, each >= 1")
     if config.stop_lead < max(ks):
         raise ValueError("stop_lead must cover the largest depth")
     sampler = ThetaSampler(config.profile)

@@ -350,6 +350,12 @@ def test_analyze_rejects_bad_args():
         analyze(DelayModel("zero"), 1.5, 600.0, 3)
     with pytest.raises(ValueError):
         analyze(DelayModel("zero"), 0.2, 600.0, 0)
+    # an untabled K is refused also by models that build no CME
+    with pytest.raises(ValueError, match="K must be an odd integer"):
+        analyze(DelayModel("zero"), 0.2, 600.0, 1, K=200)
+    with pytest.raises(ValueError, match="K must be an odd integer"):
+        analyze(DelayModel("random", delay_dist=erlang_me(2, 5.0)), 0.2, 600.0,
+                1, K=4, delta_conf=5.0)
     with pytest.raises(ValueError):
         DelayModel("fixed")
     with pytest.raises(ValueError):

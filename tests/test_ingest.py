@@ -141,6 +141,16 @@ def test_to_profile_hand_example():
     assert prof.fullrate == 1 / 600
 
 
+def test_to_profile_reads_the_cumulative_counts_of_unequal_bins():
+    # segment i mines at the share of the delays in bins 0..i-1, one
+    # division of the cumulative count, whatever the bins' sizes
+    means = [0.001, 1.0, 2.0, 3.0]
+    prof = to_profile(BinningResult(means, [1, 3, 5, 1]), 1.0)
+    assert prof.fractions == (0.0, 0.1, 0.4, 0.9)
+    prof = to_profile(BinningResult(means, [1, 6, 1, 1]), 1.0)
+    assert prof.fractions == (0.0, 1 / 9, 7 / 9, 8 / 9)
+
+
 def test_pipeline_fractions_bounded():
     ds = synth_delays(BITCOIN_LIKE, 5_000, seed=11)
     kept, _ = apply_cutoff(ds, 0.01)
@@ -182,14 +192,13 @@ def _binning(**fields):
     (lambda: _binning(counts=[1, -1]), "bin counts must be nonnegative"),
     (lambda: _binning(counts=[1, 8, 1]),
      "bin counts and means differ in length"),
-    (lambda: to_profile(_binning(bin_means=[0.001, 1.0, 2.0, 3.0],
-                                 counts=[1, 6, 1, 1]), 1.0),
-     "cumulative fractions exceed one"),
+    (lambda: _binning(counts=[0.5, 9.7]), "whole numbers"),
+    (lambda: _binning(counts=[1, np.inf]), "whole numbers"),
     (lambda: SynthSpec(atom_weight=-0.5, components=((1.5, 1.0, 1.0),)),
      "negative mixture weight"),
     (lambda: synth_delays(BITCOIN_LIKE, 0), "n must be >= 1"),
-], ids=["negative-count", "length-mismatch", "fractions-past-one",
-        "negative-weight", "no-delays"])
+], ids=["negative-count", "length-mismatch", "fractional-count",
+        "infinite-count", "negative-weight", "no-delays"])
 def test_binning_and_synthesis_refusals(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -279,7 +279,8 @@ def test_pdf_grid_matches_pointwise():
     assert_allclose(grid, pointwise, rtol=1e-8, atol=1e-12)
 
 
-@pytest.mark.parametrize("xs", [[1.0], [0.0, 1.0, 3.0], [2.0, 1.0, 0.0]])
+@pytest.mark.parametrize("xs", [[1.0], [0.0, 1.0, 3.0], [2.0, 1.0, 0.0],
+                                [-1.0, 0.0, 1.0]])
 def test_pdf_grid_refuses_a_bad_grid(xs):
     with pytest.raises(ValueError, match="grid"):
         cme(11, 2.0).pdf_grid(xs)

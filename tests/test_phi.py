@@ -42,6 +42,9 @@ def test_rejects_bad_args():
     theta = zero_delay_theta(ALPHA)
     with pytest.raises(ValueError):
         phi_from_theta(theta, -1.0, 5)
+    for beta in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="beta must be positive and finite"):
+            phi_from_theta(theta, beta, 5)
     with pytest.raises(ValueError):
         phi_from_theta(theta, BETA, 0)
     with pytest.raises(ValueError):

@@ -159,6 +159,8 @@ def test_sweep_rejects_bad_depths():
         simulate_attack_sweep(config, [0, 1])
     with pytest.raises(ValueError):
         simulate_attack_sweep(config, [100])
+    with pytest.raises(ValueError, match="need one or more confirmation depths"):
+        simulate_attack_sweep(config, [])
 
 
 def criterion_profile():
