@@ -12,14 +12,15 @@ of Phi - 1 over n steps.  Each trial walks until it falls ``stop_lead``
 below its running maximum, or for at most ``warmup_blocks`` steps.  Without
 the early stop the lead has exactly the law of the chain after
 ``warmup_blocks`` blocks; the stop's bias is at most psi(stop_lead), the
-bound the race's upper barrier already carries.  The races of every depth
-run in one loop.  Trials are vectorized in fixed-size batches; results are
-deterministic given (seed, config).
+bound the race's upper barrier already carries.  Every depth of a trial
+races on the trial's one post-confirmation walk, so a race step draws once
+per walking trial, whatever the number of depths.  Trials are vectorized in
+fixed-size batches; results are deterministic given (seed, config).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,9 +29,15 @@ from .delaymodel import HashrateProfile
 __all__ = ["SimConfig", "SimEstimate", "ThetaSampler", "simulate_attack_sweep"]
 
 _BATCH = 1_000_000
-# a race step draws its Poisson counts and compacts its live entries in
-# slices this long, never all at once
+# walking trials are compacted in slices this long, never all at once
 _SLICE = 65_536
+
+
+def _whole(value, name):
+    """``value`` as an int, refused unless it is a whole number."""
+    if not float(value).is_integer():  # NaN and infinities fail it too
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -45,6 +52,10 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("k", "warmup_blocks", "stop_lead", "trials", "seed"):
+            object.__setattr__(self, name, _whole(getattr(self, name), name))
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.k < 1:
@@ -132,29 +143,42 @@ def _loynes_lead(increment, n, cap, stop_lead):
     return lead
 
 
-def _race(z, depth, n_depths, sampler, beta, stop_lead, rng):
-    """Violations of the post-confirmation race, counted per depth index.
+def _race(z, sampler, beta, stop_lead, rng):
+    """Violations of the post-confirmation race, counted per depth.
 
-    z holds the honest lead at confirmation and ``depth`` the index of the
-    depth each entry belongs to; entries < 0 violate outright, the rest walk
-    Z <- Z + 1 - Phi until Z <= 0 (violation, ties included) or
-    Z >= stop_lead (safe).  Both arrays are this function's own: the live
-    entries are compacted to their fronts in place, so no second copy of z
-    is made.  A step's Poisson counts are drawn slice by slice, which
-    leaves every draw as one call would make it.
+    z[d, j], this function's own, is trial j's honest lead at confirmation
+    for depth index d.  Every depth of a trial reads the trial's one walk
+    S <- S + 1 - Phi from S = 0: depth d violates when z_d + S first falls
+    to <= 0 (ties included) before it reaches stop_lead (safe), and z_d < 0
+    violates outright.  A walking trial keeps S, the maximum hi of S and m,
+    its least start that has not violated (an outright violation is set to
+    stop_lead, which never violates).  Only a step with m + S <= 0 reads
+    the trial's starts again: it violates each start in [m, -S] that is not
+    yet safe.  The trial retires once m + hi >= stop_lead.  z is never
+    copied or compacted: the walking trials' column indices are compacted
+    with S, hi and m, as in :func:`_loynes_lead`.
     """
-    nviol = np.bincount(depth[z < 0], minlength=n_depths)
-    z, depth = _compact(z >= 0, z, depth)
-    while z.size:
-        z += 1
-        rate = sampler.sample(rng, z.size)
-        rate *= beta
-        for i in range(0, z.size, _SLICE):
-            z[i:i + _SLICE] -= rng.poisson(rate[i:i + _SLICE])
-        del rate
-        hit = z <= 0
-        nviol += np.bincount(depth[hit], minlength=n_depths)
-        z, depth = _compact(~hit & (z < stop_lead), z, depth)
+    nviol = np.count_nonzero(z < 0, axis=1)
+    z[z < 0] = stop_lead
+    m = z.min(axis=0)
+    walking = np.flatnonzero(m < stop_lead)
+    m = m[walking]
+    s = np.zeros_like(m)
+    hi = np.zeros_like(m)
+    while walking.size:
+        s += 1
+        s -= _counts(sampler, beta, rng, walking.size)
+        np.maximum(hi, s, out=hi)
+        hit = np.flatnonzero(m + s <= 0)
+        if hit.size:
+            zh, lo = z[:, walking[hit]], -s[hit]
+            nviol += np.count_nonzero(
+                (zh >= m[hit]) & (zh <= lo) & (zh + hi[hit] < stop_lead),
+                axis=1)
+            m[hit] = np.where(zh > lo, zh, stop_lead).min(axis=0)
+        keep = m + hi < stop_lead
+        if not keep.all():
+            walking, m, s, hi = _compact(keep, walking, m, s, hi)
     return nviol
 
 
@@ -172,7 +196,7 @@ def _compact(keep, *arrays):
 
 
 def _confirmation_leads(lead, ks, sampler, beta, delta_conf, rng):
-    """Honest lead at confirmation for each depth in ks, raveled depth-major.
+    """Honest lead at confirmation, one row per depth in ks.
 
     Each depth k adds k honest intervals plus the final propagation window
     of adversary-only mining to the pre-mining ``lead``.
@@ -185,18 +209,18 @@ def _confirmation_leads(lead, ks, sampler, beta, delta_conf, rng):
         if i in ks:
             v = lead + cum + rng.poisson(beta * delta_conf, size=n)
             z[ks.index(i)] = i - 1 - v
-    return z.ravel()
+    return z
 
 
 def simulate_attack_sweep(config: SimConfig, ks) -> dict[int, SimEstimate]:
     """Estimates for several confirmation depths sharing one pre-mining pass.
 
-    The stationary lead and the confirmation-interval counts are drawn once
-    per trial and reused across depths (estimates are correlated across k
-    but unbiased per k); each depth's race draws are fresh, and the races of
-    all depths run in one loop.
+    The stationary lead, the confirmation-interval counts and the race's
+    post-confirmation walk are drawn once per trial and read by every depth
+    (estimates are correlated across k but unbiased per k): each depth's
+    race still sees i.i.d. Phi independent of its start.
     """
-    ks = sorted(set(int(k) for k in ks))
+    ks = sorted(set(_whole(k, "confirmation depth") for k in ks))
     if min(ks, default=0) < 1:
         raise ValueError("need one or more confirmation depths, each >= 1")
     if config.stop_lead < max(ks):
@@ -217,11 +241,9 @@ def simulate_attack_sweep(config: SimConfig, ks) -> dict[int, SimEstimate]:
         lead = _loynes_lead(
             lambda size: _counts(sampler, beta, rng, size) - 1,
             n, config.warmup_blocks, config.stop_lead)
-        depth = np.arange(len(ks), dtype=np.min_scalar_type(len(ks) - 1))
         violations += _race(
             _confirmation_leads(lead, ks, sampler, beta, config.delta_conf,
-                                rng), np.repeat(depth, n), len(ks), sampler,
-            beta, config.stop_lead, rng)
+                                rng), sampler, beta, config.stop_lead, rng)
 
     out = {}
     for k, nviol in zip(ks, violations):

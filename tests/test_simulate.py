@@ -31,6 +31,17 @@ def test_config_validation():
         SimConfig(profile=zero_profile(), beta=-1.0, k=1)
     with pytest.raises(ValueError, match="trials must be >= 1"):
         SimConfig(profile=zero_profile(), beta=1.0, k=1, trials=0)
+    fields = {"k": 1, "trials": 1_500, "warmup_blocks": 1_000,
+              "stop_lead": 6, "seed": 0}
+    for name, value in [("k", 1.5), ("trials", 1500.5), ("stop_lead", 6.5),
+                        ("warmup_blocks", 1000.5), ("trials", np.nan),
+                        ("seed", 2.5), ("seed", -1)]:
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            SimConfig(profile=zero_profile(), beta=1.0,
+                      **{**fields, name: value})
+    whole = SimConfig(profile=zero_profile(), beta=1.0, k=2.0, trials=10.0)
+    assert (whole.k, whole.trials) == (2, 10)
+    assert type(whole.trials) is int
 
 
 @pytest.mark.parametrize("field", ["beta", "delta_conf"])
@@ -82,11 +93,12 @@ def test_sampler_draws_of_zero_and_on_edges():
 
 @pytest.mark.parametrize("profile, violations", [
     (HashrateProfile((0.0, 2.0, 5.0, 10.0), (0.0, 0.4, 0.8), 1 / 589.6),
-     [10227, 6325, 4054, 2684, 1776, 1225]),
-    (HashrateProfile.zero_delay(ALPHA), [10100, 6128, 3982, 2595, 1711, 1217]),
+     [10166, 6222, 4055, 2681, 1773, 1233]),
+    (HashrateProfile.zero_delay(ALPHA), [10180, 6197, 3954, 2651, 1744, 1170]),
 ])
 def test_seeded_sweep_draws_are_pinned(profile, violations):
-    # violation counts of a seeded sweep: a faster sampler or race must
+    # violation counts of a seeded sweep, which pin the draw stream of the
+    # race every depth of a trial shares: a faster sampler or race must
     # keep every draw, bit for bit
     config = SimConfig(profile=profile, beta=0.3 * profile.fullrate, k=6,
                        delta_conf=profile.max_delay, warmup_blocks=1_000,
@@ -161,6 +173,8 @@ def test_sweep_rejects_bad_depths():
         simulate_attack_sweep(config, [100])
     with pytest.raises(ValueError, match="need one or more confirmation depths"):
         simulate_attack_sweep(config, [])
+    with pytest.raises(ValueError, match="depth must be a whole number"):
+        simulate_attack_sweep(config, [1.7, 2])
 
 
 def criterion_profile():
@@ -237,12 +251,76 @@ def test_sweep_runs_one_race_per_batch(monkeypatch):
     races = []
     race = simulate._race
 
-    def spy(z, depth, *args):
-        races.append(np.bincount(depth).tolist())
-        return race(z, depth, *args)
+    def spy(z, *args):
+        races.append(z.shape)
+        return race(z, *args)
     monkeypatch.setattr(simulate, "_race", spy)
     monkeypatch.setattr(simulate, "_BATCH", 500)
     config = SimConfig(profile=zero_profile(), beta=0.2 * ALPHA, k=3,
                        warmup_blocks=1_000, trials=1_200, seed=4)
     simulate_attack_sweep(config, [1, 2, 3])
-    assert races == [[500] * 3, [500] * 3, [200] * 3]
+    assert races == [(3, 500), (3, 500), (3, 200)]
+
+
+def naive_race(starts, phi, stop_lead):
+    """Per-depth walks Z <- Z + 1 - phi_t on one shared phi sequence:
+    whether each start violates, and the steps until the last decides."""
+    violated, steps = [], 0
+    for z in starts:
+        t = 0
+        while 0 <= z < stop_lead and (t == 0 or z > 0):
+            z += 1 - phi[t]
+            t += 1
+        violated.append(int(z <= 0))
+        steps = max(steps, t)
+    return violated, steps
+
+
+def stub_counts(monkeypatch, phi):
+    """Replace the race's draws: step t gives every walking trial phi[t];
+    returns the list of the draws' sizes."""
+    sizes = []
+
+    def counts(sampler, beta, rng, size):
+        sizes.append(size)
+        return np.full(size, phi[len(sizes) - 1])
+    monkeypatch.setattr(simulate, "_counts", counts)
+    return sizes
+
+
+def test_race_matches_a_naive_walk_per_depth(monkeypatch):
+    rng = np.random.default_rng(12)
+    cases = [([0], 1), ([0, 0, -1], 3), ([-2, -1], 4), ([3, 0, 5], 6),
+             ([5, 5, 5], 6)]
+    cases += [(rng.integers(-4, stop, size=rng.integers(1, 8)).tolist(), stop)
+              for stop in rng.integers(1, 15, size=600)]
+    for starts, stop_lead in cases:
+        phi = rng.poisson(rng.uniform(0.2, 2.0), size=10_000)
+        sizes = stub_counts(monkeypatch, phi)
+        z = np.array(starts, dtype=np.int64)[:, None]
+        got = simulate._race(z, None, None, stop_lead, None)
+        want, steps = naive_race(starts, phi, stop_lead)
+        assert got.tolist() == want, (starts, stop_lead)
+        assert sizes == [1] * steps
+    # the cases cover a start at 0, starts below 0 and the barrier at the
+    # largest start + 1, which is stop_lead = max depth
+    assert any(0 in st for st, _ in cases)
+    assert any(min(st) < 0 for st, _ in cases)
+    assert any(stop == max(st) + 1 for st, stop in cases)
+
+
+def test_race_draws_once_per_walking_trial(monkeypatch):
+    # every trial sees the same increments, so a naive walk per trial and
+    # depth tells how many trials still walk at each step
+    rng = np.random.default_rng(13)
+    phi = rng.poisson(0.9, size=10_000)
+    z = rng.integers(-3, 8, size=(5, 400))
+    results = [naive_race(col, phi, 8) for col in z.T.tolist()]
+    sizes = stub_counts(monkeypatch, phi)
+    got = simulate._race(z.copy(), None, None, 8, None)
+    assert got.tolist() == np.sum([v for v, _ in results], axis=0).tolist()
+    steps = np.array([t for _, t in results])
+    assert sizes == [np.count_nonzero(steps > t)
+                     for t in range(steps.max())]
+    walking = np.count_nonzero((z >= 0).any(axis=0))
+    assert sizes[0] == walking < np.count_nonzero(z >= 0)
