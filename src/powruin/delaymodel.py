@@ -184,8 +184,7 @@ def random_delay_theta(delay_dist: MEDistribution, alpha: float) -> MEDistributi
     T = np.block([[delay_dist.subgen, delay_dist.exit[:, None]],
                   [np.zeros(delay_dist.order), -alpha]])
     v = np.append(delay_dist.init, 0.0)
-    return _validated(
-        MEDistribution(v, T, np.append(delay_dist.eigenvalues, -alpha)))
+    return _validated(MEDistribution(v, T))
 
 
 class _ProfileTheta(MEDistribution):
@@ -195,7 +194,9 @@ class _ProfileTheta(MEDistribution):
     mean-one CME subgenerator, delta_i the inverse segment length and r_i
     the segment's mining rate; its exit column delta_i h_U feeds the first
     entry of segment i + 1, or the final phase at full rate alpha.  U is
-    read as medist's e_1-basis pieces (d, rho, a, b, eigenvalues).  Every
+    read as medist's e_1-basis pieces (d, rho, a, b).  Block i's eigenvalues
+    are delta_i lambda_U - r_i, with Re lambda_U < 0, and the last phase's is
+    -alpha, so the spectrum is stable by construction and not stored.  Every
     solve with T - sI is exact substitution in O(N K): 2x2 rotation solves
     and one dot product per block, and a scalar recurrence over the
     segments through the coupling column.  The mean, in closed form from
@@ -214,8 +215,6 @@ class _ProfileTheta(MEDistribution):
         self.order = len(delta) * K + 1
         self.init = np.eye(1, self.order)[0]
         self.exit = np.append(np.repeat(rates, K), alpha)
-        self.eigenvalues = np.append(
-            np.outer(delta, unit[4]) - rates[:, None], -alpha)
         self._K, self._delta, self._rates, self._alpha, self._unit = (
             K, delta, rates, alpha, unit)
         self._mean = _profile_mean(unit, delta, rates, alpha)
@@ -246,7 +245,7 @@ class _ProfileTheta(MEDistribution):
         multiplies only, so it stays finite where the product of the g_i
         underflows.
         """
-        d, rho, a, b, _ = self._unit
+        d, rho, a, b = self._unit
         delta = self._delta[:, None]
         c = self._rates[:, None] + s
         p0 = delta[:, 0] * d - c[:, 0]
@@ -316,10 +315,10 @@ def assemble_theta(profile: HashrateProfile, K: int) -> MEDistribution:
     Each segment i contributes a CME[K, delta_i] block shifted by the
     segment mining rate; consecutive blocks couple through the CME's exit
     column, since its initial vector is e_1, and the final scalar phase
-    mines at full rate.  The blocks and the spectrum come from the mean-one
-    CME, whose time-rescaled copies they are.  The result solves segment by
-    segment (see :class:`_ProfileTheta`) and is checked like any derived
-    model: mass, spectrum, mean and mgf(0).
+    mines at full rate.  The blocks come from the mean-one CME, whose
+    time-rescaled copies they are.  The result solves segment by segment
+    (see :class:`_ProfileTheta`) and is checked like any derived model:
+    mass, mean and mgf(0).
     """
     return _validated(_ProfileTheta(profile, K))
 

@@ -11,12 +11,13 @@ and the moment generating function is the rational function
 ``M(s) = -v (sI + T)^{-1} h``.
 
 :class:`MEDistribution` is a plain class built by one constructor from
-``init``, ``T`` and the spectrum; it adds the exit vector and the order.
-Its attributes are read-only by convention, its solver of ``T`` and its
-mean are cached with ``functools.cached_property``, and instances
-compare and hash by identity.  Every distribution carries its validated
-spectrum and holds ``T`` as a dense array.  The mean, the squared
-coefficient of variation and the mgf all solve through one method,
+``init`` and ``T``; it adds the exit vector and the order.  Its
+attributes are read-only by convention, its solver of ``T`` and its mean
+are cached with ``functools.cached_property``, and instances compare and
+hash by identity.  Every distribution holds ``T`` as a dense array and
+no spectrum: only :func:`make_me`, which takes outside input, computes
+one, and every derived model's is stable by construction.  The mean, the
+squared coefficient of variation and the mgf all solve through one method,
 :meth:`MEDistribution.solver`, which returns the solve function of
 ``T - sI``; only a profile's theta stores its mean, in closed form, when
 it is built, shadowing the cached one.  A general distribution inverts
@@ -24,7 +25,8 @@ it is built, shadowing the cached one.  A general distribution inverts
 hashrate profile (:func:`powruin.delaymodel.assemble_theta`) solves
 segment by segment without a factorization and builds ``T`` only on
 first access.  Only the density and distribution function need SciPy,
-for ``expm``, and import it on first use.
+for ``expm``, and import it on first use; one routine steps ``v expm(T x)``
+over an equispaced grid for both.
 
 Two families approximating a deterministic value ``delta`` are provided:
 
@@ -60,20 +62,19 @@ class MEValidationError(ValueError):
 class MEDistribution:
     """A validated matrix-exponential distribution.
 
-    Built from ``init``, the dense ``subgen`` and its spectrum
-    ``eigenvalues``; the constructor adds ``exit`` and ``order``.  Its
-    attributes are read-only by convention: nothing assigns them after
-    construction.  The solver of T and the mean are cached on first use
-    (``functools.cached_property``), and instances compare and hash by
-    identity.  Use :func:`make_me` rather than instantiating directly.
+    Built from ``init`` and the dense ``subgen``; the constructor adds
+    ``exit`` and ``order``.  Its attributes are read-only by convention:
+    nothing assigns them after construction.  The solver of T and the mean
+    are cached on first use (``functools.cached_property``), and instances
+    compare and hash by identity.  Use :func:`make_me` rather than
+    instantiating directly.
     """
 
-    def __init__(self, init, subgen, eigenvalues):
+    def __init__(self, init, subgen):
         self.init = init
         self.subgen = subgen
         self.exit = -(subgen @ np.ones(len(init)))
         self.order = len(init)
-        self.eigenvalues = np.asarray(eigenvalues)
 
     # -- solves --------------------------------------------------------------
 
@@ -90,52 +91,54 @@ class MEDistribution:
         return inv.dot
 
     @cached_property
-    def _T_solver(self):
+    def _solve_T(self):
+        """Solve T x = b: the solver of T, made once and cached."""
         return self.solver()
-
-    def _solve_T(self, b):
-        """Solve T x = b through the solver of T, made once and cached."""
-        return self._T_solver(b)
 
     # -- evaluation --------------------------------------------------------
 
     def pdf(self, x: float) -> float:
         """Density -v expm(Tx) T 1 at x >= 0."""
-        if x < 0:
-            raise ValueError(f"pdf requires x >= 0, got {x}")
-        w = self.init @ _expm(self.subgen * x)
-        val = float(w @ self.exit)
-        if val < -1e-9:
-            raise MEValidationError(f"negative density {val} at x={x}")
-        return max(val, 0.0)
+        return float(self._stepped([x])[0])
 
     def cdf(self, x: float) -> float:
         """Distribution function 1 - v expm(Tx) 1 at x >= 0, clamped to [0,1]."""
-        if x < 0:
-            raise ValueError(f"cdf requires x >= 0, got {x}")
-        w = self.init @ _expm(self.subgen * x)
-        val = 1.0 - float(w.sum())
-        if val < -1e-9 or val > 1 + 1e-9:
-            raise MEValidationError(f"cdf value {val} out of range at x={x}")
-        return min(max(val, 0.0), 1.0)
+        return float(self._stepped([x], cdf=True)[0])
 
     def pdf_grid(self, xs: np.ndarray) -> np.ndarray:
-        """Density on an equispaced ascending grid from x >= 0, stepping a
-        dense expm; a raw value below 0 is clamped to 0."""
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim != 1 or len(xs) < 2:
+        """Density on an equispaced ascending grid of two or more x >= 0."""
+        if np.ndim(xs) != 1 or len(xs) < 2:
             raise ValueError("need a 1-d grid with at least two points")
+        return self._stepped(xs)
+
+    def _stepped(self, xs, cdf: bool = False) -> np.ndarray:
+        """The density, or with ``cdf`` the distribution function, on an
+        equispaced ascending grid of finite x >= 0.
+
+        v expm(T x) takes one expm at the first point and steps by one expm
+        of the spacing.  A density below -1e-9, or a distribution function
+        more than 1e-9 outside [0, 1], raises :class:`MEValidationError`;
+        nearer values are clamped.
+        """
+        xs = np.asarray(xs, dtype=float)
         steps = np.diff(xs)
-        if (xs[0] < 0 or np.any(steps <= 0)
-                or not np.allclose(steps, steps[0], rtol=1e-9)):
-            raise ValueError("grid must be equispaced ascending from x >= 0")
-        step = _expm(self.subgen * steps[0])
+        if not (np.all(np.isfinite(xs)) and xs[0] >= 0 and np.all(steps > 0)
+                and np.allclose(steps, steps[:1], rtol=1e-9)):
+            raise ValueError(
+                f"need finite x >= 0 on an equispaced ascending grid, got {xs}")
         w = self.init @ _expm(self.subgen * xs[0])
+        step = _expm(self.subgen * steps[0]) if len(steps) else None
         out = np.empty(len(xs))
         for i in range(len(xs)):
-            out[i] = w @ self.exit
-            w = w @ step
-        return np.maximum(out, 0.0)
+            out[i] = 1.0 - w.sum() if cdf else w @ self.exit
+            w = w @ step if i < len(steps) else w
+        bad = (out < -1e-9) | (out > (1 + 1e-9 if cdf else np.inf))
+        if bad.any():
+            val, x = out[bad][0], xs[bad][0]
+            raise MEValidationError(f"cdf value {val} out of range at x={x}"
+                                    if cdf else
+                                    f"negative density {val} at x={x}")
+        return np.clip(out, 0.0, 1.0) if cdf else np.maximum(out, 0.0)
 
     def mgf(self, s: float) -> float:
         """Moment generating function -v (sI + T)^{-1} h.
@@ -172,21 +175,18 @@ def _expm(a):
 
 
 def _validated(d: MEDistribution) -> MEDistribution:
-    """Check the initial mass, the spectrum, the mean and mgf(0) of ``d``.
+    """Check the initial mass, the mean and mgf(0) of ``d``.
 
     Unless stored already, the mean solves through the one cached solver of
     T, as mgf(0) = -v T^{-1} h does, and stays cached.  The Erlang and the
     unit CME, nonnegative by construction, and models derived from
-    validated ones (chained, shifted or rescaled) come here directly;
-    outside input goes through :func:`make_me`.
+    validated ones (chained, shifted or rescaled) come here directly: their
+    spectra are stable by construction, so none is computed.  Outside input
+    goes through :func:`make_me`, which computes its spectrum.
     """
     mass = float(d.init.sum())
     if abs(mass - 1.0) > 1e-10:
         raise MEValidationError(f"init mass {mass} != 1")
-    worst = float(np.max(np.real(d.eigenvalues)))
-    if worst >= -_EIG_TOL:
-        raise MEValidationError(
-            f"subgenerator eigenvalue with real part {worst} >= -{_EIG_TOL}")
     mu = d.mean()
     if not (mu > 0 and math.isfinite(mu)):
         raise MEValidationError(f"mean {mu} not strictly positive and finite")
@@ -198,7 +198,7 @@ def _validated(d: MEDistribution) -> MEDistribution:
 def make_me(init, subgen) -> MEDistribution:
     """Validate (init, subgen) and build an :class:`MEDistribution`.
 
-    The spectrum is computed by a dense eigensolver.  Raises
+    The spectrum is computed by a dense eigensolver, here only.  Raises
     :class:`MEValidationError` on dimension mismatch, initial mass different
     from one, a subgenerator eigenvalue with nonnegative real part, a
     nonpositive mean, mgf(0) different from one, or a distribution function
@@ -210,9 +210,12 @@ def make_me(init, subgen) -> MEDistribution:
     if T.shape != (m, m):
         raise MEValidationError(
             f"dimension mismatch: init has length {m}, subgen is {T.shape}")
-    d = _validated(MEDistribution(v, T, np.linalg.eigvals(T)))
-    grid = np.linspace(0.0, 5.0 * d.mean(), 16)
-    F = np.array([d.cdf(x) for x in grid])
+    worst = float(np.max(np.linalg.eigvals(T).real))
+    if worst >= -_EIG_TOL:
+        raise MEValidationError(
+            f"subgenerator eigenvalue with real part {worst} >= -{_EIG_TOL}")
+    d = _validated(MEDistribution(v, T))
+    F = d._stepped(np.linspace(0.0, 5.0 * d.mean(), 16), cdf=True)
     if np.any(np.diff(F) < -1e-9):
         raise MEValidationError("cdf not nondecreasing on check grid")
     return d
@@ -228,11 +231,10 @@ def erlang_me(K: int, delta: float) -> MEDistribution:
     if not 0 < delta < np.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")
     K = int(K)
-    rate = K / delta
-    T = rate * (np.diag(-np.ones(K)) + np.diag(np.ones(K - 1), 1))
+    T = K / delta * (np.diag(-np.ones(K)) + np.diag(np.ones(K - 1), 1))
     v = np.zeros(K)
     v[0] = 1.0
-    return _validated(MEDistribution(v, T, np.full(K, -rate)))
+    return _validated(MEDistribution(v, T))
 
 
 # -- concentrated ME construction ------------------------------------------
@@ -253,12 +255,13 @@ def _cme_pieces(omega, phases):
     In the basis where its initial vector is e_1 the subgenerator U has a
     dense first row (U[0, 0] = d, U[0, 1:] = rho) and, below it, n =
     len(phases) independent rotation blocks [[a_j, b_j], [-b_j, a_j]] on
-    rows and columns 2j - 1, 2j.  Returns (d, rho, a, b, eigenvalues): the
-    unit-rate pieces times their mean, which :func:`_entry_means` gives at
-    delta = 1 and r = 0, the formula a profile's mean reads.  A chain of
-    CME blocks in this basis hands its exit mass on through one column, not
-    a dense exit-init product, whose rounding left the Phi masses of the
-    criterion-10 model 6e-11 off a long-double solve.
+    rows and columns 2j - 1, 2j, whose eigenvalues a_j +- i b_j, with d,
+    are U's spectrum.  Returns (d, rho, a, b): the unit-rate pieces times
+    their mean, which :func:`_entry_means` gives at delta = 1 and r = 0,
+    the formula a profile's mean reads.  A chain of CME blocks in this
+    basis hands its exit mass on through one column, not a dense exit-init
+    product, whose rounding left the Phi masses of the criterion-10 model
+    6e-11 off a long-double solve.
     """
     n = len(phases)
     c = _cosine_harmonics(phases)[n:] / 2**n
@@ -271,20 +274,19 @@ def _cme_pieces(omega, phases):
     pairs = (1 + 1j) * c[1:] / (1 - 1j * w)
     mass = c[0].real + pairs.real.sum() + pairs.imag.sum()
     rho = (1j * w * pairs / mass).view(float)
-    eigs = np.concatenate([[-1.0], -1.0 + 1j * w, -1.0 - 1j * w])
-    unit_rate = (-1.0, rho, np.full(n, -1.0), w, eigs)
+    unit_rate = (-1.0, rho, np.full(n, -1.0), w)
     mean = _entry_means(unit_rate, np.ones(1), np.zeros(1))[0]
     return tuple(piece * mean for piece in unit_rate)
 
 
 def _entry_means(pieces, delta, rates):
     """tau_i = e_1^T (r_i I - delta_i U)^{-1} 1, the mean time in the block
-    delta_i U - r_i I entered in e_1, from U's pieces (d, rho, a, b, ...).
+    delta_i U - r_i I entered in e_1, from U's pieces (d, rho, a, b).
 
     One complex division per rotation block, then row 0; at delta = 1 and
     r = 0 it is the mean of U itself.
     """
-    d, rho, a, b = pieces[:4]
+    d, rho, a, b = pieces
     pairs = (1 + 1j) / (rates[:, None] - delta[:, None] * (a - 1j * b))
     row0 = pairs.view(float) @ rho  # Re sum_j conj(rho_j) pair_j
     return (1.0 + delta * row0) / (rates - delta * d)
@@ -292,14 +294,14 @@ def _entry_means(pieces, delta, rates):
 
 def _placed(pieces, delta) -> MEDistribution:
     """The dense CME with subgenerator U / delta from its e_1-basis pieces."""
-    d, rho, a, b, eigs = pieces
+    d, rho, a, b = pieces
     K = len(rho) + 1
     U = np.zeros((K, K))
     U[0, 0], U[0, 1:] = d, rho
     i = np.arange(1, K, 2)
     U[i, i] = U[i + 1, i + 1] = a
     U[i, i + 1], U[i + 1, i] = b, -b
-    return MEDistribution(np.eye(1, K)[0], U / delta, eigs / delta)
+    return MEDistribution(np.eye(1, K)[0], U / delta)
 
 
 def _cme_from_params(omega, phases) -> MEDistribution:

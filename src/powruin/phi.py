@@ -14,7 +14,8 @@ of T - beta I that theta returns (see
 :meth:`powruin.medist.MEDistribution.solver`).  A profile's theta solves
 segment by segment; a general ME, such as a random delay chain, multiplies
 by the dense inverse of T - beta I.  Every eigenvalue lambda of T has
-negative real part (checked when theta was built), so each eigenvalue
+negative real part (by construction for a derived theta, checked by
+:func:`powruin.medist.make_me` for outside input), so each eigenvalue
 1/(1 - lambda/beta) of A lies inside the unit disc and the pmf is summable.
 
 Given theta the count is Poisson(beta theta), so its mean is beta E[theta]

@@ -80,6 +80,13 @@ def test_erlang_mean_exact():
     assert_allclose(erlang_me(27, 2).mean(), 2.0, rtol=1e-12)
 
 
+@pytest.mark.parametrize("K, delta", [(1, 2e8), (3, 1e9)])
+def test_erlang_builds_on_long_time_scales(K, delta):
+    # its eigenvalues -K/delta are above -1e-8 here: a derived model's
+    # spectrum is stable by construction and meets no absolute bound
+    assert_allclose(erlang_me(K, delta).mean(), delta, rtol=1e-12)
+
+
 def test_erlang_rejects_bad_args():
     with pytest.raises(ValueError):
         erlang_me(0, 1.0)
@@ -143,7 +150,7 @@ def test_cme_pieces_have_mean_one_in_exact_arithmetic(K):
 
 @pytest.mark.parametrize("K, delta", [(1, 5.0), (9, 0.3), (51, 600.0)])
 def test_cme_places_the_pieces_divided_by_delta(K, delta):
-    d, rho, a, b, eigenvalues = _cme_unit(K)
+    d, rho, a, b = _cme_unit(K)
     me = cme(K, delta)
     T, i = me.subgen, np.arange(1, K, 2)
     assert T[0, 0] == d / delta
@@ -157,7 +164,20 @@ def test_cme_places_the_pieces_divided_by_delta(K, delta):
     placed[i, i + 1] = placed[i + 1, i] = True
     assert not T[~placed].any()
     assert np.array_equal(me.init, np.eye(K)[0])
-    assert np.array_equal(me.eigenvalues, eigenvalues / delta)
+
+
+@pytest.mark.parametrize("K", sorted(CME_UNIT))
+def test_every_tabled_cme_passes_make_me(K):
+    # no CME carries its spectrum, so the table is checked here once, as
+    # outside input is: computed spectrum, mass, mean, mgf(0), CDF grid
+    d, _, a, b = _cme_unit(K)
+    unit = _cme_from_params(*CME_UNIT[K])
+    assert_allclose(make_me(unit.init, unit.subgen).mean(), 1.0, rtol=1e-12)
+    # U is block upper triangular: its spectrum is d and a_j +- i b_j
+    spectrum = np.linalg.eigvals(unit.subgen)
+    expected = np.concatenate([[d], a + 1j * b, a - 1j * b])
+    assert_allclose(spectrum[np.argsort(spectrum.imag)],
+                    expected[np.argsort(expected.imag)], rtol=1e-12)
 
 
 @pytest.mark.parametrize("K", [3, 5, 9])
@@ -244,6 +264,13 @@ def test_negative_argument_rejected():
         d.cdf(-0.1)
 
 
+@pytest.mark.parametrize("method", ["pdf", "cdf"])
+@pytest.mark.parametrize("x", [np.nan, np.inf])
+def test_non_finite_argument_rejected(method, x):
+    with pytest.raises(ValueError, match="finite"):
+        getattr(erlang_me(2, 1.0), method)(x)
+
+
 def test_mgf_at_zero_is_one():
     for d in (erlang_me(4, 3.0), cme(11, 2.0)):
         assert_allclose(d.mgf(0.0), 1.0, atol=1e-10)
@@ -277,6 +304,15 @@ def test_pdf_grid_matches_pointwise():
     grid = d.pdf_grid(xs)
     pointwise = np.array([d.pdf(x) for x in xs])
     assert_allclose(grid, pointwise, rtol=1e-8, atol=1e-12)
+
+
+def test_pdf_grid_refuses_a_negative_density_as_pdf_does():
+    # cme(51) dips to -1.43e-5 near x = 0.02, inside this grid
+    d = cme(51, 1.0)
+    with pytest.raises(MEValidationError, match="negative density"):
+        d.pdf(0.02)
+    with pytest.raises(MEValidationError, match="negative density"):
+        d.pdf_grid(np.linspace(0.0, 10.0, 2000))
 
 
 @pytest.mark.parametrize("xs", [[1.0], [0.0, 1.0, 3.0], [2.0, 1.0, 0.0],

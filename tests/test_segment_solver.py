@@ -142,7 +142,6 @@ def _corrupt(theta, **fields):
 
 @pytest.mark.parametrize("corruption, message", [
     (lambda t: dict(init=2.0 * t.init), "init mass"),
-    (lambda t: dict(eigenvalues=-t.eigenvalues), "eigenvalue"),
     (lambda t: dict(_mean=-t._mean), "mean"),
     pytest.param(lambda t: dict(_alpha=-t._alpha), "mgf", id="alpha-mgf"),
     (lambda t: dict(exit=1.01 * t.exit), "mgf"),
