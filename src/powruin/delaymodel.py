@@ -19,8 +19,10 @@ A profile's mean is in closed form, in O(N K) from the same pieces.
 Calibration rescales the single full-rate scalar by fixed-point iteration
 on the mean time after the profile's dead time until that closed-form mean
 equals the protocol block interval; the iterates rise monotonically to the
-root, so no bracketing fallback is needed.  Only the theta at the
-calibrated rate is assembled and validated.
+root, so no bracketing fallback is needed.  A profile builds its inverse
+segment lengths and rate fractions as arrays once, and its copies at
+other full rates carry them.  Only the theta at the calibrated rate is
+assembled and validated.
 """
 
 from __future__ import annotations
@@ -92,6 +94,15 @@ class HashrateProfile:
     @property
     def max_delay(self) -> float:
         return self.thresholds[-1]
+
+    @cached_property
+    def _segment_arrays(self):
+        """The inverse segment lengths delta_i and the rate fractions, as
+        read-only arrays built once; :meth:`with_fullrate`'s copy carries
+        them."""
+        delta, fractions = 1.0 / np.diff(self.thresholds), np.array(self.fractions)
+        delta.flags.writeable = fractions.flags.writeable = False
+        return delta, fractions
 
     def with_fullrate(self, rate: float) -> "HashrateProfile":
         """This profile at full rate ``rate``; only the new rate is checked."""
@@ -198,8 +209,13 @@ class _ProfileTheta(MEDistribution):
     are delta_i lambda_U - r_i, with Re lambda_U < 0, and the last phase's is
     -alpha, so the spectrum is stable by construction and not stored.  Every
     solve with T - sI is exact substitution in O(N K): 2x2 rotation solves
-    and one dot product per block, and a scalar recurrence over the
-    segments through the coupling column.  The mean, in closed form from
+    (one complex division per pair), one matrix-vector product for the
+    dense first rows of all blocks, and a scalar recurrence over the
+    segments through the coupling column.  That block algebra is written
+    once (:meth:`_shifted`); :meth:`solver` and Phi's stepping
+    (:meth:`_phi_masses`) share it, and Phi is stepped in the same layout
+    (first entries, rotation pairs, full-rate phase) without forming a
+    whole solution vector per mass.  The mean, in closed form from
     the same pieces (:func:`_profile_mean`), is stored when theta is built,
     shadowing the cached mean, and :meth:`MEDistribution.mean` returns it.
     The constructor assigns the attributes directly and, unlike
@@ -235,62 +251,101 @@ class _ProfileTheta(MEDistribution):
                 T[rows, (i + 1) * K] = delta * unit.exit
         return T
 
-    def solver(self, s: float = 0.0):
-        """The function b -> (T - sI)^{-1} b, by substitution over segments.
+    def _shifted(self, s: float):
+        """The block algebra of T - sI, shared by every solve: p0, the
+        inverse rotations, pf and ``couple``; ``ValueError`` when T - sI is
+        singular.
 
-        Block i's solution is u_i - t_{i+1} w_i, with u_i = M_i^{-1} b_i,
-        w_i = delta_i M_i^{-1} h_U and t_{i+1} the first entry of the next
-        block, so the first entries follow t_i = u_i[0] - g_i t_{i+1} with
-        g_i = w_i[0], backwards from the full-rate phase.  The recurrence
-        multiplies only, so it stays finite where the product of the g_i
-        underflows.
+        Per segment, with c = r + s, p0 = delta d - c is the first diagonal
+        entry and each rotation pair, read as one complex number, is
+        divided by (delta a_j - c) - i delta b_j; pf = -alpha - s is the
+        full-rate phase.  A right-hand side y enters ``couple`` as head =
+        y_i[0] / p0_i and up, its pairs times the inverse rotations, with
+        the full-rate phase's entry ``last``.  Block i's solution is
+        u_i - t_{i+1} w_i, with u_i = M_i^{-1} y_i, w_i = delta_i M_i^{-1}
+        h_U and t_{i+1} the first entry of the next block, so the first
+        entries follow t_i = u_i[0] - g_i t_{i+1} with g_i = w_i[0],
+        backwards from t_N = ``last``.  ``couple`` returns t_0..t_N and
+        leaves the solution's pairs in ``up``.
         """
         d, rho, a, b = self._unit
         delta = self._delta[:, None]
         c = self._rates[:, None] + s
         p0 = delta[:, 0] * d - c[:, 0]
-        # the pair (x_{2j-1}, x_{2j}) as one complex number: block j is
-        # division by (delta a_j - c) - i delta b_j
-        rot = delta * a - c - 1j * (delta * b)
+        rot = delta * (a - 1j * b) - c
         pf = -self._alpha - s
-        if pf == 0 or not (np.all(p0) and np.all(rot)):
+        if pf == 0 or not (p0.all() and rot.all()):
             raise ValueError(f"T - sI singular at s={s}")
-        inv = 1.0 / rot
-        rho = delta * rho
-        N, K = len(p0), self._K
-
-        def blocks(y, x):
-            """x_i = M_i^{-1} y_i for every segment at once, into x."""
-            pairs = x[:, 1:].view(complex)
-            np.multiply(y[:, 1:].view(complex), inv, out=pairs)
-            x[:, 0] = (y[:, 0] - np.einsum("ij,ij->i", rho, x[:, 1:])) / p0
-            return x
-
+        inv, e = 1.0 / rot, delta[:, 0] / p0
         # delta h_U = -delta U 1 = -(M + cI) 1, so w = M^{-1} delta h_U is
         # -1 - c M^{-1} 1: no cancellation in the exit column
-        w = -1.0 - c * blocks(np.ones((N, K)), np.empty((N, K)))
-        g = w[:, 0].tolist()
+        ones = (1 + 1j) * inv
+        g = (-1.0 - c[:, 0] * (1.0 / p0 - e * (ones.view(float) @ rho))
+             ).tolist()
+        w = -(1 + 1j) - c * ones
+
+        def couple(head, up, last):
+            u = (head - e * (up.view(float) @ rho)).tolist()
+            t = np.empty(len(u) + 1)
+            out = memoryview(t)
+            out[-1] = x = last
+            # multiplies only, so it stays finite where the product of the
+            # g_i underflows; on Python floats, as NumPy scalars are slower,
+            # written into t through a memoryview
+            for i in range(len(u) - 1, -1, -1):
+                out[i] = x = u[i] - g[i] * x
+            up -= t[1:, None] * w
+            return t
+        return p0, inv, pf, couple
+
+    def solver(self, s: float = 0.0):
+        """The function b -> (T - sI)^{-1} b, by substitution over segments
+        (see :meth:`_shifted`)."""
+        p0, inv, pf, couple = self._shifted(s)
+        N, K = len(p0), self._K
 
         def solve(rhs):
             rhs = np.ascontiguousarray(rhs, dtype=float)
             out = np.empty(N * K + 1)
-            u = blocks(rhs[:-1].reshape(N, K), out[:-1].reshape(N, K))
-            # a Python float: NumPy scalar arithmetic would slow the loop
-            out[-1] = t = float(rhs[-1] / pf)
-            nxt = u[:, 0].tolist()  # u_i[0] in, t_{i+1} out
-            for i in range(N - 1, -1, -1):
-                nxt[i], t = t, nxt[i] - g[i] * t
-            u -= np.array(nxt)[:, None] * w
+            x, y = out[:-1].reshape(N, K), rhs[:-1].reshape(N, K)
+            up = x[:, 1:].view(complex)
+            np.multiply(y[:, 1:].view(complex), inv, out=up)
+            t = couple(y[:, 0] / p0, up, float(rhs[-1] / pf))
+            x[:, 0], out[-1] = t[:-1], t[-1]
             return out
         return solve
+
+    def _phi_masses(self, beta: float, k: int) -> np.ndarray:
+        """Phi's first k masses, stepping x_{n+1} = -beta (T - beta I)^{-1}
+        x_n from x_0 = (T - beta I)^{-1} h in the segment layout.
+
+        The state is x_n's first entries t, its rotation pairs as one
+        complex (N, (K - 1)/2) array and its full-rate phase, whose x_n =
+        (alpha / pf)(-beta / pf)^n is closed form; p(n) = -t_0.  h is r_i
+        on every entry of segment i.  -beta is folded into the multipliers
+        that divide the next right-hand side by the diagonal: -beta / p0
+        for the first entries and -beta times the inverse rotations for
+        the pairs.
+        """
+        p0, inv, pf, couple = self._shifted(beta)
+        last = (self._alpha / pf * (-beta / pf) ** np.arange(k)).tolist()
+        head = self._rates / p0
+        up = (1 + 1j) * self._rates[:, None] * inv
+        m0, mul, masses = -beta / p0, -beta * inv, np.empty(k)
+        for n in range(k):
+            t = couple(head, up, last[n])
+            masses[n] = -t[0]
+            head = m0 * t[:-1]
+            up *= mul
+        return masses
 
 
 def _segments(profile: HashrateProfile, K: int):
     """The unit CME's pieces (order 1 with no segment), the inverse segment
-    lengths delta_i and the rate fractions, as arrays."""
-    unit = _cme_unit(K if profile.n_segments else 1)
-    return (unit, 1.0 / np.asarray(profile.segment_lengths),
-            np.asarray(profile.fractions))
+    lengths delta_i and the rate fractions, as arrays built once per
+    profile."""
+    return (_cme_unit(K if profile.n_segments else 1),
+            *profile._segment_arrays)
 
 
 def _profile_mean(unit, delta, rates, alpha) -> float:

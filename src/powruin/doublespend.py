@@ -14,10 +14,15 @@ Phi, the lead and psi are built and validated once for k_max, and
 :func:`analyze` takes every depth in one pass: starting from the lead
 convolved with the final window's Poisson count, each depth convolves the
 previous depth's k_max-partial pgf with Phi once, and depth k reads its
-first k masses.  :func:`adversary_lead_pmf` computes one depth on its own,
-with Phi raised to the k-th power.  Products of nonnegative coefficients
-stay nonnegative, so :func:`compute_q` checks only the final p_Z, and it
-refuses NaN, as the discrete layers' constructors do.
+first k masses.  The pass keeps two arrays of length k_max, sum p_Z and
+sum p_Z (1 - psi) per depth, and computes q and the deficit from them at
+once.  Products of nonnegative coefficients stay nonnegative, and Phi,
+the lead and the Poisson count are validated nonnegative, so one check
+covers the whole pass: it refuses a NaN or a partial sum above 1 + 1e-8,
+with :func:`compute_q`'s messages.  :func:`adversary_lead_pmf`,
+:func:`honest_lead_pmf` and :func:`compute_q` take one depth on its own,
+with Phi raised to the k-th power, and :func:`compute_q` checks its p_Z
+the same way, entry by entry.
 """
 
 from __future__ import annotations
@@ -251,9 +256,10 @@ def analyze(model: DelayModel, beta_fraction: float, block_interval: float,
 
     Calibrates the honest rate to the block interval, to 1e-6 on the mean,
     builds the adversary count distribution, the lead and the ruin table
-    once with k_max masses, and computes every depth in one pass (see the
-    module docstring).  The adversary rate is beta_fraction times the
-    calibrated full rate.
+    once with k_max masses, and computes every depth in one pass of
+    O(k_max) memory, with one check of its partial sums (see the module
+    docstring).  The adversary rate is beta_fraction times the calibrated
+    full rate.
     """
     _check_attack(beta_fraction, delta_conf)
     if k_max < 1:
@@ -279,12 +285,21 @@ def analyze(model: DelayModel, beta_fraction: float, block_interval: float,
     ruin = _ruin_from_lead(phi, lead)
 
     # G_0 = lead * Poisson(beta delta_conf) and G_k = G_{k-1} * Phi, each
-    # truncated to k_max masses; depth k's p_V is the first k masses of G_k
+    # truncated to k_max masses; depth k's p_V is the first k masses of G_k.
+    # Against the last k rows of [1, 1 - psi] reversed, they give sum p_Z
+    # and sum p_Z (1 - psi) in one product
     G = truncated_product(lead.masses,
                           poisson_partial_pgf(delta_conf * beta, k_max))
-    results = []
+    weights = np.column_stack((np.ones(k_max), 1.0 - ruin.psi))[::-1].copy()
+    partial = np.empty((k_max, 2))
     for k in range(1, k_max + 1):
         G = truncated_product(G, phi.masses)
-        p_Z, deficit = honest_lead_pmf(G[:k], k)
-        results.append(compute_q(p_Z, deficit, ruin, model_tag=tag))
-    return results
+        partial[k - 1] = G[:k] @ weights[k_max - k:]
+    sums, dots = partial.T
+    total = sums.max()  # NaN if any sum is
+    if not total <= 1 + 1e-8:
+        raise ValueError("p_Z out of [0, 1] or NaN" if np.isnan(total)
+                         else f"p_Z sums to {total} > 1")
+    qs, deficits = np.clip(1.0 - dots, 0.0, 1.0), np.maximum(1.0 - sums, 0.0)
+    return [DoubleSpendResult(q=q, deficit_mass=d, model_tag=tag, k=k)
+            for k, (q, d) in enumerate(zip(qs.tolist(), deficits.tolist()), 1)]

@@ -17,9 +17,10 @@ are cached with ``functools.cached_property``, and instances compare and
 hash by identity.  Every distribution holds ``T`` as a dense array and
 no spectrum: only :func:`make_me`, which takes outside input, computes
 one, and every derived model's is stable by construction.  The mean, the
-squared coefficient of variation and the mgf all solve through one method,
-:meth:`MEDistribution.solver`, which returns the solve function of
-``T - sI``; only a profile's theta stores its mean, in closed form, when
+squared coefficient of variation, the mgf and the adversary count Phi all
+solve through one method, :meth:`MEDistribution.solver`, which returns the
+solve function of ``T - sI``; a profile's theta steps Phi in its own
+layout instead, and only it stores its mean, in closed form, when
 it is built, shadowing the cached one.  A general distribution inverts
 ``T - sI`` once and multiplies by the inverse; the inter-mining time of a
 hashrate profile (:func:`powruin.delaymodel.assemble_theta`) solves
@@ -94,6 +95,17 @@ class MEDistribution:
     def _solve_T(self):
         """Solve T x = b: the solver of T, made once and cached."""
         return self.solver()
+
+    def _phi_masses(self, beta: float, k: int) -> np.ndarray:
+        """The first k masses of the Poisson(beta) count over this
+        distribution, by forward solves (see :mod:`powruin.phi`): from
+        y_0 = h, x_n = (T - beta I)^{-1} y_n, p(n) = -v x_n and
+        y_{n+1} = -beta x_n."""
+        solve, y, masses = self.solver(beta), self.exit, np.empty(k)
+        for n in range(k):
+            x = solve(y)
+            masses[n], y = -(self.init @ x), -beta * x
+        return masses
 
     # -- evaluation --------------------------------------------------------
 

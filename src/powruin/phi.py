@@ -9,11 +9,15 @@ per interval has the matrix-geometric pmf
 
 A is never formed: with y_0 = h, each mass takes one forward solve
 x_n = (T - beta I)^{-1} y_n, gives p(n) = -v x_n and hands on
-y_{n+1} = A y_n = -beta x_n, so k masses take k solves with the one solver
-of T - beta I that theta returns (see
-:meth:`powruin.medist.MEDistribution.solver`).  A profile's theta solves
-segment by segment; a general ME, such as a random delay chain, multiplies
-by the dense inverse of T - beta I.  Every eigenvalue lambda of T has
+y_{n+1} = A y_n = -beta x_n.  Theta steps its own masses, and
+:func:`phi_from_theta` only checks the arguments and asks it.  A general
+ME, such as a random delay chain, takes k solves with the one solver of
+T - beta I that it returns, the product with the dense inverse (see
+:meth:`powruin.medist.MEDistribution.solver`).  A profile's theta steps in
+its own segment layout: the first entries, the rotation pairs as one
+complex array and the full-rate phase in closed form, with -beta folded
+into its multipliers and one pass of the segment coupling per mass (see
+:class:`powruin.delaymodel._ProfileTheta`).  Every eigenvalue lambda of T has
 negative real part (by construction for a derived theta, checked by
 :func:`powruin.medist.make_me` for outside input), so each eigenvalue
 1/(1 - lambda/beta) of A lies inside the unit disc and the pmf is summable.
@@ -75,11 +79,5 @@ def phi_from_theta(theta: MEDistribution, beta: float, k: int) -> PhiDistributio
     if k > 10_000:
         raise ValueError(f"k={k} exceeds the supported cap of 10000")
 
-    solve = theta.solver(beta)
-    masses = np.empty(k)
-    y = theta.exit
-    for n in range(k):
-        x = solve(y)
-        masses[n] = -(theta.init @ x)
-        y = -beta * x
-    return PhiDistribution(masses=masses, mean=beta * theta.mean())
+    return PhiDistribution(masses=theta._phi_masses(beta, k),
+                           mean=beta * theta.mean())

@@ -420,6 +420,12 @@ def test_compute_q_refuses_nan():
         compute_q(np.array([np.nan]), 0.0, RuinTable([0.5]))
 
 
+def _criterion10_profile():
+    """The criterion-10 profile of 50 000 delays (seed 6): N = 130."""
+    kept, _ = apply_cutoff(synth_delays(BITCOIN_LIKE, 50_000, seed=6), 0.01)
+    return to_profile(bin_delays(kept, 128), 1.0)
+
+
 def _grid_deep_profile():
     """The 4-bin ingested profile of 2 100 delays at epsilon = 0.01."""
     kept, _ = apply_cutoff(synth_delays(BITCOIN_LIKE, 2_100, seed=7), 0.01)
@@ -444,14 +450,57 @@ def test_one_pass_matches_the_per_depth_layers_at_depth_200(kind):
         model, theta, rate = (DelayModel("variable", profile=profile),
                               cal.theta, cal.calibrated_rate)
         dconf = profile.max_delay
-    qs = [r.q for r in analyze(model, beta_fraction, 600.0, k_max, K=K)]
+    results = analyze(model, beta_fraction, 600.0, k_max, K=K)
     beta = beta_fraction * rate
     phi = phi_from_theta(theta, beta, k_max)
     lead, ruin = lead_pmf(phi, k_max), ruin_via_lindley(phi, k_max)
-    for k, q in enumerate(qs, start=1):
+    for k, res in enumerate(results, start=1):
         p_V = adversary_lead_pmf(lead, phi, dconf, beta, k)
         p_Z, deficit = honest_lead_pmf(p_V, k)
-        assert abs(q - compute_q(p_Z, deficit, ruin).q) <= 1e-14
+        assert abs(res.q - compute_q(p_Z, deficit, ruin).q) <= 1e-14
+        assert abs(res.deficit_mass - deficit) <= 1e-14
+
+
+@pytest.mark.parametrize("scale, message", [
+    (np.nan, r"p_Z out of \[0, 1\] or NaN"),
+    (2.0, r"p_Z sums to .* > 1"),
+], ids=["nan", "sum-above-one"])
+def test_depth_pass_refuses_what_compute_q_refuses(scale, message,
+                                                  monkeypatch):
+    # the pass checks its partial sums once, with compute_q's messages:
+    # NaN masses, or masses summing above 1 + 1e-8 at some depth
+    pgf = doublespend.poisson_partial_pgf
+    monkeypatch.setattr(doublespend, "poisson_partial_pgf",
+                        lambda *args: scale * pgf(*args))
+    with pytest.raises(ValueError, match=message):
+        analyze(DelayModel("fixed", delay=10.0), 0.2, 600.0, 6, K=9)
+
+
+def _scaled_profile(profile, c):
+    return HashrateProfile(tuple(c * t for t in profile.thresholds),
+                           profile.fractions, profile.fullrate / c)
+
+
+@pytest.mark.parametrize("c", [1e-6, 1e-3, 1e3, 1e6])
+@pytest.mark.parametrize("kind", ["zero", "fixed", "criterion58",
+                                  "criterion10"])
+def test_q_is_invariant_under_time_rescaling(kind, c):
+    # thresholds, the fixed delay, T and delta_conf times c, the full rate
+    # over c: q is the same law's.  Measured at most 2.1e-7 of the q
+    # tolerance min(1e-6, 1e-10 + 1e-4 q)
+    if kind == "zero":
+        models = DelayModel("zero"), DelayModel("zero")
+    elif kind == "fixed":
+        models = DelayModel("fixed", delay=10.0), DelayModel("fixed",
+                                                             delay=10.0 * c)
+    else:
+        profile = PROFILE if kind == "criterion58" else _criterion10_profile()
+        models = (DelayModel("variable", profile=profile),
+                  DelayModel("variable", profile=_scaled_profile(profile, c)))
+    ref, scaled = (analyze(model, 0.3, 600.0 * t, 20, K=27)
+                   for model, t in zip(models, (1.0, c)))
+    for r, s in zip(ref, scaled):
+        assert abs(s.q - r.q) <= 1e-3 * min(1e-6, 1e-10 + 1e-4 * r.q)
 
 
 @pytest.mark.parametrize("call, message", [
