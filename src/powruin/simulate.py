@@ -1,10 +1,17 @@
 """Monte Carlo oracle for the private double-spend attack.
 
-Independent of the matrix-analytic pipeline: honest inter-mining times are
-drawn from the actual piecewise-constant-rate renewal process (exact
-piecewise exponential inversion, no ME approximation), adversary counts are
-Poisson over the sampled interval, and each trial walks through pre-mining,
-confirmation, and the post-confirmation race.
+Independent of the matrix-analytic pipeline: the adversary count Phi over
+an honest inter-mining time theta is drawn from the actual
+piecewise-constant-rate renewal process (exact piecewise exponential
+inversion, no ME approximation), and each trial walks through pre-mining,
+confirmation, and the post-confirmation race.  Past the profile's last
+threshold t_N the honest rate is the constant alpha, so given theta >= t_N,
+Phi = Poisson(beta t_N) + Geometric(alpha / (alpha + beta)), the parts
+independent: such a draw inverts one uniform against that law's CDF.  Only
+a draw with theta < t_N samples theta, by the same inversion, and then only
+when some of the adversary's blocks on [0, t_N] could fall before it.  The
+CDF table drops a far tail of mass below 2**-53, the granularity of the
+uniforms, far below any Monte Carlo standard error.
 
 Pre-mining uses Loynes' reversal: the Phi increments are i.i.d., so the lead
 after n blocks from empty has the law of the maximum of the reversed walk
@@ -103,19 +110,71 @@ class ThetaSampler:
         e = rng.exponential(size=size)
         head = np.flatnonzero(e < self.hazard[-1])
         x = e[head]
-        idx = np.searchsorted(self.hazard[:-1], x, side="right") - 1
         e -= self.hazard[-1]
         e /= self.profile.fullrate
         e += self.left[-1]
-        e[head] = self.left[idx] + (x - self.hazard[idx]) / self.rate[idx]
+        e[head] = self._invert(x)
         return e
+
+    def _invert(self, x):
+        """The times at cumulative hazards x below the tail's, each in the
+        last segment whose left-edge hazard is at most x."""
+        idx = np.searchsorted(self.hazard[:-1], x, side="right") - 1
+        return self.left[idx] + (x - self.hazard[idx]) / self.rate[idx]
+
+
+class _PhiSampler(ThetaSampler):
+    """A :class:`ThetaSampler` that also holds Phi's law at one beta.
+
+    ``head`` is P(theta < t_N) = 1 - S_N.  ``cdf[j]`` is
+    1 - S_N P(T > j), T = Poisson(beta t_N) + Geometric(alpha/(alpha+beta)),
+    from the reverse sums of T's masses f(j) = q f(j-1) + (1 - q) pois(j),
+    q = beta/(alpha+beta).  The table ends once S_N P(T > j) < 2**-53,
+    bounded by S_N (beta/alpha f(j) + 2 pois(j+1)) for j + 2 >= 2 beta t_N,
+    and its last entry is 1.0.
+    """
+
+    def __init__(self, profile, beta):
+        super().__init__(profile)
+        surv = np.exp(-self.hazard[-1])
+        self.head = 1 - surv
+        q, mu = beta / (beta + profile.fullrate), beta * self.left[-1]
+        pois = np.exp(-mu)
+        f = [(1 - q) * pois]
+        while True:
+            pois *= mu / len(f)
+            if len(f) + 1 >= 2 * mu and surv * (
+                    beta / profile.fullrate * f[-1] + 2 * pois) < 2.0**-53:
+                break
+            f.append(q * f[-1] + (1 - q) * pois)
+        self.cdf = 1 - surv * np.append(np.cumsum(f[:0:-1])[::-1], 0.0)
 
 
 def _counts(sampler, beta, rng, size):
-    """Poisson(beta theta) adversary counts over ``size`` fresh theta draws."""
-    rate = sampler.sample(rng, size)
-    rate *= beta
-    return rng.poisson(rate)
+    """Adversary counts Phi over ``size`` fresh inter-mining times.
+
+    One uniform u per draw.  Given theta >= t_N, the rate is the constant
+    alpha past t_N, so Phi = Poisson(beta t_N) + Geometric(alpha/(alpha+beta))
+    by the exponential's memorylessness: u >= P(theta < t_N) reads Phi off
+    ``sampler.cdf`` (u < cdf[0] is Phi = 0, most draws), whose dropped far
+    tail, below 2**-53 (the granularity of u), is far below any Monte Carlo
+    standard error.  Below it, -log(1 - u) is the cumulative hazard of a
+    theta < t_N (1 - u is exact, u being a multiple of 2**-53), and Phi
+    counts the m ~ Poisson(beta t_N) uniform points of the adversary's
+    process on [0, t_N] that fall before theta, Binomial(m, theta / t_N),
+    which is Poisson(beta theta); theta is drawn only where m > 0.
+    """
+    u = rng.random(size)
+    phi = np.zeros(size, dtype=np.int64)
+    more = np.flatnonzero(u >= sampler.cdf[0])
+    phi[more] = np.searchsorted(sampler.cdf, u[more], side="right")
+    head = np.flatnonzero(u < sampler.head)
+    m = rng.poisson(beta * sampler.left[-1], head.size)
+    head, m = head[m > 0], m[m > 0]
+    if head.size:
+        theta = sampler._invert(-np.log(1 - u[head]))
+        phi[head] = rng.binomial(m, np.minimum(theta / sampler.left[-1], 1.0))
+    return phi
 
 
 def _loynes_lead(increment, n, cap, stop_lead):
@@ -225,8 +284,8 @@ def simulate_attack_sweep(config: SimConfig, ks) -> dict[int, SimEstimate]:
         raise ValueError("need one or more confirmation depths, each >= 1")
     if config.stop_lead < max(ks):
         raise ValueError("stop_lead must cover the largest depth")
-    sampler = ThetaSampler(config.profile)
     beta = config.beta
+    sampler = _PhiSampler(config.profile, beta)
 
     violations = np.zeros(len(ks), dtype=np.int64)
     n_batches = -(-config.trials // _BATCH)
