@@ -260,10 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="most steps of each trial's reversed pre-mining "
                         "walk (at least 1000; default 10000)")
     p.add_argument("--stop-lead", type=int, default=64,
-                   help="a pre-mining walk stops this far below its "
-                        "maximum and a race ends at this lead; each biases "
-                        "q by at most psi(stop-lead) (at least --k-max; "
-                        "default 64)")
+                   help="every walk stops this far below its maximum, or "
+                        "once its maximum reaches it; this biases q by at "
+                        "most psi(stop-lead) (at least --k-max; default 64)")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_simulate)
 

@@ -13,16 +13,21 @@ when some of the adversary's blocks on [0, t_N] could fall before it.  The
 CDF table drops a far tail of mass below 2**-53, the granularity of the
 uniforms, far below any Monte Carlo standard error.
 
-Pre-mining uses Loynes' reversal: the Phi increments are i.i.d., so the lead
-after n blocks from empty has the law of the maximum of the reversed walk
-of Phi - 1 over n steps.  Each trial walks until it falls ``stop_lead``
-below its running maximum, or for at most ``warmup_blocks`` steps.  Without
-the early stop the lead has exactly the law of the chain after
-``warmup_blocks`` blocks; the stop's bias is at most psi(stop_lead), the
-bound the race's upper barrier already carries.  Every depth of a trial
-races on the trial's one post-confirmation walk, so a race step draws once
-per walking trial, whatever the number of depths.  Trials are vectorized in
-fixed-size batches; results are deterministic given (seed, config).
+Pre-mining and the race are both the running maximum of a walk of Phi - 1,
+drawn by one routine under one stop rule.  Pre-mining uses Loynes'
+reversal: the Phi increments are i.i.d., so the lead after n blocks from
+empty has the law of the maximum of the reversed walk over n steps, for at
+most ``warmup_blocks`` steps.  The race starting at an honest lead z is
+lost exactly when the post-confirmation walk reaches z at some step
+n >= 1, so psi(z) = P(max over n >= 1 >= z), and every depth of a trial
+reads the trial's one walk: a race step draws once per walking trial,
+whatever the number of depths.  Each walk stops once it falls
+``stop_lead`` below its maximum, or once its maximum reaches ``stop_lead``.
+A maximum at ``stop_lead`` decides every depth, since every confirmation
+lead is below it; a walk that falls ``stop_lead`` below its maximum raises
+it again with probability at most psi(stop_lead), which bounds the bias.
+Trials are vectorized in fixed-size batches; results are deterministic
+given (seed, config).
 """
 
 from __future__ import annotations
@@ -177,68 +182,46 @@ def _counts(sampler, beta, rng, size):
     return phi
 
 
-def _loynes_lead(increment, n, cap, stop_lead):
-    """Maxima of n reversed walks, each stopped early or after cap steps.
+def _walk_max(increment, n, start, stop_lead, cap=np.inf):
+    """Running maxima of n walks of Phi - 1 from 0, the maxima from start.
 
     ``increment(size)`` draws the next Phi - 1 for the ``size`` trials
     still walking, in trial order.  Each trial keeps s += Phi - 1 and
-    m = max(m, s) until s <= m - stop_lead or the cap; its lead is m.  The
-    walking trials are compacted in place, as in :func:`_race`.
+    m = max(m, s) until s <= m - stop_lead, m >= stop_lead or cap steps;
+    it returns m.  The walking trials are compacted in place.
     """
-    lead = np.zeros(n, dtype=np.int64)
-    active = np.arange(n)
-    s = np.zeros(n, dtype=np.int64)
-    m = np.zeros(n, dtype=np.int64)
-    for _ in range(cap):
+    out = np.full(n, start, dtype=np.int64)
+    active, s, m = np.arange(n), np.zeros(n, dtype=np.int64), out.copy()
+    step = 0
+    while active.size and step < cap:
+        step += 1
         s += increment(active.size)
         np.maximum(m, s, out=m)
-        done = s <= m - stop_lead
+        done = (s <= m - stop_lead) | (m >= stop_lead)
         if done.any():
-            lead[active[done]] = m[done]
+            out[active[done]] = m[done]
             active, s, m = _compact(~done, active, s, m)
-            if not active.size:
-                break
-    lead[active] = m
-    return lead
+    out[active] = m
+    return out
 
 
 def _race(z, sampler, beta, stop_lead, rng):
     """Violations of the post-confirmation race, counted per depth.
 
-    z[d, j], this function's own, is trial j's honest lead at confirmation
-    for depth index d.  Every depth of a trial reads the trial's one walk
-    S <- S + 1 - Phi from S = 0: depth d violates when z_d + S first falls
-    to <= 0 (ties included) before it reaches stop_lead (safe), and z_d < 0
-    violates outright.  A walking trial keeps S, the maximum hi of S and m,
-    its least start that has not violated (an outright violation is set to
-    stop_lead, which never violates).  Only a step with m + S <= 0 reads
-    the trial's starts again: it violates each start in [m, -S] that is not
-    yet safe.  The trial retires once m + hi >= stop_lead.  z is never
-    copied or compacted: the walking trials' column indices are compacted
-    with S, hi and m, as in :func:`_loynes_lead`.
+    z[d, j], each below stop_lead, is trial j's honest lead at confirmation
+    for depth index d.  The race is lost when the adversary's walk of
+    Phi - 1 from 0 reaches z_d at some step n >= 1 (ties included), so depth
+    d violates when z_d <= M, the walk's maximum over n >= 1: the running
+    maximum from -1 of :func:`_walk_max`, which every depth of a trial
+    reads.  A trial with every z_d < 0 does not walk; its M stays -1, so
+    each z_d < 0 violates outright.
     """
-    nviol = np.count_nonzero(z < 0, axis=1)
-    z[z < 0] = stop_lead
-    m = z.min(axis=0)
-    walking = np.flatnonzero(m < stop_lead)
-    m = m[walking]
-    s = np.zeros_like(m)
-    hi = np.zeros_like(m)
-    while walking.size:
-        s += 1
-        s -= _counts(sampler, beta, rng, walking.size)
-        np.maximum(hi, s, out=hi)
-        hit = np.flatnonzero(m + s <= 0)
-        if hit.size:
-            zh, lo = z[:, walking[hit]], -s[hit]
-            nviol += np.count_nonzero(
-                (zh >= m[hit]) & (zh <= lo) & (zh + hi[hit] < stop_lead),
-                axis=1)
-            m[hit] = np.where(zh > lo, zh, stop_lead).min(axis=0)
-        keep = m + hi < stop_lead
-        if not keep.all():
-            walking, m, s, hi = _compact(keep, walking, m, s, hi)
-    return nviol
+    top = np.full(z.shape[1], -1, dtype=np.int64)
+    walking = np.flatnonzero(z.max(axis=0) >= 0)
+    top[walking] = _walk_max(
+        lambda size: _counts(sampler, beta, rng, size) - 1,
+        walking.size, -1, stop_lead)
+    return np.count_nonzero(z <= top, axis=1)
 
 
 def _compact(keep, *arrays):
@@ -297,9 +280,9 @@ def simulate_attack_sweep(config: SimConfig, ks) -> dict[int, SimEstimate]:
         rng = np.random.default_rng(streams[batch])
 
         # Pre-mining: adversary lead right after an honest mining instant.
-        lead = _loynes_lead(
+        lead = _walk_max(
             lambda size: _counts(sampler, beta, rng, size) - 1,
-            n, config.warmup_blocks, config.stop_lead)
+            n, 0, config.stop_lead, config.warmup_blocks)
         violations += _race(
             _confirmation_leads(lead, ks, sampler, beta, config.delta_conf,
                                 rng), sampler, beta, config.stop_lead, rng)

@@ -8,8 +8,8 @@ from powruin import simulate
 from powruin.delaymodel import HashrateProfile, assemble_theta, calibrate_alpha
 from powruin.phi import phi_from_theta
 from powruin.ruinlindley import lead_pmf
-from powruin.simulate import (SimConfig, ThetaSampler, _counts, _loynes_lead,
-                              _PhiSampler, simulate_attack_sweep)
+from powruin.simulate import (SimConfig, ThetaSampler, _counts, _PhiSampler,
+                              _walk_max, simulate_attack_sweep)
 
 ALPHA = 1 / 600
 
@@ -95,8 +95,8 @@ def test_sampler_draws_of_zero_and_on_edges():
 
 @pytest.mark.parametrize("profile, violations", [
     (HashrateProfile((0.0, 2.0, 5.0, 10.0), (0.0, 0.4, 0.8), 1 / 589.6),
-     [10401, 6381, 4017, 2637, 1730, 1150]),
-    (HashrateProfile.zero_delay(ALPHA), [10306, 6200, 3922, 2560, 1708, 1125]),
+     [10401, 6358, 4016, 2612, 1729, 1139]),
+    (HashrateProfile.zero_delay(ALPHA), [10341, 6162, 3917, 2573, 1709, 1141]),
 ])
 def test_seeded_sweep_draws_are_pinned(profile, violations):
     # violation counts of a seeded sweep, which pin the draw stream of the
@@ -193,19 +193,85 @@ def columns(phi):
     return lambda size: next(steps)
 
 
+def loynes_reference(increment, n, cap, stop_lead):
+    """Reference pre-mining walk with the fall stop only: each trial's
+    running maximum from 0, stopped once the walk falls stop_lead below it
+    or after cap steps, with no stop at stop_lead."""
+    lead = np.zeros(n, dtype=np.int64)
+    active = np.arange(n)
+    s = np.zeros(n, dtype=np.int64)
+    m = np.zeros(n, dtype=np.int64)
+    for _ in range(cap):
+        s += increment(active.size)
+        np.maximum(m, s, out=m)
+        done = s <= m - stop_lead
+        if done.any():
+            lead[active[done]] = m[done]
+            active, s, m = simulate._compact(~done, active, s, m)
+            if not active.size:
+                break
+    lead[active] = m
+    return lead
+
+
 def test_loynes_lead_is_lindley_on_the_reversed_increments():
     phi = np.random.default_rng(11).poisson(0.9, size=(40, 300))
     cap = 250
-    lead = _loynes_lead(columns(phi), len(phi), cap, stop_lead=10**9)
+    lead = _walk_max(columns(phi), len(phi), 0, 10**9, cap)
     for row, got in zip(phi, lead):
         q = 0
         for x in row[:cap][::-1]:
             q = max(q + x - 1, 0)
         assert got == q
-    # the early stop keeps the maximum reached: up to 3, down to -2, stop
+    # the early stop keeps the maximum reached: up to 3, down to -2, stop;
+    # with stop_lead 6 the walk climbs back and stops as its maximum
+    # reaches 6
     rise = np.array([[2, 2, 2, 0, 0, 0, 0, 0, 9, 9]])
-    assert _loynes_lead(columns(rise), 1, 10, stop_lead=5)[0] == 3
-    assert _loynes_lead(columns(rise), 1, 10, stop_lead=6)[0] == 14
+    assert _walk_max(columns(rise), 1, 0, 5, 10)[0] == 3
+    assert _walk_max(columns(rise), 1, 0, 6, 10)[0] == 6
+
+
+@pytest.mark.parametrize("cap", [40, None], ids=["cap", "no-cap"])
+def test_walk_max_from_zero_is_the_loynes_walk_bit_for_bit(cap):
+    # whenever no maximum reaches stop_lead, the lead and every draw after
+    # it are those of the walk without the stop at stop_lead
+    rng, checked = np.random.default_rng(14), 0
+    for _ in range(200):
+        rate, stop = rng.uniform(0.1, 0.9), int(rng.integers(1, 12))
+        n, seed = int(rng.integers(1, 60)), int(rng.integers(2**32))
+        old, new = (np.random.default_rng(seed) for _ in range(2))
+        want = loynes_reference(lambda size: old.poisson(rate, size) - 1,
+                                n, cap or 10**9, stop)
+        if want.max() >= stop:
+            continue
+        caps = () if cap is None else (cap,)
+        got = _walk_max(lambda size: new.poisson(rate, size) - 1, n, 0,
+                        stop, *caps)
+        assert np.array_equal(got, want)
+        assert new.random() == old.random()
+        checked += 1
+    assert checked >= 100
+
+
+def test_walk_max_from_minus_one_is_the_maximum_over_steps_from_one():
+    down = np.array([[0, 0, 0, 0, 0, 0]])
+    assert _walk_max(columns(down), 1, -1, 3)[0] == -1
+    assert _walk_max(columns(down), 1, 0, 3)[0] == 0
+    assert _walk_max(columns(np.array([[0, 2, 0, 0, 0, 0]])), 1, -1, 3)[0] == 0
+
+
+def test_walk_max_without_a_cap_stops_at_stop_lead_or_at_once():
+    sizes = []
+
+    def up(size):
+        sizes.append(size)
+        return np.ones(size, dtype=np.int64)
+    assert _walk_max(up, 3, -1, 5).tolist() == [5, 5, 5]
+    assert sizes == [3] * 5
+
+    def never(size):
+        raise AssertionError("no trial walks")
+    assert _walk_max(never, 0, -1, 5).size == 0
 
 
 def test_loynes_lead_matches_lead_pmf_on_the_criterion_profile():
@@ -213,9 +279,9 @@ def test_loynes_lead_matches_lead_pmf_on_the_criterion_profile():
     beta = 0.2 * prof.fullrate
     analytic = lead_pmf(phi_from_theta(theta, beta, 10), 10).masses
     sampler, rng, n = ThetaSampler(prof), np.random.default_rng(21), 400_000
-    lead = _loynes_lead(
+    lead = _walk_max(
         lambda size: rng.poisson(beta * sampler.sample(rng, size)) - 1,
-        n, 2_000, 64)
+        n, 0, 64, 2_000)
     emp = np.bincount(lead, minlength=10)[:10] / n
     z = np.abs(emp - analytic) / np.sqrt(analytic * (1 - analytic) / n)
     assert z.max() <= 4.0
@@ -266,17 +332,33 @@ def test_sweep_runs_one_race_per_batch(monkeypatch):
 
 
 def naive_race(starts, phi, stop_lead):
-    """Per-depth walks Z <- Z + 1 - phi_t on one shared phi sequence:
-    whether each start violates, and the steps until the last decides."""
-    violated, steps = [], 0
+    """One trial's race on the phi sequence: the walk of phi_t - 1 and its
+    maximum over steps >= 1, stopped once the walk falls stop_lead below
+    the maximum or the maximum reaches stop_lead; whether each start
+    violates (it is at most the maximum) and the steps walked.  A trial
+    whose starts are all below 0 does not walk."""
+    if max(starts) < 0:
+        return [1] * len(starts), 0
+    s, top, t = 0, -1, 0
+    while s > top - stop_lead and top < stop_lead:
+        s += phi[t] - 1
+        top = max(top, s)
+        t += 1
+    return [int(z <= top) for z in starts], t
+
+
+def barrier_race(starts, phi, stop_lead):
+    """Reference per-depth barrier rule on the phi sequence: for each
+    start, Z <- Z + 1 - phi_t until Z <= 0 (violated) or Z >= stop_lead
+    (safe); a start below 0 violates outright."""
+    violated = []
     for z in starts:
         t = 0
         while 0 <= z < stop_lead and (t == 0 or z > 0):
             z += 1 - phi[t]
             t += 1
         violated.append(int(z <= 0))
-        steps = max(steps, t)
-    return violated, steps
+    return violated
 
 
 def stub_counts(monkeypatch, phi):
@@ -291,42 +373,74 @@ def stub_counts(monkeypatch, phi):
     return sizes
 
 
-def test_race_matches_a_naive_walk_per_depth(monkeypatch):
-    rng = np.random.default_rng(12)
+def race_cases(rng):
+    """(starts, stop_lead, phi) cases, starts below stop_lead."""
     cases = [([0], 1), ([0, 0, -1], 3), ([-2, -1], 4), ([3, 0, 5], 6),
              ([5, 5, 5], 6)]
     cases += [(rng.integers(-4, stop, size=rng.integers(1, 8)).tolist(), stop)
               for stop in rng.integers(1, 15, size=600)]
-    for starts, stop_lead in cases:
-        phi = rng.poisson(rng.uniform(0.2, 2.0), size=10_000)
+    return [(starts, stop, rng.poisson(rng.uniform(0.2, 2.0), size=10_000))
+            for starts, stop in cases]
+
+
+def test_race_matches_a_naive_walk_per_depth(monkeypatch):
+    cases = race_cases(np.random.default_rng(12))
+    for starts, stop_lead, phi in cases:
         sizes = stub_counts(monkeypatch, phi)
         z = np.array(starts, dtype=np.int64)[:, None]
         got = simulate._race(z, None, None, stop_lead, None)
         want, steps = naive_race(starts, phi, stop_lead)
         assert got.tolist() == want, (starts, stop_lead)
         assert sizes == [1] * steps
-    # the cases cover a start at 0, starts below 0 and the barrier at the
-    # largest start + 1, which is stop_lead = max depth
-    assert any(0 in st for st, _ in cases)
-    assert any(min(st) < 0 for st, _ in cases)
-    assert any(stop == max(st) + 1 for st, stop in cases)
+    # the cases cover a start at 0, starts below 0 and a start at
+    # stop_lead - 1, the largest a depth allows
+    assert any(0 in st for st, _, _ in cases)
+    assert any(min(st) < 0 for st, _, _ in cases)
+    assert any(stop == max(st) + 1 for st, stop, _ in cases)
+
+
+def test_race_finds_every_violation_of_the_per_depth_barrier():
+    # on the same increments, a start the per-depth barrier rule violates
+    # is violated by the stopped maximum too: before the walk reaches z its
+    # maximum is below z, so its stop has not fired
+    found_more = 0
+    for starts, stop_lead, phi in race_cases(np.random.default_rng(15)):
+        new, _ = naive_race(starts, phi, stop_lead)
+        old = barrier_race(starts, phi, stop_lead)
+        assert all(o <= v for o, v in zip(old, new)), (starts, stop_lead)
+        found_more += sum(new) - sum(old)
+    assert found_more > 0
 
 
 def test_race_draws_once_per_walking_trial(monkeypatch):
-    # every trial sees the same increments, so a naive walk per trial and
-    # depth tells how many trials still walk at each step
+    # every trial sees the same increments, so a naive walk per trial
+    # tells how many trials still walk at each step
     rng = np.random.default_rng(13)
     phi = rng.poisson(0.9, size=10_000)
     z = rng.integers(-3, 8, size=(5, 400))
     results = [naive_race(col, phi, 8) for col in z.T.tolist()]
     sizes = stub_counts(monkeypatch, phi)
-    got = simulate._race(z.copy(), None, None, 8, None)
+    given = z.copy()
+    got = simulate._race(z, None, None, 8, None)
+    assert np.array_equal(z, given)
     assert got.tolist() == np.sum([v for v, _ in results], axis=0).tolist()
     steps = np.array([t for _, t in results])
     assert sizes == [np.count_nonzero(steps > t)
                      for t in range(steps.max())]
     walking = np.count_nonzero((z >= 0).any(axis=0))
     assert sizes[0] == walking < np.count_nonzero(z >= 0)
+
+
+def test_race_is_the_gamblers_ruin_on_the_zero_profile():
+    # at beta = 0.2 alpha, a race from lead u is lost with probability
+    # psi(u) = 0.2**(u + 1); the stop's bias, psi(16) < 1e-11, is far
+    # below the standard errors
+    beta, n = 0.2 * ALPHA, 1_000_000
+    z = np.repeat(np.arange(4)[:, None], n, axis=1)
+    nviol = simulate._race(z, _PhiSampler(zero_profile(), beta), beta, 16,
+                           np.random.default_rng(33))
+    psi = 0.2 ** (np.arange(4) + 1)
+    assert np.all(np.abs(nviol / n - psi) <= 4 * np.sqrt(psi * (1 - psi) / n))
 
 
 def congested_profile():
