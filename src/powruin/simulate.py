@@ -14,20 +14,29 @@ CDF table drops a far tail of mass below 2**-53, the granularity of the
 uniforms, far below any Monte Carlo standard error.
 
 Pre-mining and the race are both the running maximum of a walk of Phi - 1,
-drawn by one routine under one stop rule.  Pre-mining uses Loynes'
-reversal: the Phi increments are i.i.d., so the lead after n blocks from
-empty has the law of the maximum of the reversed walk over n steps, for at
-most ``warmup_blocks`` steps.  The race starting at an honest lead z is
-lost exactly when the post-confirmation walk reaches z at some step
-n >= 1, so psi(z) = P(max over n >= 1 >= z), and every depth of a trial
-reads the trial's one walk: a race step draws once per walking trial,
-whatever the number of depths.  Each walk stops once it falls
-``stop_lead`` below its maximum, or once its maximum reaches ``stop_lead``.
-A maximum at ``stop_lead`` decides every depth, since every confirmation
-lead is below it; a walk that falls ``stop_lead`` below its maximum raises
-it again with probability at most psi(stop_lead), which bounds the bias.
-Trials are vectorized in fixed-size batches; results are deterministic
-given (seed, config).
+and one loop per batch walks both of every trial together, under one stop
+rule.  Pre-mining uses Loynes' reversal: the Phi increments are i.i.d., so
+the lead after n blocks from empty has the law of the maximum of the
+reversed walk over n steps, for at most ``warmup_blocks`` steps.  The race
+starting at an honest lead z is lost exactly when the post-confirmation
+walk reaches z at some step n >= 1, so psi(z) = P(max over n >= 1 >= z),
+and every depth of a trial reads the trial's one race.  The race's draws
+do not depend on the lead, so the confirmation margins
+w_d = k_d - 1 - (the adversary's blocks by confirmation) are drawn first;
+depth d's honest lead is z_d = w_d - lead <= w_d.  A trial whose every
+w_d < 0 violates at every depth without a race; any other race stops once
+its maximum reaches max_d w_d, which decides every depth.  The lead stops
+once its maximum reaches ``stop_lead``, which puts every z_d below 0.
+Each walk also stops once it falls ``stop_lead`` below its maximum; it
+would raise that maximum again with probability at most psi(stop_lead),
+which bounds the bias.
+
+Walks move by events.  Most draws are Phi = 0 read off the tail table, a
+tail zero, so an event is a run of tail zeros, of geometric length, and
+the one draw after it, whose uniform is drawn on the rest of [0, 1).  A
+run never raises a maximum: a walk stops within one only by the fall or
+its cap.  Trials are vectorized in fixed-size batches; results are
+deterministic given (seed, config).
 """
 
 from __future__ import annotations
@@ -40,9 +49,12 @@ from .delaymodel import HashrateProfile
 
 __all__ = ["SimConfig", "SimEstimate", "ThetaSampler", "simulate_attack_sweep"]
 
-_BATCH = 1_000_000
+# trials per batch; each walks up to two walks at once
+_BATCH = 500_000
 # walking trials are compacted in slices this long, never all at once
 _SLICE = 65_536
+# the cap of a walk with none
+_NO_CAP = np.iinfo(np.int64).max
 
 
 def _whole(value, name):
@@ -136,7 +148,10 @@ class _PhiSampler(ThetaSampler):
     from the reverse sums of T's masses f(j) = q f(j-1) + (1 - q) pois(j),
     q = beta/(alpha+beta).  The table ends once S_N P(T > j) < 2**-53,
     bounded by S_N (beta/alpha f(j) + 2 pois(j+1)) for j + 2 >= 2 beta t_N,
-    and its last entry is 1.0.
+    and its last entry is 1.0.  ``zero`` is a = cdf[0] - head, the chance
+    of a tail zero, a Phi = 0 read off the table; E ``scale``, E
+    exponential, rounds down to Geometric(1 - a) - 1, the length of a run
+    of them.
     """
 
     def __init__(self, profile, beta):
@@ -153,26 +168,26 @@ class _PhiSampler(ThetaSampler):
                 break
             f.append(q * f[-1] + (1 - q) * pois)
         self.cdf = 1 - surv * np.append(np.cumsum(f[:0:-1])[::-1], 0.0)
+        self.zero = np.fmax(self.cdf[0] - self.head, 0.0)
+        with np.errstate(divide="ignore"):
+            self.scale = 1 / np.log(1 / self.zero)  # inf at zero = 1
 
 
-def _counts(sampler, beta, rng, size):
-    """Adversary counts Phi over ``size`` fresh inter-mining times.
+def _phi(sampler, beta, rng, u):
+    """Adversary counts Phi at uniforms u, one inter-mining time each.
 
-    One uniform u per draw.  Given theta >= t_N, the rate is the constant
-    alpha past t_N, so Phi = Poisson(beta t_N) + Geometric(alpha/(alpha+beta))
-    by the exponential's memorylessness: u >= P(theta < t_N) reads Phi off
-    ``sampler.cdf`` (u < cdf[0] is Phi = 0, most draws), whose dropped far
-    tail, below 2**-53 (the granularity of u), is far below any Monte Carlo
-    standard error.  Below it, -log(1 - u) is the cumulative hazard of a
-    theta < t_N (1 - u is exact, u being a multiple of 2**-53), and Phi
-    counts the m ~ Poisson(beta t_N) uniform points of the adversary's
-    process on [0, t_N] that fall before theta, Binomial(m, theta / t_N),
-    which is Poisson(beta theta); theta is drawn only where m > 0.
+    Given theta >= t_N, the rate is the constant alpha past t_N, so
+    Phi = Poisson(beta t_N) + Geometric(alpha/(alpha+beta)) by the
+    exponential's memorylessness: u >= P(theta < t_N) reads Phi off
+    ``sampler.cdf`` (u < cdf[0] is Phi = 0), whose dropped far tail, below
+    2**-53 (the granularity of u), is far below any Monte Carlo standard
+    error; a u of 1.0 reads the table's last count.  Below it, -log(1 - u)
+    is the cumulative hazard of a theta < t_N, and Phi counts the
+    m ~ Poisson(beta t_N) uniform points of the adversary's process on
+    [0, t_N] that fall before theta, Binomial(m, theta / t_N), which is
+    Poisson(beta theta); theta is drawn only where m > 0.
     """
-    u = rng.random(size)
-    phi = np.zeros(size, dtype=np.int64)
-    more = np.flatnonzero(u >= sampler.cdf[0])
-    phi[more] = np.searchsorted(sampler.cdf, u[more], side="right")
+    phi = np.searchsorted(sampler.cdf[:-1], u, side="right")
     head = np.flatnonzero(u < sampler.head)
     m = rng.poisson(beta * sampler.left[-1], head.size)
     head, m = head[m > 0], m[m > 0]
@@ -182,45 +197,70 @@ def _counts(sampler, beta, rng, size):
     return phi
 
 
-def _walk_max(increment, n, start, stop_lead, cap=np.inf):
-    """Running maxima of n walks of Phi - 1 from 0, the maxima from start.
+def _counts(sampler, beta, rng, size):
+    """Phi over ``size`` fresh inter-mining times, one uniform each."""
+    return _phi(sampler, beta, rng, rng.random(size))
 
-    ``increment(size)`` draws the next Phi - 1 for the ``size`` trials
-    still walking, in trial order.  Each trial keeps s += Phi - 1 and
-    m = max(m, s) until s <= m - stop_lead, m >= stop_lead or cap steps;
-    it returns m.  The walking trials are compacted in place.
+
+def _events(sampler, beta, rng, size):
+    """The next event of ``size`` walks: a run of tail zeros, then one draw.
+
+    A tail zero is a u in [head, cdf[0]), Phi = 0 read off the tail table,
+    with chance a = ``sampler.zero``, so a run's length is
+    Geometric(1 - a) - 1, cut at 2**62: at a = 1 every run is that long,
+    and ends every walk.  The draw after the run takes its u uniform on
+    [0, head) and [cdf[0], 1), mapped by :func:`_phi`.  Returns the runs
+    and that draw's Phi - 1.
     """
-    out = np.full(n, start, dtype=np.int64)
-    active, s, m = np.arange(n), np.zeros(n, dtype=np.int64), out.copy()
-    step = 0
-    while active.size and step < cap:
-        step += 1
-        s += increment(active.size)
+    runs = np.fmin(rng.standard_exponential(size) * sampler.scale,
+                   2.0**62).astype(np.int64)
+    u = rng.uniform(0.0, 1 - sampler.zero, size)
+    tail = u >= sampler.head
+    np.subtract(u, sampler.head, out=u, where=tail)
+    np.add(u, sampler.cdf[0], out=u, where=tail)
+    return runs, _phi(sampler, beta, rng, u) - 1
+
+
+def _walk_max(event, start, rise, cap, stop_lead):
+    """Running maxima of walks of Phi - 1 from 0, each maximum from start.
+
+    ``start``, ``rise`` and ``cap`` hold one entry per walk.
+    ``event(walks)`` draws the next event of each listed walk, in order:
+    the length of a run of Phi = 0 steps and the Phi - 1 of the step after
+    it.  Each walk keeps s += Phi - 1 and m = max(m, s) until
+    s <= m - stop_lead, m >= rise or cap steps; it returns m.  A run never
+    raises m, so a walk that stops within a run stops there by the fall or
+    the cap, and the step after the run is dropped.  The walking ones are
+    compacted in place.
+    """
+    # s and m count up from rise, so a walk rises out at m >= 0
+    rise = np.asarray(rise, dtype=np.int64)
+    out = np.array(start, dtype=np.int64) - rise
+    active, s, m = np.arange(out.size), -rise, out.copy()
+    room = np.array(cap, dtype=np.int64)
+    while active.size:
+        runs, x = event(active)
+        left = np.minimum(s - m + stop_lead, room)
+        go = runs < left
+        runs = np.minimum(runs, left, out=left)
+        room -= runs + go
+        s += np.where(go, x, 0) - runs
         np.maximum(m, s, out=m)
-        done = (s <= m - stop_lead) | (m >= stop_lead)
-        if done.any():
-            out[active[done]] = m[done]
-            active, s, m = _compact(~done, active, s, m)
-    out[active] = m
-    return out
+        done = (s <= m - stop_lead) | (m >= 0) | (room <= 0)
+        out[active[done]] = m[done]
+        active, s, m, room = _compact(~done, active, s, m, room)
+    return out + rise
 
 
-def _race(z, sampler, beta, stop_lead, rng):
+def _race(z, top):
     """Violations of the post-confirmation race, counted per depth.
 
-    z[d, j], each below stop_lead, is trial j's honest lead at confirmation
-    for depth index d.  The race is lost when the adversary's walk of
-    Phi - 1 from 0 reaches z_d at some step n >= 1 (ties included), so depth
-    d violates when z_d <= M, the walk's maximum over n >= 1: the running
-    maximum from -1 of :func:`_walk_max`, which every depth of a trial
-    reads.  A trial with every z_d < 0 does not walk; its M stays -1, so
-    each z_d < 0 violates outright.
+    z[d, j] is trial j's honest lead at confirmation for depth index d.
+    The race is lost when the adversary's walk of Phi - 1 from 0 reaches
+    z_d at some step n >= 1 (ties included), so depth d violates when
+    z_d <= top_j, the walk's maximum over n >= 1, which every depth of a
+    trial reads.
     """
-    top = np.full(z.shape[1], -1, dtype=np.int64)
-    walking = np.flatnonzero(z.max(axis=0) >= 0)
-    top[walking] = _walk_max(
-        lambda size: _counts(sampler, beta, rng, size) - 1,
-        walking.size, -1, stop_lead)
     return np.count_nonzero(z <= top, axis=1)
 
 
@@ -237,21 +277,19 @@ def _compact(keep, *arrays):
     return [a[:n] for a in arrays]
 
 
-def _confirmation_leads(lead, ks, sampler, beta, delta_conf, rng):
-    """Honest lead at confirmation, one row per depth in ks.
-
-    Each depth k adds k honest intervals plus the final propagation window
-    of adversary-only mining to the pre-mining ``lead``.
+def _confirmation_margins(n, ks, sampler, beta, delta_conf, rng):
+    """w_d = k_d - 1 - (Phi_1 + ... + Phi_{k_d} + Poisson(beta delta_conf)),
+    one row per depth k_d in ks: the k_d honest intervals and the final
+    propagation window of adversary-only mining.  A trial's honest lead at
+    confirmation is w_d less its pre-mining lead.
     """
-    n = len(lead)
-    z = np.empty((len(ks), n), dtype=np.int64)
+    w = np.empty((len(ks), n), dtype=np.int64)
     cum = np.zeros(n, dtype=np.int64)
     for i in range(1, ks[-1] + 1):
         cum += _counts(sampler, beta, rng, n)
         if i in ks:
-            v = lead + cum + rng.poisson(beta * delta_conf, size=n)
-            z[ks.index(i)] = i - 1 - v
-    return z
+            w[ks.index(i)] = i - 1 - cum - rng.poisson(beta * delta_conf, n)
+    return w
 
 
 def simulate_attack_sweep(config: SimConfig, ks) -> dict[int, SimEstimate]:
@@ -279,13 +317,20 @@ def simulate_attack_sweep(config: SimConfig, ks) -> dict[int, SimEstimate]:
         remaining -= n
         rng = np.random.default_rng(streams[batch])
 
-        # Pre-mining: adversary lead right after an honest mining instant.
-        lead = _walk_max(
-            lambda size: _counts(sampler, beta, rng, size) - 1,
-            n, 0, config.stop_lead, config.warmup_blocks)
-        violations += _race(
-            _confirmation_leads(lead, ks, sampler, beta, config.delta_conf,
-                                rng), sampler, beta, config.stop_lead, rng)
+        w = _confirmation_margins(n, ks, sampler, beta, config.delta_conf, rng)
+        top = w.max(axis=0)
+        racing = np.flatnonzero(top >= 0)
+        # the n pre-mining leads, then the races, walked together
+        maxima = _walk_max(
+            lambda walks: _events(sampler, beta, rng, walks.size),
+            np.repeat([0, -1], [n, racing.size]),
+            np.concatenate([np.full(n, config.stop_lead), top[racing]]),
+            np.repeat([config.warmup_blocks, _NO_CAP], [n, racing.size]),
+            config.stop_lead)
+        w -= maxima[:n]
+        # a trial that does not race keeps top = max_d w_d >= max_d z_d
+        top[racing] = maxima[n:]
+        violations += _race(w, top)
 
     out = {}
     for k, nviol in zip(ks, violations):

@@ -95,8 +95,8 @@ def test_sampler_draws_of_zero_and_on_edges():
 
 @pytest.mark.parametrize("profile, violations", [
     (HashrateProfile((0.0, 2.0, 5.0, 10.0), (0.0, 0.4, 0.8), 1 / 589.6),
-     [10401, 6358, 4016, 2612, 1729, 1139]),
-    (HashrateProfile.zero_delay(ALPHA), [10341, 6162, 3917, 2573, 1709, 1141]),
+     [10281, 6299, 3969, 2564, 1685, 1145]),
+    (HashrateProfile.zero_delay(ALPHA), [10304, 6240, 3961, 2543, 1737, 1177]),
 ])
 def test_seeded_sweep_draws_are_pinned(profile, violations):
     # violation counts of a seeded sweep, which pin the draw stream of the
@@ -186,134 +186,210 @@ def criterion_profile():
     return var_profile().with_fullrate(cal.calibrated_rate), cal.theta
 
 
-def columns(phi):
-    """Increment draw replaying phi - 1 column by column, while no trial
-    but the last has stopped early."""
-    steps = iter(phi.T - 1)
-    return lambda size: next(steps)
+class Events:
+    """Stub event draw: walk i takes the events of rows[i] in turn, each a
+    (run, Phi) pair, and returns (runs, Phi - 1); records how many events
+    each walk drew."""
+
+    def __init__(self, rows):
+        self.rows = [iter(row) for row in rows]
+        self.drawn = [0] * len(rows)
+
+    def __call__(self, walks):
+        pairs = [next(self.rows[i]) for i in walks]
+        for i in walks:
+            self.drawn[i] += 1
+        runs, phi = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        return runs, phi - 1
 
 
-def loynes_reference(increment, n, cap, stop_lead):
-    """Reference pre-mining walk with the fall stop only: each trial's
-    running maximum from 0, stopped once the walk falls stop_lead below it
-    or after cap steps, with no stop at stop_lead."""
-    lead = np.zeros(n, dtype=np.int64)
-    active = np.arange(n)
-    s = np.zeros(n, dtype=np.int64)
-    m = np.zeros(n, dtype=np.int64)
-    for _ in range(cap):
-        s += increment(active.size)
-        np.maximum(m, s, out=m)
-        done = s <= m - stop_lead
-        if done.any():
-            lead[active[done]] = m[done]
-            active, s, m = simulate._compact(~done, active, s, m)
-            if not active.size:
-                break
-    lead[active] = m
-    return lead
+def events_of(phi, rng):
+    """Events that expand back into the steps phi: a zero joins a run with
+    probability 0.7, else it is the draw after a run, as a head draw's
+    zero is; a step of 1 or more always ends its event."""
+    ends = np.flatnonzero((phi > 0) | (rng.random(phi.size) < 0.3))
+    ends = np.append(ends[ends < phi.size - 1], phi.size - 1)
+    return np.column_stack([np.diff(ends, prepend=-1) - 1, phi[ends]])
+
+
+def steps_of(events):
+    """The Phi steps of events, one run of zeros and one draw each."""
+    for run, phi in events:
+        yield from [0] * run
+        yield phi
+
+
+def events_used(events, steps):
+    """Events a walk draws to walk the given number of steps."""
+    return int(np.searchsorted(np.cumsum(np.asarray(events)[:, 0] + 1),
+                               steps)) + 1
+
+
+def naive_walk(steps, start, rise, cap, stop_lead):
+    """One walk of Phi - 1 from 0 on the steps, step by step: its maximum
+    from start, stopped once the walk falls stop_lead below it, the
+    maximum reaches rise or cap steps are walked; and the steps walked."""
+    s, m, t = 0, start, 0
+    for phi in steps:
+        s += phi - 1
+        m, t = max(m, s), t + 1
+        if s <= m - stop_lead or m >= rise or t >= cap:
+            break
+    return m, t
+
+
+def walk(events, start, rise, cap, stop_lead):
+    """_walk_max on stub events, one walk per row; also the events each
+    walk drew."""
+    draw = Events(events)
+    n = len(events)
+    out = _walk_max(draw, [start] * n, [rise] * n, [cap] * n, stop_lead)
+    return out.tolist(), draw.drawn
 
 
 def test_loynes_lead_is_lindley_on_the_reversed_increments():
-    phi = np.random.default_rng(11).poisson(0.9, size=(40, 300))
+    rng = np.random.default_rng(11)
+    phi = rng.poisson(0.9, size=(40, 300))
     cap = 250
-    lead = _walk_max(columns(phi), len(phi), 0, 10**9, cap)
+    rows = [events_of(row, rng) for row in phi]
+    assert all(any(r > 0 for r, _ in row) for row in rows)
+    lead, _ = walk(rows, 0, 10**9, cap, 10**9)
     for row, got in zip(phi, lead):
         q = 0
         for x in row[:cap][::-1]:
             q = max(q + x - 1, 0)
         assert got == q
-    # the early stop keeps the maximum reached: up to 3, down to -2, stop;
-    # with stop_lead 6 the walk climbs back and stops as its maximum
-    # reaches 6
-    rise = np.array([[2, 2, 2, 0, 0, 0, 0, 0, 9, 9]])
-    assert _walk_max(columns(rise), 1, 0, 5, 10)[0] == 3
-    assert _walk_max(columns(rise), 1, 0, 6, 10)[0] == 6
+    # the early stop keeps the maximum reached: up to 3, down to -2 in a
+    # run of 4 and a zero after it, stop; with stop_lead 6 the walk climbs
+    # back and stops as its maximum reaches 6
+    rise = [[(0, 2), (0, 2), (0, 2), (4, 0), (0, 9), (0, 9)]]
+    assert walk(rise, 0, 5, 10, 5) == ([3], [4])
+    assert walk(rise, 0, 6, 10, 6) == ([6], [5])
+    # a run that crosses the fall level ends the walk within it, and the
+    # draw after the run, which would raise the maximum, is dropped
+    assert walk([[(0, 2), (0, 2), (0, 2), (9, 20)]], 0, 64, 100, 5) == (
+        [3], [4])
 
 
 @pytest.mark.parametrize("cap", [40, None], ids=["cap", "no-cap"])
 def test_walk_max_from_zero_is_the_loynes_walk_bit_for_bit(cap):
-    # whenever no maximum reaches stop_lead, the lead and every draw after
-    # it are those of the walk without the stop at stop_lead
+    # whenever no maximum reaches stop_lead, each lead and the events it
+    # drew are those of the step-by-step walk without the stop at stop_lead
     rng, checked = np.random.default_rng(14), 0
     for _ in range(200):
         rate, stop = rng.uniform(0.1, 0.9), int(rng.integers(1, 12))
-        n, seed = int(rng.integers(1, 60)), int(rng.integers(2**32))
-        old, new = (np.random.default_rng(seed) for _ in range(2))
-        want = loynes_reference(lambda size: old.poisson(rate, size) - 1,
-                                n, cap or 10**9, stop)
-        if want.max() >= stop:
+        n = int(rng.integers(1, 60))
+        runs = rng.geometric(rng.uniform(0.2, 1.0, (n, 1)), (n, 1_000)) - 1
+        rows = np.stack([runs, rng.poisson(rate, (n, 1_000))], axis=2)
+        want = [naive_walk(steps_of(row), 0, 10**9, cap or 10**9, stop)
+                for row in rows]
+        if max(m for m, _ in want) >= stop:
             continue
-        caps = () if cap is None else (cap,)
-        got = _walk_max(lambda size: new.poisson(rate, size) - 1, n, 0,
-                        stop, *caps)
-        assert np.array_equal(got, want)
-        assert new.random() == old.random()
+        got, drawn = walk(rows, 0, stop, cap or simulate._NO_CAP, stop)
+        assert got == [m for m, _ in want]
+        assert drawn == [events_used(row, t)
+                         for row, (_, t) in zip(rows, want)]
         checked += 1
     assert checked >= 100
 
 
+def test_walk_max_caps_within_a_run_or_on_its_last_step():
+    # +1, +1, then a run of 3: a cap of 4 falls within the run, a cap of
+    # 5 on its last step; either way the draw after the run is dropped
+    row = [[(0, 2), (0, 2), (3, 30), (0, 2)]]
+    for cap in (4, 5):
+        assert walk(row, 0, 64, cap, 64) == ([2], [3])
+    assert walk(row, 0, 64, 6, 64) == ([28], [3])
+
+
 def test_walk_max_from_minus_one_is_the_maximum_over_steps_from_one():
-    down = np.array([[0, 0, 0, 0, 0, 0]])
-    assert _walk_max(columns(down), 1, -1, 3)[0] == -1
-    assert _walk_max(columns(down), 1, 0, 3)[0] == 0
-    assert _walk_max(columns(np.array([[0, 2, 0, 0, 0, 0]])), 1, -1, 3)[0] == 0
+    down = [[(0, 0)] * 6]
+    assert walk(down, -1, 3, simulate._NO_CAP, 3)[0] == [-1]
+    assert walk(down, 0, 3, simulate._NO_CAP, 3)[0] == [0]
+    assert walk([[(0, 0), (0, 2)] + [(0, 0)] * 4], -1, 3,
+                simulate._NO_CAP, 3)[0] == [0]
+    # a first step inside a run: the maximum over steps >= 1 stays -1
+    assert walk([[(5, 9)]], -1, 3, simulate._NO_CAP, 3) == ([-1], [1])
 
 
 def test_walk_max_without_a_cap_stops_at_stop_lead_or_at_once():
-    sizes = []
+    for event, calls in [((0, 2), 5), ((1, 3), 5)]:
+        sizes = []
 
-    def up(size):
-        sizes.append(size)
-        return np.ones(size, dtype=np.int64)
-    assert _walk_max(up, 3, -1, 5).tolist() == [5, 5, 5]
-    assert sizes == [3] * 5
+        def up(walks, event=event):
+            sizes.append(walks.size)
+            return (np.full(walks.size, event[0]),
+                    np.full(walks.size, event[1] - 1))
+        assert _walk_max(up, [-1] * 3, [5] * 3, [simulate._NO_CAP] * 3,
+                         5).tolist() == [5, 5, 5]
+        assert sizes == [3] * calls
 
-    def never(size):
+    def never(walks):
         raise AssertionError("no trial walks")
-    assert _walk_max(never, 0, -1, 5).size == 0
+    assert _walk_max(never, [], [], [], 5).size == 0
+
+
+def event_draw(prof, beta, seed):
+    """The sweep's event draw on ``prof`` at ``beta``, for _walk_max."""
+    sampler, rng = _PhiSampler(prof, beta), np.random.default_rng(seed)
+    return lambda walks: simulate._events(sampler, beta, rng, walks.size)
 
 
 def test_loynes_lead_matches_lead_pmf_on_the_criterion_profile():
-    prof, theta = criterion_profile()
-    beta = 0.2 * prof.fullrate
-    analytic = lead_pmf(phi_from_theta(theta, beta, 10), 10).masses
-    sampler, rng, n = ThetaSampler(prof), np.random.default_rng(21), 400_000
-    lead = _walk_max(
-        lambda size: rng.poisson(beta * sampler.sample(rng, size)) - 1,
-        n, 0, 64, 2_000)
-    emp = np.bincount(lead, minlength=10)[:10] / n
-    z = np.abs(emp - analytic) / np.sqrt(analytic * (1 - analytic) / n)
-    assert z.max() <= 4.0
+    # the lead walked by events against the K = 51 ME route, on the
+    # criterion profile and on the congested one, whose draws before t_N
+    # give the draw after a run's head branch its weight
+    for make in (lambda: criterion_profile()[0], congested_profile):
+        prof = make()
+        theta = assemble_theta(prof, 51)
+        for fraction in (0.2, 0.45):
+            beta, n = fraction * prof.fullrate, 400_000
+            analytic = lead_pmf(phi_from_theta(theta, beta, 10), 10).masses
+            lead = _walk_max(event_draw(prof, beta, 21), np.zeros(n),
+                             np.full(n, 64), np.full(n, 2_000), 64)
+            emp = np.bincount(lead, minlength=10)[:10] / n
+            z = np.abs(emp - analytic) / np.sqrt(analytic * (1 - analytic) / n)
+            assert z.max() <= 4.0, (prof, fraction)
 
 
-def count_samples(monkeypatch):
-    calls = []
-    counts = simulate._counts
+def spy_draws(monkeypatch, name):
+    """Record the sizes that simulate.<name>(sampler, beta, rng, size) is
+    called with."""
+    calls, draw = [], getattr(simulate, name)
 
-    def spy(sampler, beta, rng, size):
+    def spied(sampler, beta, rng, size):
         calls.append(size)
-        return counts(sampler, beta, rng, size)
-    monkeypatch.setattr(simulate, "_counts", spy)
+        return draw(sampler, beta, rng, size)
+    monkeypatch.setattr(simulate, name, spied)
     return calls
 
 
 def test_sweep_samples_far_fewer_times_than_the_cap(monkeypatch):
     prof, _ = criterion_profile()
-    calls = count_samples(monkeypatch)
+    counts = spy_draws(monkeypatch, "_counts")
+    events = spy_draws(monkeypatch, "_events")
     config = SimConfig(profile=prof, beta=0.2 * prof.fullrate, k=6,
                        delta_conf=prof.max_delay, warmup_blocks=2_000,
                        stop_lead=64, trials=1_500, seed=3)
     simulate_attack_sweep(config, range(1, 7))
-    assert len(calls) < 400
-    # a walk that never falls stop_lead below its maximum stops at the cap;
-    # at rho = 3 every confirmation lead is negative, so no race step runs
-    calls.clear()
-    config = SimConfig(profile=zero_profile(), beta=3 * ALPHA, k=2,
-                       warmup_blocks=1_000, stop_lead=10**9, trials=50)
-    ests = simulate_attack_sweep(config, [1, 2])
-    assert len(calls) == 1_000 + 2
-    assert ests[1].q_hat == ests[2].q_hat == 1.0
+    assert counts == [1_500] * 6
+    assert len(events) < 100
+    # a walk that never falls stop_lead below its maximum stops at the
+    # cap, here within its last run (1 000) or on the run's last step
+    # (1 001): 333 events of a run of 2 and Phi = 5 walk 999 steps.  At
+    # this drift every confirmation lead is negative, and each race stops
+    # at its first event, its maximum past max_d w_d <= k - 1.
+    monkeypatch.setattr(simulate, "_events", lambda sampler, beta, rng, size: (
+        events.append(size) or (np.full(size, 2), np.full(size, 4))))
+    for cap in (1_000, 1_001):
+        counts.clear()
+        events.clear()
+        config = SimConfig(profile=zero_profile(), beta=3 * ALPHA, k=2,
+                           warmup_blocks=cap, stop_lead=10**9, trials=50)
+        ests = simulate_attack_sweep(config, [1, 2])
+        assert counts == [50, 50]
+        assert len(events) == 334 and events[1:] == [50] * 333
+        assert ests[1].q_hat == ests[2].q_hat == 1.0
 
 
 def test_sweep_runs_one_race_per_batch(monkeypatch):
@@ -331,19 +407,16 @@ def test_sweep_runs_one_race_per_batch(monkeypatch):
     assert races == [(3, 500), (3, 500), (3, 200)]
 
 
-def naive_race(starts, phi, stop_lead):
+def naive_race(starts, phi, stop_lead, rise=None):
     """One trial's race on the phi sequence: the walk of phi_t - 1 and its
     maximum over steps >= 1, stopped once the walk falls stop_lead below
-    the maximum or the maximum reaches stop_lead; whether each start
-    violates (it is at most the maximum) and the steps walked.  A trial
-    whose starts are all below 0 does not walk."""
+    the maximum or the maximum reaches rise (default stop_lead); whether
+    each start violates (it is at most the maximum) and the steps walked.
+    A trial whose starts are all below 0 does not walk."""
     if max(starts) < 0:
         return [1] * len(starts), 0
-    s, top, t = 0, -1, 0
-    while s > top - stop_lead and top < stop_lead:
-        s += phi[t] - 1
-        top = max(top, s)
-        t += 1
+    top, t = naive_walk(phi, -1, stop_lead if rise is None else rise,
+                        np.inf, stop_lead)
     return [int(z <= top) for z in starts], t
 
 
@@ -361,18 +434,6 @@ def barrier_race(starts, phi, stop_lead):
     return violated
 
 
-def stub_counts(monkeypatch, phi):
-    """Replace the race's draws: step t gives every walking trial phi[t];
-    returns the list of the draws' sizes."""
-    sizes = []
-
-    def counts(sampler, beta, rng, size):
-        sizes.append(size)
-        return np.full(size, phi[len(sizes) - 1])
-    monkeypatch.setattr(simulate, "_counts", counts)
-    return sizes
-
-
 def race_cases(rng):
     """(starts, stop_lead, phi) cases, starts below stop_lead."""
     cases = [([0], 1), ([0, 0, -1], 3), ([-2, -1], 4), ([3, 0, 5], 6),
@@ -383,15 +444,24 @@ def race_cases(rng):
             for starts, stop in cases]
 
 
-def test_race_matches_a_naive_walk_per_depth(monkeypatch):
-    cases = race_cases(np.random.default_rng(12))
+def test_race_matches_a_naive_walk_per_depth():
+    # a race stopped once its maximum reaches its largest start decides
+    # every depth as the walk stopped at stop_lead does, and draws the
+    # events of the steps it walks
+    rng = np.random.default_rng(12)
+    cases = race_cases(rng)
     for starts, stop_lead, phi in cases:
-        sizes = stub_counts(monkeypatch, phi)
         z = np.array(starts, dtype=np.int64)[:, None]
-        got = simulate._race(z, None, None, stop_lead, None)
-        want, steps = naive_race(starts, phi, stop_lead)
-        assert got.tolist() == want, (starts, stop_lead)
-        assert sizes == [1] * steps
+        want, _ = naive_race(starts, phi, stop_lead)
+        if max(starts) < 0:
+            assert simulate._race(z, -1).tolist() == want
+            continue
+        events = events_of(phi, rng)
+        top, drawn = walk([events], -1, max(starts), simulate._NO_CAP,
+                          stop_lead)
+        assert simulate._race(z, top).tolist() == want, (starts, stop_lead)
+        _, steps = naive_race(starts, phi, stop_lead, max(starts))
+        assert drawn == [events_used(events, steps)]
     # the cases cover a start at 0, starts below 0 and a start at
     # stop_lead - 1, the largest a depth allows
     assert any(0 in st for st, _, _ in cases)
@@ -413,32 +483,55 @@ def test_race_finds_every_violation_of_the_per_depth_barrier():
 
 
 def test_race_draws_once_per_walking_trial(monkeypatch):
-    # every trial sees the same increments, so a naive walk per trial
-    # tells how many trials still walk at each step
+    # one loop walks every trial's lead and, where max_d w_d >= 0, its
+    # race; each event call draws once per walk still walking.  Every walk
+    # sees the same events, so one naive walk per trial tells its result
+    # and how many events it draws.
     rng = np.random.default_rng(13)
-    phi = rng.poisson(0.9, size=10_000)
-    z = rng.integers(-3, 8, size=(5, 400))
-    results = [naive_race(col, phi, 8) for col in z.T.tolist()]
-    sizes = stub_counts(monkeypatch, phi)
-    given = z.copy()
-    got = simulate._race(z, None, None, 8, None)
-    assert np.array_equal(z, given)
-    assert got.tolist() == np.sum([v for v, _ in results], axis=0).tolist()
-    steps = np.array([t for _, t in results])
-    assert sizes == [np.count_nonzero(steps > t)
-                     for t in range(steps.max())]
-    walking = np.count_nonzero((z >= 0).any(axis=0))
-    assert sizes[0] == walking < np.count_nonzero(z >= 0)
+    n, ks, stop, cap = 400, [1, 2, 3, 5], 8, 1_000
+    conf = rng.poisson(0.4, size=(ks[-1], n))
+    events = events_of(rng.poisson(0.9, size=10_000), rng)
+    rows = iter(conf)
+    monkeypatch.setattr(simulate, "_counts",
+                        lambda sampler, beta, rng, size: next(rows))
+    sizes = []
+
+    def shared(sampler, beta, rng, size):
+        sizes.append(size)
+        run, phi = events[len(sizes) - 1]
+        return np.full(size, run), np.full(size, phi - 1)
+    monkeypatch.setattr(simulate, "_events", shared)
+    config = SimConfig(profile=zero_profile(), beta=0.2 * ALPHA, k=5,
+                       warmup_blocks=cap, stop_lead=stop, trials=n)
+    ests = simulate_attack_sweep(config, ks)
+
+    lead, steps = naive_walk(steps_of(events), 0, stop, cap, stop)
+    drawn = [events_used(events, steps)] * n
+    w = np.array([k - 1 - conf[:k].sum(axis=0) for k in ks])
+    violations = np.zeros(len(ks), dtype=int)
+    for col in w.T:
+        top = -1
+        if col.max() >= 0:
+            top, steps = naive_walk(steps_of(events), -1, col.max(),
+                                    np.inf, stop)
+            drawn.append(events_used(events, steps))
+        violations += col - lead <= top
+    assert [round(ests[k].q_hat * n) for k in ks] == violations.tolist()
+    assert sizes == [sum(d > e for d in drawn) for e in range(max(drawn))]
+    racing = np.count_nonzero(w.max(axis=0) >= 0)
+    assert sizes[0] == n + racing and 0 < racing < n
 
 
 def test_race_is_the_gamblers_ruin_on_the_zero_profile():
     # at beta = 0.2 alpha, a race from lead u is lost with probability
-    # psi(u) = 0.2**(u + 1); the stop's bias, psi(16) < 1e-11, is far
-    # below the standard errors
+    # psi(u) = 0.2**(u + 1); a race stopped once its maximum reaches 3 or
+    # falls 16 below it reads every u <= 3, and the fall's bias,
+    # psi(16) < 1e-11, is far below the standard errors
     beta, n = 0.2 * ALPHA, 1_000_000
+    top = _walk_max(event_draw(zero_profile(), beta, 33), np.full(n, -1),
+                    np.full(n, 3), np.full(n, simulate._NO_CAP), 16)
     z = np.repeat(np.arange(4)[:, None], n, axis=1)
-    nviol = simulate._race(z, _PhiSampler(zero_profile(), beta), beta, 16,
-                           np.random.default_rng(33))
+    nviol = simulate._race(z, top)
     psi = 0.2 ** (np.arange(4) + 1)
     assert np.all(np.abs(nviol / n - psi) <= 4 * np.sqrt(psi * (1 - psi) / n))
 
@@ -455,7 +548,9 @@ def congested_profile():
 @pytest.mark.parametrize("fraction", [0.2, 0.45])
 def test_counts_follow_phi_of_the_profile(make, fraction):
     # masses 0..5 and the rest against the exact geometric on the zero
-    # profile, else against the K = 51 ME route; and the mean is beta E[theta]
+    # profile, else against the K = 51 ME route; and the mean is
+    # beta E[theta]; for the fresh counts and for the events' runs of tail
+    # zeros expanded back into steps
     prof = make()
     beta, n = fraction * prof.fullrate, 1_000_000
     if prof.thresholds[-1] == 0:
@@ -465,11 +560,87 @@ def test_counts_follow_phi_of_the_profile(make, fraction):
         theta = assemble_theta(prof, 51)
         ref, mean = phi_from_theta(theta, beta, 60).masses, beta * theta.mean()
     ref = np.append(ref[:6], ref[6:].sum())
-    phi = _counts(_PhiSampler(prof, beta), beta, np.random.default_rng(31), n)
-    emp = np.bincount(np.minimum(phi, 6), minlength=7) / n
-    z = np.abs(emp - ref) / np.sqrt(ref * (1 - ref) / n)
-    assert z.max() <= 4.0
-    assert abs(phi.mean() - mean) <= 4 * phi.std() / np.sqrt(n)
+    sampler, rng = _PhiSampler(prof, beta), np.random.default_rng(31)
+    runs, x = simulate._events(sampler, beta, rng, round(n * (1 - sampler.zero)))
+    expanded = np.zeros(runs.sum() + runs.size, dtype=np.int64)
+    expanded[np.cumsum(runs + 1) - 1] = x + 1
+    assert runs.max() > 0 and abs(expanded.size - n) < 0.01 * n
+    for phi in (_counts(sampler, beta, rng, n), expanded):
+        emp = np.bincount(np.minimum(phi, 6), minlength=7) / phi.size
+        z = np.abs(emp - ref) / np.sqrt(ref * (1 - ref) / phi.size)
+        assert z.max() <= 4.0
+        assert abs(phi.mean() - mean) <= 4 * phi.std() / np.sqrt(phi.size)
+
+
+class _Complement:
+    """A generator whose runs are all 0 and whose uniforms are the given
+    values, less one ulp where ``below`` is set."""
+
+    def __init__(self, values, below):
+        self.values, self.below = values, below
+        self.rng = np.random.default_rng(34)
+
+    def standard_exponential(self, size):
+        return np.zeros(size)
+
+    def uniform(self, low, high, size):
+        v = np.array([high if v is None else v for v in self.values])
+        return np.where(self.below, np.nextafter(v, 0.0), v)
+
+    def random(self, size):
+        return self.uniform(0.0, 1.0, size)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize("make", [lambda: criterion_profile()[0],
+                                  congested_profile],
+                         ids=["criterion", "congested"])
+@pytest.mark.parametrize("fraction", [0.2, 0.45])
+def test_draw_after_a_run_is_never_a_tail_zero(make, fraction):
+    # the complement's v = head, where a fresh u would be a tail zero, and
+    # v at, or one ulp below, its upper end 1 - a read Phi >= 1 off the
+    # tail table
+    prof = make()
+    beta = fraction * prof.fullrate
+    sampler = _PhiSampler(prof, beta)
+    assert 0 < sampler.head < sampler.cdf[0] and len(sampler.cdf) > 2
+    rng = _Complement([sampler.head, None, None], [False, True, False])
+    runs, x = simulate._events(sampler, beta, rng, 3)
+    assert runs.tolist() == [0] * 3
+    assert x[0] >= 0 and x[1] == x[2] == len(sampler.cdf) - 2
+    assert _counts(sampler, beta, _Complement([sampler.head], [False]),
+                   1).tolist() == [0]
+
+
+def test_runs_vanish_where_rounding_leaves_no_tail_zero():
+    # on a 50 000 s segment at beta t_N = 75, P(T = 0) ~ 1e-33 and cdf[0]
+    # rounds below head: the tail zeros' chance is 0, so every run is empty
+    prof = HashrateProfile((0.0, 50_000.0), (0.001,), ALPHA)
+    beta = 0.9 * ALPHA
+    sampler = _PhiSampler(prof, beta)
+    assert sampler.cdf[0] < sampler.head and sampler.zero == 0.0
+    with np.errstate(all="raise"):
+        runs, x = simulate._events(sampler, beta, np.random.default_rng(36),
+                                   10_000)
+    assert not runs.any() and x.min() >= -1
+
+
+@pytest.mark.parametrize("make", [zero_profile, lambda: criterion_profile()[0]],
+                         ids=["zero", "criterion"])
+@pytest.mark.parametrize("ratio", [0.0, 1e-300])
+def test_sweep_at_a_vanishing_beta_never_violates(make, ratio):
+    # Phi = 0 on every draw, or all but a 1e-300 share: on the zero profile
+    # every draw is a tail zero (a = 1), so each walk ends within its first
+    # run, by the fall or the cap
+    prof = make()
+    config = SimConfig(profile=prof, beta=ratio * prof.fullrate, k=4,
+                       delta_conf=prof.max_delay, warmup_blocks=1_000,
+                       stop_lead=8, trials=2_000, seed=5)
+    ests = simulate_attack_sweep(config, range(1, 5))
+    assert [ests[k].q_hat for k in range(1, 5)] == [0.0] * 4
+    assert (_PhiSampler(prof, config.beta).zero == 1.0) == (make is zero_profile)
 
 
 def tail_left(prof, beta, j):
