@@ -51,8 +51,6 @@ __all__ = ["SimConfig", "SimEstimate", "ThetaSampler", "simulate_attack_sweep"]
 
 # trials per batch; each walks up to two walks at once
 _BATCH = 500_000
-# walking trials are compacted in slices this long, never all at once
-_SLICE = 65_536
 # the cap of a walk with none
 _NO_CAP = np.iinfo(np.int64).max
 
@@ -66,6 +64,24 @@ def _whole(value, name):
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One Monte Carlo run of the attack.
+
+    profile: the honest hashrate profile (thresholds in s, full rate alpha
+        in blocks/s).
+    beta: the adversary's mining rate in blocks/s, not a fraction of alpha.
+    k: the deepest confirmation depth, in blocks; ``stop_lead`` must be at
+        least k.
+    delta_conf: the final propagation window in s, in which only the
+        adversary mines.
+    warmup_blocks: the most steps, in blocks, of the reversed pre-mining
+        walk, a finite pre-mining horizon.  Unlike the fall stop's bias,
+        which psi(``stop_lead``) bounds, its bias has no stated bound.
+    stop_lead: the pre-mining lead, in blocks, at which the lead walk
+        stops, and the fall below its maximum at which any walk stops.
+    trials: the number of trials, each read by every depth.
+    seed: the nonnegative seed of the trials' random streams.
+    """
+
     profile: HashrateProfile
     beta: float
     k: int
@@ -146,9 +162,11 @@ class _PhiSampler(ThetaSampler):
     ``head`` is P(theta < t_N) = 1 - S_N.  ``cdf[j]`` is
     1 - S_N P(T > j), T = Poisson(beta t_N) + Geometric(alpha/(alpha+beta)),
     from the reverse sums of T's masses f(j) = q f(j-1) + (1 - q) pois(j),
-    q = beta/(alpha+beta).  The table ends once S_N P(T > j) < 2**-53,
-    bounded by S_N (beta/alpha f(j) + 2 pois(j+1)) for j + 2 >= 2 beta t_N,
-    and its last entry is 1.0.  ``zero`` is a = cdf[0] - head, the chance
+    q = beta/(alpha+beta).  pois(j) steps as its log, so the table carries
+    the law at any beta t_N, also where e^(-beta t_N) is subnormal or 0.
+    The table ends once S_N P(T > j) < 2**-53, bounded by
+    S_N (beta/alpha f(j) + 2 pois(j+1)) for j + 2 >= 2 beta t_N, and its
+    last entry is 1.0.  ``zero`` is a = cdf[0] - head, the chance
     of a tail zero, a Phi = 0 read off the table; E ``scale``, E
     exponential, rounds down to Geometric(1 - a) - 1, the length of a run
     of them.
@@ -159,17 +177,18 @@ class _PhiSampler(ThetaSampler):
         surv = np.exp(-self.hazard[-1])
         self.head = 1 - surv
         q, mu = beta / (beta + profile.fullrate), beta * self.left[-1]
-        pois = np.exp(-mu)
-        f = [(1 - q) * pois]
-        while True:
-            pois *= mu / len(f)
-            if len(f) + 1 >= 2 * mu and surv * (
-                    beta / profile.fullrate * f[-1] + 2 * pois) < 2.0**-53:
-                break
-            f.append(q * f[-1] + (1 - q) * pois)
-        self.cdf = 1 - surv * np.append(np.cumsum(f[:0:-1])[::-1], 0.0)
-        self.zero = np.fmax(self.cdf[0] - self.head, 0.0)
-        with np.errstate(divide="ignore"):
+        logp = -mu
+        f = [(1 - q) * np.exp(logp)]
+        with np.errstate(divide="ignore"):  # log 0 = -inf at mu = 0
+            while True:
+                logp += np.log(mu / len(f))
+                pois = np.exp(logp)
+                if len(f) + 1 >= 2 * mu and surv * (
+                        beta / profile.fullrate * f[-1] + 2 * pois) < 2.0**-53:
+                    break
+                f.append(q * f[-1] + (1 - q) * pois)
+            self.cdf = 1 - surv * np.append(np.cumsum(f[:0:-1])[::-1], 0.0)
+            self.zero = np.fmax(self.cdf[0] - self.head, 0.0)
             self.scale = 1 / np.log(1 / self.zero)  # inf at zero = 1
 
 
@@ -230,8 +249,9 @@ def _walk_max(event, start, rise, cap, stop_lead):
     it.  Each walk keeps s += Phi - 1 and m = max(m, s) until
     s <= m - stop_lead, m >= rise or cap steps; it returns m.  A run never
     raises m, so a walk that stops within a run stops there by the fall or
-    the cap, and the step after the run is dropped.  The walking ones are
-    compacted in place.
+    the cap, and the step after the run is dropped.  After each event the
+    stopped walks are dropped from the arrays, which keep the walking ones
+    in their order, so each call of ``event`` lists them in ascending order.
     """
     # s and m count up from rise, so a walk rises out at m >= 0
     rise = np.asarray(rise, dtype=np.int64)
@@ -248,7 +268,8 @@ def _walk_max(event, start, rise, cap, stop_lead):
         np.maximum(m, s, out=m)
         done = (s <= m - stop_lead) | (m >= 0) | (room <= 0)
         out[active[done]] = m[done]
-        active, s, m, room = _compact(~done, active, s, m, room)
+        keep = ~done
+        active, s, m, room = active[keep], s[keep], m[keep], room[keep]
     return out + rise
 
 
@@ -262,19 +283,6 @@ def _race(z, top):
     trial reads.
     """
     return np.count_nonzero(z <= top, axis=1)
-
-
-def _compact(keep, *arrays):
-    """Move the kept entries of each array to its front, in order, slice by
-    slice; return the prefix views."""
-    n = 0
-    for i in range(0, keep.size, _SLICE):
-        part = keep[i:i + _SLICE]
-        m = np.count_nonzero(part)
-        for a in arrays:
-            a[n:n + m] = a[i:i + _SLICE][part]
-        n += m
-    return [a[:n] for a in arrays]
 
 
 def _confirmation_margins(n, ks, sampler, beta, delta_conf, rng):

@@ -140,6 +140,19 @@ def test_simulate_deterministic(capsys):
     assert out1.splitlines()[0] == "k,q_hat,std_err,trials"
 
 
+def test_simulate_at_a_large_beta_t_N_agrees_with_sweep(capsys):
+    # beta t_N = 12 000, where e^-beta t_N underflows to 0: the model is
+    # unstable, so every depth violates, as sweep's q = 1 says
+    flags = ["--model", "fixed", "--delay", "599.99", "--delta-conf", "0",
+             "--k-max", "3"]
+    code, out = run(capsys, "simulate", *flags, "--trials", "1000")
+    assert code == 0
+    assert [line.split(",")[1] for line in out.split()[1:]] == ["1.0"] * 3
+    code, out = run(capsys, "sweep", *flags)
+    assert code == 0
+    assert [line.split(",")[1] for line in out.split()[1:]] == ["1.0"] * 3
+
+
 def test_config_file_defaults(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("k-max = 2\nbeta-fraction = 0.1\n")

@@ -482,23 +482,28 @@ def _scaled_profile(profile, c):
 
 
 @pytest.mark.parametrize("c", [1e-6, 1e-3, 1e3, 1e6])
-@pytest.mark.parametrize("kind", ["zero", "fixed", "criterion58",
+@pytest.mark.parametrize("kind", ["zero", "fixed", "random", "criterion58",
                                   "criterion10"])
 def test_q_is_invariant_under_time_rescaling(kind, c):
-    # thresholds, the fixed delay, T and delta_conf times c, the full rate
-    # over c: q is the same law's.  Measured at most 2.1e-7 of the q
-    # tolerance min(1e-6, 1e-10 + 1e-4 q)
+    # thresholds, the fixed delay, the random delay's mean, T and
+    # delta_conf times c, the full rate over c: q is the same law's.
+    # Measured at most 2.1e-7 of the q tolerance min(1e-6, 1e-10 + 1e-4 q)
+    dconf = (None, None)
     if kind == "zero":
         models = DelayModel("zero"), DelayModel("zero")
     elif kind == "fixed":
         models = DelayModel("fixed", delay=10.0), DelayModel("fixed",
                                                              delay=10.0 * c)
+    elif kind == "random":
+        models = (DelayModel("random", delay_dist=erlang_me(3, 5.0)),
+                  DelayModel("random", delay_dist=erlang_me(3, 5.0 * c)))
+        dconf = 5.0, 5.0 * c
     else:
         profile = PROFILE if kind == "criterion58" else _criterion10_profile()
         models = (DelayModel("variable", profile=profile),
                   DelayModel("variable", profile=_scaled_profile(profile, c)))
-    ref, scaled = (analyze(model, 0.3, 600.0 * t, 20, K=27)
-                   for model, t in zip(models, (1.0, c)))
+    ref, scaled = (analyze(model, 0.3, 600.0 * t, 20, K=27, delta_conf=d)
+                   for model, t, d in zip(models, (1.0, c), dconf))
     for r, s in zip(ref, scaled):
         assert abs(s.q - r.q) <= 1e-3 * min(1e-6, 1e-10 + 1e-4 * r.q)
 

@@ -329,6 +329,42 @@ def test_walk_max_without_a_cap_stops_at_stop_lead_or_at_once():
     assert _walk_max(never, [], [], [], 5).size == 0
 
 
+class HashedEvents:
+    """Stub events of walks offset, offset + 1, ...: each a hash of the
+    walk's id and its event count, so a walk's events do not depend on the
+    others.  Checks that every call lists its walks in ascending order."""
+
+    def __init__(self, n, offset=0):
+        self.offset, self.count = offset, np.zeros(n, dtype=np.uint64)
+
+    def __call__(self, walks):
+        assert np.all(np.diff(walks) > 0)
+        ids = walks + self.offset
+        self.count[ids] += np.uint64(1)
+        h = (ids.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+             + self.count[ids] * np.uint64(0xBF58476D1CE4E5B9))
+        h ^= h >> np.uint64(31)
+        h *= np.uint64(0x94D049BB133111EB)
+        h ^= h >> np.uint64(29)
+        return ((h % np.uint64(3)).astype(np.int64),
+                ((h >> np.uint64(8)) % np.uint64(4)).astype(np.int64) - 1)
+
+
+def test_walk_max_keeps_each_walk_on_its_own_events():
+    # one call of 150 000 walks, whose walking ones are dropped as they
+    # stop, returns what the same walks return in calls of 1 000
+    n, step = 150_000, 1_000
+    ids = np.arange(n)
+    start, rise, cap = -(ids % 2), ids % 7 + 1, ids % 97 + 1
+    events = HashedEvents(n)
+    whole = _walk_max(events, start, rise, cap, 5)
+    assert events.count.max() > 20 and len(set(whole.tolist())) > 5
+    parts = [_walk_max(HashedEvents(n, i), start[i:i + step],
+                       rise[i:i + step], cap[i:i + step], 5)
+             for i in range(0, n, step)]
+    assert np.array_equal(whole, np.concatenate(parts))
+
+
 def event_draw(prof, beta, seed):
     """The sweep's event draw on ``prof`` at ``beta``, for _walk_max."""
     sampler, rng = _PhiSampler(prof, beta), np.random.default_rng(seed)
@@ -680,6 +716,16 @@ def test_tail_table_is_sized_from_the_law(make):
         assert left[-1] < 2.0**-53 <= left[-2]
         lengths.append(len(cdf))
     assert lengths[0] < lengths[1] < lengths[2]
+
+
+@pytest.mark.parametrize("mu", [700, 740, 750, 5_000])
+def test_tail_table_carries_the_law_at_a_large_beta_t_N(mu):
+    # past beta t_N ~ 708, e^-beta t_N is subnormal, and past ~ 745 it is
+    # 0: the table's mean is still E T = beta t_N + beta / alpha
+    beta = 0.2 * ALPHA
+    sampler = _PhiSampler(HashrateProfile.fixed_delay(mu / beta, ALPHA), beta)
+    assert sampler.head == 0.0
+    assert_allclose(np.sum(1 - sampler.cdf), mu + beta / ALPHA, rtol=1e-9)
 
 
 @pytest.mark.parametrize("make", [zero_profile, congested_profile])
