@@ -66,7 +66,7 @@ def _load_profile(args) -> HashrateProfile:
     if (args.data is None) == (args.profile is None):
         raise ValueError("variable model needs --data or --profile, not both")
     if args.profile is not None:
-        with open(args.profile, "r", encoding="utf-8") as fh:
+        with open(args.profile, "r", encoding="utf-8-sig") as fh:
             return HashrateProfile.from_table(fh.read())
     return _ingested(args)[0]
 
@@ -181,7 +181,8 @@ def cmd_simulate(args) -> int:
 
 
 def _apply_config_file(parser, path):
-    """key=value file; flag values still override.
+    """key=value file, UTF-8 with or without a byte-order mark; flag values
+    still override.
 
     String defaults are type-converted by argparse, so values can be set
     on every subparser that knows the key.  A boolean flag takes true or
@@ -192,7 +193,7 @@ def _apply_config_file(parser, path):
     flags = {a.dest for t in parser._config_targets for a in t._actions
              if isinstance(a, argparse._StoreTrueAction)}
     defaults = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -88,43 +87,15 @@ class DelayModel:
             raise ValueError("variable model needs a hashrate profile")
 
 
-def _lgam_int(x: int) -> float:
-    """log Gamma(x) for an integer x >= 1, bit for bit SciPy's ``gammaln``.
-
-    As Cephes' ``lgam``: below 13 the log of the exact product (x-1)!,
-    above it Stirling's series with five terms.  Cephes drops to three
-    terms from 1000 and to none above 1e8; for integer x those give the
-    same doubles (checked for every x < 3e5 and 2e5 random x up to 1e12).
-    """
-    if x < 13:
-        return math.log(math.factorial(x - 1))
-    p = 1.0 / (x * x)
-    return ((x - 0.5) * math.log(x) - x + 0.91893853320467274178
-            + ((((8.11614167470508450300e-4 * p
-                  - 5.95061904284301438324e-4) * p
-                 + 7.93650340457716943945e-4) * p
-                - 2.77777777730099687205e-3) * p
-               + 8.33333333333331927722e-2) / x)
-
-
-@lru_cache(maxsize=None)
-def _log_factorial_table(size: int) -> np.ndarray:
-    """Read-only log n! for n < size, computed once per process."""
-    table = np.array([_lgam_int(n + 1) for n in range(size)])
-    table.flags.writeable = False
-    return table
-
-
-def _log_factorial(k: int) -> np.ndarray:
-    """log n! for n = 0..k-1, read from the table of the next power of two."""
-    return _log_factorial_table(1 << (k - 1).bit_length())[:k]
-
-
 def poisson_partial_pgf(lam: float, k: int) -> np.ndarray:
     """First k Poisson masses exp(n log(lam) - log(n!) - lam).
 
-    n log(lam) is 0 at n = 0, as ``xlogy`` has it, so lam = 0 gives the
-    point mass at 0.
+    log n! is ``math.lgamma(n + 1)``, and n log(lam) is 0 at n = 0, as
+    ``xlogy`` has it, so lam = 0 gives the point mass at 0.  The log form
+    holds where exp(-lam) underflows.  For lam <= 800 and n < 2000, each
+    mass of at least 1e-300 is within 5e-12 relative of a 50-digit
+    reference, as SciPy's ``poisson.pmf`` is, and a mass that rounds to 0
+    in double is 0.
     """
     if not 0 <= lam < math.inf:
         raise ValueError(f"lambda must be nonnegative and finite, got {lam}")
@@ -132,7 +103,8 @@ def poisson_partial_pgf(lam: float, k: int) -> np.ndarray:
         raise ValueError(f"k must be >= 1, got {k}")
     xlogy = np.arange(k, dtype=float)
     xlogy[1:] *= math.log(lam) if lam > 0 else -math.inf
-    return np.exp(xlogy - _log_factorial(k) - lam)
+    log_factorial = np.fromiter(map(math.lgamma, range(1, k + 1)), float, k)
+    return np.exp(xlogy - log_factorial - lam)
 
 
 def truncated_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

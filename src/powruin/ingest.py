@@ -87,16 +87,17 @@ def load_delays(path) -> DelayDataset:
 
     Blank lines and lines starting with '#' are ignored; an optional second
     comma-separated column (e.g. a date) is dropped; '\\n', '\\r\\n' and a
-    lone '\\r' each end a line.  The file is read in chunks of about 64 KB
-    of lines, and each chunk's rows are parsed by ``float`` and checked as
-    one array, so no more than a chunk of text is held at once.  The first
+    lone '\\r' each end a line, and a leading UTF-8 byte-order mark is
+    skipped.  The file is read in chunks of about 64 KB of lines, and each
+    chunk's rows are parsed by ``float`` and checked as one array, so no
+    more than a chunk of text is held at once.  The first
     malformed, negative or non-finite row is reported with its line number,
     which is counted only for the chunk that holds it.
     """
     path = Path(path)
     parts = []
     first = 1  # line number of the chunk's first line
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         while lines := fh.readlines(_CHUNK_BYTES):
             rows = [s for line in lines if (s := line.strip()) and s[0] != "#"]
             if "," in "".join(rows):

@@ -80,6 +80,8 @@ class SimConfig:
         stops, and the fall below its maximum at which any walk stops.
     trials: the number of trials, each read by every depth.
     seed: the nonnegative seed of the trials' random streams.
+
+    k, warmup_blocks and stop_lead are at most 2**61.
     """
 
     profile: HashrateProfile
@@ -104,6 +106,11 @@ class SimConfig:
             raise ValueError("stop_lead must be at least k")
         if self.warmup_blocks < 1_000:
             raise ValueError("warmup_blocks must be at least 1000")
+        # well inside int64, so that the walks' s - m + stop_lead and
+        # m - stop_lead cannot wrap; k <= stop_lead is bounded with it
+        for name in ("warmup_blocks", "stop_lead"):
+            if getattr(self, name) > 2**61:
+                raise ValueError(f"{name} must be at most 2**61")
         for name in ("beta", "delta_conf"):
             if not 0 <= getattr(self, name) < np.inf:  # NaN fails it too
                 raise ValueError(f"{name} must be nonnegative and finite")

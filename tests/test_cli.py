@@ -174,6 +174,27 @@ def test_config_file_bad_line(tmp_path, capsys):
     assert code == EXIT_INPUT
 
 
+def test_profile_file_may_start_with_a_byte_order_mark(tmp_path,
+                                                      profile_file, capsys):
+    # as Windows tools often write them
+    sweep = ["sweep", "--model", "variable", "--cme-order", "9",
+             "--k-max", "2"]
+    plain = run(capsys, *sweep, "--profile", str(profile_file))
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + profile_file.read_bytes())
+    assert plain[0] == 0
+    assert run(capsys, *sweep, "--profile", str(bom)) == plain
+
+
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    plain = run(capsys, "sweep", "--model", "zero", "--k-max", "2")
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfk-max = 2\n")
+    assert plain[0] == 0
+    assert run(capsys, "--config", str(cfg), "sweep",
+               "--model", "zero") == plain
+
+
 @pytest.mark.parametrize("command", sorted(MODEL_COMMANDS))
 def test_fixed_zero_delay_runs_on_every_command(command, capsys):
     code, out = run(capsys, *MODEL_COMMANDS[command], "--model", "fixed",
@@ -329,6 +350,16 @@ def test_non_finite_flag_is_input_error(flags, field, capsys):
     code, err = run_err(capsys, "sweep", "--k-max", "2", *flags)
     assert code == EXIT_INPUT
     assert field in err
+
+
+@pytest.mark.parametrize("flag,field", [("--stop-lead", "stop_lead"),
+                                        ("--warmup", "warmup_blocks")])
+def test_simulate_refuses_a_step_count_past_int64(capsys, flag, field):
+    code, err = run_err(capsys, "simulate", "--model", "zero", "--k-max", "2",
+                        "--trials", "100", "--warmup", "1000",
+                        flag, "99999999999999999999")
+    assert code == EXIT_INPUT
+    assert f"{field} must be at most 2**61" in err
 
 
 def test_simulate_refuses_random_delays(capsys):

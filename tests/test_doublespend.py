@@ -1,3 +1,4 @@
+import decimal
 import functools
 import json
 import os
@@ -47,31 +48,48 @@ def test_poisson_partial_pgf():
         poisson_partial_pgf(-1.0, 3)
 
 
-@pytest.mark.parametrize("lam", [0.0, 1e-300, 1e-12, 0.0033, 0.2, 3.7,
-                                 50.0, 700.0])
+# exp(-lam) underflows past lam = 745, so lam = 800 pins the log form
+_LAMBDAS = [0.0, 1e-300, 1e-12, 0.0033, 0.2, 3.7, 50.0, 700.0, 800.0]
+
+
+def _poisson_reference(lam, k):
+    """The first k Poisson masses of lam to 50 digits, by ``decimal``."""
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emin = 50, decimal.MIN_EMIN
+        lam_d = decimal.Decimal(lam)
+        masses = [(-lam_d).exp()]
+        for n in range(1, k):
+            masses.append(masses[-1] * lam_d / n)
+    return masses
+
+
+def _assert_poisson_masses(lam, k):
+    """Each mass within 5e-12 relative of the 50-digit reference, and of
+    SciPy's pmf, where the reference is at least 1e-300, and exactly 0
+    where the reference rounds to 0 in double."""
+    from scipy import stats
+    reference = _poisson_reference(lam, k)
+    got = poisson_partial_pgf(lam, k)
+    for mass, ref in zip(got.tolist(), reference):
+        if ref >= decimal.Decimal("1e-300"):
+            assert abs(float(decimal.Decimal(mass) / ref) - 1) <= 5e-12, (
+                mass, ref)
+        elif float(ref) == 0:
+            assert mass == 0, (mass, ref)
+    big = np.array([float(ref) >= 1e-300 for ref in reference])
+    assert_allclose(got[big], stats.poisson.pmf(np.arange(k), lam)[big],
+                    rtol=5e-12, atol=0)
+
+
+@pytest.mark.parametrize("lam", _LAMBDAS)
 def test_poisson_partial_pgf_equals_scipy_stats(lam):
-    from scipy import stats
     for k in (1, 2, 20, 200):
-        assert np.array_equal(poisson_partial_pgf(lam, k),
-                              stats.poisson.pmf(np.arange(k), lam))
+        _assert_poisson_masses(lam, k)
 
 
-def test_log_factorial_equals_scipy_gammaln():
-    # n < 5000 covers the exact product (n + 1 < 13) and Stirling's
-    # series, past 1000, where Cephes switches to three terms
-    from scipy import special
-    n = np.arange(5_000)
-    assert np.array_equal(doublespend._log_factorial(5_000),
-                          special.gammaln(n + 1))
-    assert not doublespend._log_factorial(3).flags.writeable
-
-
-@pytest.mark.parametrize("lam", [0.0, 1e-300, 1e-12, 0.0033, 0.2, 3.7,
-                                 50.0, 700.0])
+@pytest.mark.parametrize("lam", _LAMBDAS)
 def test_poisson_partial_pgf_equals_scipy_stats_at_depth_2000(lam):
-    from scipy import stats
-    assert np.array_equal(poisson_partial_pgf(lam, 2_000),
-                          stats.poisson.pmf(np.arange(2_000), lam))
+    _assert_poisson_masses(lam, 2_000)
 
 
 # Records the scipy modules loaded after each step and prints them as JSON.

@@ -28,6 +28,16 @@ def test_load_reports_line_numbers(tmp_path):
         load_delays(p2)
 
 
+def test_load_skips_a_utf8_byte_order_mark(tmp_path):
+    p = tmp_path / "bom.txt"
+    p.write_bytes(b"\xef\xbb\xbf1.5\n0.25, 2024-01-01\n")
+    assert_allclose(load_delays(p).delays, [0.25, 1.5])
+    p.write_bytes(b"\xef\xbb\xbf# delay_s\n1.5\nbad\n")
+    with pytest.raises(ValueError,
+                       match=r"bom\.txt:3: cannot parse delay 'bad'"):
+        load_delays(p)
+
+
 @pytest.mark.parametrize("bad, message", [
     ("abc, 2024-01-01", r":49999: cannot parse delay 'abc'"),
     ("-0.5", r":49999: invalid delay -0\.5"),

@@ -46,6 +46,21 @@ def test_config_validation():
     assert type(whole.trials) is int
 
 
+@pytest.mark.parametrize("field", ["k", "warmup_blocks", "stop_lead"])
+def test_config_refuses_step_counts_past_2_to_61(field):
+    # the walks' s - m + stop_lead and m - stop_lead stay inside int64;
+    # k is bounded by stop_lead, which must be at least k
+    fields = {"k": 1, "warmup_blocks": 1_000, "stop_lead": 64}
+    at_bound = SimConfig(profile=zero_profile(), beta=1.0,
+                         **{**fields, "stop_lead": 2**61, field: 2**61})
+    assert getattr(at_bound, field) == 2**61
+    refused = "stop_lead" if field == "k" else field
+    for value in (2**61 + 1, 10**20):
+        with pytest.raises(ValueError, match=f"^{refused} must be at most"):
+            SimConfig(profile=zero_profile(), beta=1.0,
+                      **{**fields, "stop_lead": value, field: value})
+
+
 @pytest.mark.parametrize("field", ["beta", "delta_conf"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
 def test_config_refuses_a_negative_or_non_finite_rate_field(field, value):
