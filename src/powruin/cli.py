@@ -258,12 +258,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--warmup", type=int, default=10_000,
-                   help="most steps of each trial's reversed pre-mining "
-                        "walk (at least 1000; default 10000)")
+                   help="accepted for compatibility and changes no draw: the "
+                        "pre-mining lead is drawn exactly (at least 1000; "
+                        "default 10000)")
     p.add_argument("--stop-lead", type=int, default=64,
-                   help="every walk stops this far below its maximum, or "
-                        "once its maximum reaches it; this biases q by at "
-                        "most psi(stop-lead) (at least --k-max; default 64)")
+                   help="accepted for compatibility and changes no draw: the "
+                        "lead and the race are drawn with no truncation (at "
+                        "least --k-max; default 64)")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_simulate)
 
