@@ -23,21 +23,21 @@ w_d = k_d - 1 - (the adversary's blocks by confirmation) are drawn first;
 depth d's honest lead is z_d = w_d - lead <= w_d, and every depth of a
 trial reads the trial's one race.
 
-M is drawn exactly, with no truncation, by Lundberg-tilted ladder heights
-(Ensor and Glynn 2000).  R > 1 solves E[R^Phi] = R.  Under the tilt, theta
-has density f(t) e^{c t} / R, c = beta (R - 1) < alpha, and Phi given
-theta is Poisson(beta R theta), so the walk drifts up and each ascending
-ladder height H is finite.  A ladder of height H is one of the untilted
-walk's with probability R^-H; M sums the kept ladders up to the first one
-not kept.  A draw of M may stop once M reaches a rise that decides
-every depth: max_d w_d + 1 for the lead, which puts every z_d below 0, and
-max_d w_d - (Phi_1 - 1) for the race.  Where beta E[theta] >= 1 there is
-no R: M is infinite and every depth violates.  Trials are vectorized in
-fixed-size batches; results are deterministic given (seed, config).
+M is drawn exactly, with no truncation, as a geometric sum.  The walk steps
+down by at most 1, so where rho = beta E[theta] < 1 its weak ascending
+ladder heights H are i.i.d. with P(H = h) = P(Phi > h) / rho, and M is the
+sum of a Geometric(1 - rho) count N >= 0 of them: the discrete
+Pollaczek-Khinchine form of the lead, whose pgf is
+(1 - rho)(z - 1) / (z - E[z^Phi]).  H is Poisson(beta A), A of density
+S(a) / E[theta], theta's stationary excess, so that H is drawn like Phi
+with A's law in place of theta's.  Where rho >= 1, M is infinite and every
+depth violates, and nothing is drawn.  Trials are vectorized in fixed-size
+batches; results are deterministic given (seed, config).
 """
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,11 +49,10 @@ __all__ = ["SimConfig", "SimEstimate", "ThetaSampler", "simulate_attack_sweep"]
 # trials per batch
 _BATCH = 500_000
 # the tail table's length past which its geometric rest is inverted in
-# closed form; only a tilted table at a small beta reaches it
+# closed form; only a large beta t_N or a beta far above alpha reaches it
 _TABLE = 1_024
-# above this R no ladder is drawn: P(M >= 1) <= 1/R, and the tilted law
-# would lose its precision in c = beta (R - 1)
-_R_MAX = 2.0**40
+# Poisson masses computed per step of the tail table's recursion
+_CHUNK = 64
 
 
 def _whole(value, name):
@@ -156,134 +155,113 @@ class ThetaSampler:
         return e
 
 
-def _tilt(sampler, u):
-    """The terms of E[e^(c theta)], c = alpha - u < alpha: one per segment,
-    the term past t_N, and the slopes y of each segment's exponent.
-
-    Segment i adds r_i int e^(a(t)) dt over its span, a(t) = c t - H(t)
-    linear in t, which is l_i e^max(a) (1 - e^-d) / d, d = |y|,
-    y = a(t_{i+1}) - a(t_i); past t_N, e^a(t_N) alpha / u.  Each e^a is one
-    exponent, so no e^(c t) overflows against an e^-H that underflows.
-    """
-    a = (sampler.profile.fullrate - u) * sampler.left - sampler.hazard
-    y = a[1:] - a[:-1]
-    d = np.fmax(np.abs(y), 1e-300)  # (1 - e^-d) / d = 1 below it
-    seg = sampler.rate * (sampler.left[1:] - sampler.left[:-1]) * np.exp(
-        np.fmax(a[:-1], a[1:])) * (-np.expm1(-d) / d)
-    return seg, np.exp(a[-1]) * (sampler.profile.fullrate / u), y
+def _integrals(sampler):
+    """The integral of theta's survival S over each segment of the
+    sampler's profile, l_i S_i (1 - e^-d_i) / d_i with d_i the hazard the
+    segment adds; S_N; E[theta], their sum plus S_N / alpha past t_N; and
+    the d_i, floored at 1e-300, below which (1 - e^-d) / d = 1."""
+    d = np.fmax(np.diff(sampler.hazard), 1e-300)
+    surv = np.exp(-sampler.hazard)
+    span = np.diff(sampler.left) * surv[:-1] * (-np.expm1(-d) / d)
+    return span, surv[-1], span.sum() + surv[-1] / sampler.profile.fullrate, d
 
 
-def _lundberg(sampler, beta):
-    """The R > 1 with E[R^Phi] = R at a beta > 0, or None where
-    beta E[theta] >= 1, so that the walk of Phi - 1 does not drift down.
-
-    E[R^Phi] = E[e^(c theta)] with c = beta (R - 1), so R solves
-    h(u) = E[e^((alpha - u) theta)] - 1 - (alpha - u) / beta = 0 for the
-    rate u = alpha - c in (0, alpha).  h is convex with h(alpha) = 0, so
-    from a u with h(u) > 0, found by halving from beta, Newton's iterates
-    rise monotonically to the root; they stop once they no longer rise.
-    h'(u) = 1 / beta - E[theta e^(c theta)]: within segment i the tilted
-    theta - t_i has mean l_i nu(y), nu(y) = 1 / (1 - e^-y) - 1 / y the mean
-    of the density prop. to e^(y x) on [0, 1], and past t_N, theta - t_N
-    is Exp(u).
-    """
-    alpha, left = sampler.profile.fullrate, sampler.left
-
-    # nu's closed form cancels near y = 0, where its series replaces it;
-    # at a vanishing beta the tail's term in h' overflows to inf, so that
-    # Newton stops at once
-    @np.errstate(all="ignore")
-    def h(u):
-        seg, tail, y = _tilt(sampler, u)
-        nu = np.where(np.abs(y) < 1e-3, 0.5 + y / 12, 1 / -np.expm1(-y) - 1 / y)
-        mean = left[:-1] + (left[1:] - left[:-1]) * nu
-        return (seg.sum() + tail - 1 - (alpha - u) / beta,
-                1 / beta - seg @ mean - tail * (left[-1] + 1 / u))
-
-    if h(alpha)[1] <= 0:
-        return None
-    u = beta
-    while h(u)[0] <= 0:
-        u /= 2
-    for _ in range(100):
-        value, slope = h(u)
-        new = u - value / slope
-        if new <= u:
-            return 1 + (alpha - u) / beta
-        u = new  # a NaN stays NaN, and the loop runs out
-    raise ValueError("the Lundberg root did not converge in 100 Newton steps")
+def _poisson(mu):
+    """Poisson(mu)'s masses from 0 on, each stepped from the last as its
+    log, ``_CHUNK`` at a time, so that e^-mu may be subnormal or 0.
+    np.cumsum is sequential, so each mass is bit for bit the one a single
+    array of any length would hold."""
+    last, start = -mu, 1
+    while True:
+        with np.errstate(divide="ignore"):  # log 0 = -inf at mu = 0
+            logs = np.cumsum(np.append(last, np.log(
+                mu / np.arange(start, start + _CHUNK))))
+        yield from np.exp(logs[:-1]).tolist()
+        last, start = logs[-1], start + _CHUNK
 
 
 class _PhiSampler(ThetaSampler):
-    """A :class:`ThetaSampler` that also holds Phi's law at one beta,
-    tilted by R: theta's density times e^(c theta) / R, c = beta (R - 1),
-    and Phi given theta Poisson(beta R theta).  R = 1 is the untilted law.
+    """A :class:`ThetaSampler` that also holds Phi's law at one beta, or
+    with :meth:`excess`, that of the weak ladder height H.
 
-    ``head`` is P(theta < t_N) = 1 - S_N, ``edges`` its split over the
-    segments and ``slopes`` the y of each segment's tilted density (see
-    :func:`_tilt`).  Past t_N, theta - t_N is Exp(alpha - c), so Phi there
-    is T = Poisson(mu) + Geometric((alpha - c) / (alpha + beta)),
-    mu = beta R t_N.  ``cdf[j]`` is 1 - S_N P(T > j), from the reverse
-    sums of T's masses f(j) = q f(j-1) + (1 - q) pois(j),
-    q = beta R / (alpha + beta).  pois(j) steps as its log, so the table
-    carries the law at any mu, also where e^-mu is subnormal or 0.  The
+    ``head`` is the share of draws below t_N, 1 - S_N for theta, and
+    ``edges`` its split over the segments, whose densities are prop. to
+    e^(-d_i x) on [0, 1] (see :func:`_integrals`).  Past t_N, theta - t_N
+    is Exp(alpha), so Phi there is T = Poisson(mu) +
+    Geometric(alpha / (alpha + beta)), mu = beta t_N.  ``cdf[j]`` is
+    1 - S_N P(T > j), from the reverse sums of T's masses
+    f(j) = q f(j-1) + (1 - q) pois(j), q = beta / (alpha + beta).  The
     table ends once S_N P(T > j) < 2**-53, bounded by
-    S_N (q / (1 - q) f(j) + 2 pois(j+1)) for j + 2 >= 2 mu, and its last
+    S_N (beta / alpha f(j) + 2 pois(j+1)) for j + 2 >= 2 mu, and its last
     entry is 1.0; or, past ``_TABLE`` entries, once the Poisson part's
     bound alone is below 2**-53.  Then T past the table is its last count
     plus a Geometric(1 - q), and ``rest`` is S_N P(T > j) at its end.
     """
 
-    def __init__(self, profile, beta, R=1.0):
+    def __init__(self, profile, beta):
         super().__init__(profile)
-        u = profile.fullrate - beta * (R - 1)
-        seg, tail, self.slopes = _tilt(self, u)
-        surv, self.edges = float(tail / R), np.cumsum(np.append(0.0, seg / R))
-        self.head = 1 - surv if self.edges[-1] > 0 else 0.0
-        q, mu = beta * R / (beta + profile.fullrate), beta * R * profile.thresholds[-1]
-        ratio, self.mu, self.q = beta * R / u, mu, q
-        # n masses end the loop: past _TABLE the geometric part's bound is
-        # dropped, and past 2 mu each Poisson mass at most halves
-        n = max(_TABLE, int(2 * mu) + 57)
-        with np.errstate(divide="ignore"):  # log 0 = -inf at mu = 0
-            pois = np.exp(np.cumsum(np.append(
-                -mu, np.log(mu / np.arange(1, n + 1))))).tolist()
-        f = [(1 - q) * pois[0]]
-        for j in range(1, n + 1):
-            if j + 1 >= 2 * mu and surv * ((0.0 if j >= _TABLE else ratio * f[-1])
-                                           + 2 * pois[j]) < 2.0**-53:
+        self.span, self.surv, self.mean, self.decay = _integrals(self)
+        q, mu = beta / (beta + profile.fullrate), beta * profile.thresholds[-1]
+        self.ratio, self.mu, self.q = beta / profile.fullrate, mu, q
+        # past _TABLE the geometric part's bound is dropped, and past 2 mu
+        # each Poisson mass at most halves: the loop ends by n
+        n, pois = max(_TABLE, int(2 * mu) + 57), _poisson(mu)
+        f = [(1 - q) * next(pois)]
+        for j, p in zip(range(1, n + 1), pois):
+            bound = (0.0 if j >= _TABLE else self.ratio * f[-1]) + 2 * p
+            if j + 1 >= 2 * mu and self.surv * bound < 2.0**-53:
                 break
-            f.append(q * f[-1] + (1 - q) * pois[j])
-        self.rest = surv * ratio * f[-1] if j >= _TABLE else 0.0
-        self.cdf = 1 - surv * np.append(np.cumsum(f[:0:-1])[::-1], 0.0) - self.rest
+            f.append(q * f[-1] + (1 - q) * p)
+        # T's reverse sums P(T > j), which the excess law shares
+        self.cut = f[-1] if j >= _TABLE else 0.0
+        self.sums = np.append(np.cumsum(f[:0:-1])[::-1], 0.0)
+        self._share(self.rate * self.span, self.surv)
+
+    def _share(self, seg, surv):
+        """Sets the law whose segments take shares ``seg`` and whose draws
+        past t_N take ``surv``, on the tail table's sums."""
+        self.edges = np.cumsum(np.append(0.0, seg))
+        self.head = 1 - surv if self.edges[-1] > 0 else 0.0
+        self.rest = surv * self.ratio * self.cut
+        self.cdf = 1 - surv * self.sums - self.rest
+
+    def excess(self):
+        """The sampler of H = Poisson(beta A), A of density S(a) / E[theta]:
+        segment i takes share int S / E[theta] and the draws past t_N
+        S_N / (alpha E[theta]), with theta's densities within the segments
+        and past t_N, so that H past t_N is T.  No rate exceeds alpha, so
+        alpha E[theta] >= 1, and this table, on theta's sums, drops less
+        than 2**-53 too."""
+        ladder = copy(self)
+        ladder._share(self.span / self.mean,
+                      self.surv / (self.profile.fullrate * self.mean))
+        return ladder
 
     def _theta(self, u):
-        """The times theta < t_N at uniforms u < head: the segment whose
-        share of head holds u, then within it the inverse of the tilted
-        density prop. to e^(y x) on [0, 1], in the decreasing form
-        log1p(v (e^-|y| - 1)) / -|y|, reflected where y > 0."""
+        """The times below t_N at uniforms u < head: the segment whose
+        share of head holds u, then within it the inverse of the density
+        prop. to e^(-d x) on [0, 1], log1p(v (e^-d - 1)) / -d."""
         idx = np.searchsorted(self.edges[1:-1], u, side="right")
         v = np.fmin((u - self.edges[idx])
                     / (self.edges[idx + 1] - self.edges[idx]), 1.0)
-        d = np.fmax(np.abs(self.slopes[idx]), 1e-300)  # x = v below it
-        x = np.log1p(v * np.expm1(-d)) / -d
-        x = np.where(self.slopes[idx] > 0, 1 - x, x)
+        x = np.log1p(v * np.expm1(-self.decay[idx])) / -self.decay[idx]
         return self.left[idx] + x * (self.left[idx + 1] - self.left[idx])
 
 
 def _counts(sampler, rng, size):
-    """Adversary counts Phi over ``size`` fresh inter-mining times, one
-    uniform u in [0, 1) each, under the sampler's law.
+    """Counts over ``size`` fresh draws of the sampler's law, one uniform u
+    in [0, 1) each: Phi over inter-mining times theta, or a ladder height
+    over times A of theta's excess.
 
-    Given theta >= t_N, the rate is the constant alpha past t_N, so Phi is
-    T (see :class:`_PhiSampler`) by the exponential's memorylessness:
-    u >= P(theta < t_N) reads Phi off ``sampler.cdf`` (u < cdf[0] is
-    Phi = 0), whose dropped far tail, below 2**-53 (the granularity of u),
-    is far below any Monte Carlo standard error; a u past a cut table's end
-    inverts the geometric rest.  Below it, u picks a theta < t_N, and Phi
-    counts the m ~ Poisson(mu) uniform points of the adversary's process on
-    [0, t_N] that fall before theta, Binomial(m, theta / t_N), which is
-    Poisson(mu theta / t_N); theta is drawn only where m > 0.
+    Past t_N, the rate is the constant alpha, so a count there is T (see
+    :class:`_PhiSampler`) by the exponential's memorylessness: u >= head
+    reads it off ``sampler.cdf`` (u < cdf[0] is 0), whose dropped far
+    tail, below 2**-53 (the granularity of u), is far below any Monte Carlo
+    standard error; a u past a cut table's end inverts the geometric rest.
+    Below it, u picks a time theta < t_N, and the count is that of the
+    m ~ Poisson(mu) uniform points of the adversary's process on [0, t_N]
+    that fall before theta, Binomial(m, theta / t_N), which is
+    Poisson(beta theta); theta is drawn only where m > 0.
     """
     u = rng.random(size)
     phi = np.searchsorted(sampler.cdf, u, side="right")
@@ -300,28 +278,24 @@ def _counts(sampler, rng, size):
     return phi
 
 
-def _ladder_max(tilted, log_r, rng, rise):
-    """Draws of M = sup_{n >= 0} S_n, S the walk of Phi - 1 from 0, one per
-    entry of ``rise``, each stopped once M >= rise (at once where rise <= 0).
+def _maxima(ladder, rho, rng, size):
+    """``size`` draws of M = sup_{n >= 0} S_n, S the walk of Phi - 1 from 0:
+    each the sum of a Geometric(1 - rho) count N >= 0 of ladder heights
+    drawn under ``ladder``.
 
-    The walk under ``tilted``, the law tilted by R = e^log_r, steps until
-    s > 0, a ladder of height H = s, kept with probability R^-H: M adds H
-    and s restarts at 0.  The first ladder not kept ends the draw.
+    The draws' heights, in order, are drawn in calls of at most ``_BATCH``.
+    Each draw whose heights end within a call reads the running sum of all
+    heights at its end, and M is the step of that sum from the draw before.
     """
-    out = np.zeros(rise.size, dtype=np.int64)
-    active = np.flatnonzero(rise > 0)
-    rise, s, m = rise[active], np.zeros(active.size, np.int64), out[active]
-    while active.size:
-        s += _counts(tilted, rng, active.size) - 1
-        up = s > 0
-        kept = up & (rng.standard_exponential(active.size) > s * log_r)
-        m[kept] += s[kept]
-        s[up] = 0
-        done = (up & ~kept) | (m >= rise)
-        out[active[done]] = m[done]
-        keep = ~done
-        active, s, m, rise = active[keep], s[keep], m[keep], rise[keep]
-    return out
+    ends = np.cumsum(rng.geometric(1 - rho, size) - 1)
+    at, total = np.zeros(size, dtype=np.int64), 0
+    for start in range(0, ends[-1], _BATCH):
+        run = total + np.cumsum(
+            _counts(ladder, rng, min(_BATCH, ends[-1] - start)))
+        lo, hi = np.searchsorted(ends, [start, start + run.size], side="right")
+        at[lo:hi] = run[ends[lo:hi] - start - 1]
+        total = run[-1]
+    return np.diff(at, prepend=0)
 
 
 def _race(z, top):
@@ -366,14 +340,14 @@ def simulate_attack_sweep(config: SimConfig, ks) -> dict[int, SimEstimate]:
     if config.stop_lead < max(ks):
         raise ValueError("stop_lead must cover the largest depth")
     beta = config.beta
-    sampler = _PhiSampler(config.profile, beta)
-    R = _lundberg(sampler, beta) if beta else np.inf
-    # where M is infinite, every depth violates
-    violations = np.full(len(ks), config.trials if R is None else 0)
-    # a ladder is kept with probability at most 1/R: none where R > _R_MAX
-    tilted = _PhiSampler(config.profile, beta, R) if R and R <= _R_MAX else None
+    rho = beta * _integrals(ThetaSampler(config.profile))[2]
+    # where M is infinite, every depth violates, and no table is built
+    violations = np.full(len(ks), config.trials if rho >= 1 else 0)
+    if rho < 1:
+        sampler = _PhiSampler(config.profile, beta)
+        ladder = sampler.excess()
     seeds = np.random.SeedSequence(config.seed)
-    for start in range(0, config.trials if R else 0, _BATCH):
+    for start in range(0, config.trials if rho < 1 else 0, _BATCH):
         n = min(_BATCH, config.trials - start)
         rng = np.random.default_rng(seeds.spawn(1)[0])
         w = _confirmation_margins(n, ks, sampler, beta * config.delta_conf, rng)
@@ -381,9 +355,7 @@ def simulate_attack_sweep(config: SimConfig, ks) -> dict[int, SimEstimate]:
         racing = np.flatnonzero(top >= 0)
         first = _counts(sampler, rng, racing.size) - 1
         # the leads, then the races' M', drawn together
-        rise = np.concatenate([top + 1, top[racing] - first])
-        maxima = (_ladder_max(tilted, np.log(R), rng, rise) if tilted
-                  else np.zeros_like(rise))
+        maxima = _maxima(ladder, rho, rng, n + racing.size)
         w -= maxima[:n]
         # a trial that does not race keeps top = max_d w_d >= max_d z_d
         top[racing] = first + maxima[n:]

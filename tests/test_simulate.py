@@ -10,8 +10,8 @@ from powruin.delaymodel import HashrateProfile, assemble_theta, calibrate_alpha
 from powruin.doublespend import DelayModel, analyze
 from powruin.phi import phi_from_theta
 from powruin.ruinlindley import lead_pmf
-from powruin.simulate import (SimConfig, ThetaSampler, _counts, _PhiSampler,
-                              _ladder_max, _lundberg, simulate_attack_sweep)
+from powruin.simulate import (SimConfig, ThetaSampler, _counts, _integrals,
+                              _maxima, _PhiSampler, simulate_attack_sweep)
 
 ALPHA = 1 / 600
 
@@ -112,8 +112,8 @@ def test_sampler_draws_of_zero_and_on_edges():
 
 @pytest.mark.parametrize("profile, violations", [
     (HashrateProfile((0.0, 2.0, 5.0, 10.0), (0.0, 0.4, 0.8), 1 / 589.6),
-     [10469, 6392, 4141, 2640, 1740, 1168]),
-    (HashrateProfile.zero_delay(ALPHA), [10194, 6201, 3924, 2540, 1716, 1116]),
+     [10414, 6389, 4102, 2644, 1749, 1147]),
+    (HashrateProfile.zero_delay(ALPHA), [10226, 6220, 3923, 2608, 1753, 1174]),
 ])
 def test_seeded_sweep_draws_are_pinned(profile, violations):
     # violation counts of a seeded sweep, which pin the draw stream of the
@@ -211,14 +211,12 @@ def congested_profile():
 
 PROFILES = {"zero": zero_profile, "criterion": lambda: criterion_profile()[0],
             "congested": congested_profile}
-# a rise no draw of M reaches
-NO_RISE = np.iinfo(np.int64).max
 
 
-def tilted(prof, beta):
-    """R and the sampler of ``prof``'s law at ``beta`` tilted by R."""
-    R = _lundberg(_PhiSampler(prof, beta), beta)
-    return R, _PhiSampler(prof, beta, R)
+def ladder(prof, beta):
+    """rho = beta E[theta] and the sampler of ``prof``'s ladder heights."""
+    sampler = _PhiSampler(prof, beta)
+    return beta * sampler.mean, sampler.excess()
 
 
 def law_z(draws, ref):
@@ -233,42 +231,64 @@ def law_z(draws, ref):
 
 
 def test_loynes_lead_matches_lead_pmf_on_the_criterion_profile():
-    # M = sup_n S_n drawn by tilted ladders against the K = 51 ME route's
-    # stationary lead, on the zero, criterion and congested profiles; the
-    # congested profile at 0.9 has beta E[theta] > 1, and no R
-    n = 200_000
+    # M = sup_n S_n drawn as a geometric sum of ladder heights against the
+    # K = 51 ME route's stationary lead, on the zero, criterion and
+    # congested profiles; the congested profile at 0.9 has rho > 1
+    n = 400_000
     for name, make in PROFILES.items():
         prof = make()
         theta = assemble_theta(prof, 51)
         for fraction in (0.2, 0.45, 0.9):
             beta = fraction * prof.fullrate
+            rho, heights = ladder(prof, beta)
             if (name, fraction) == ("congested", 0.9):
-                assert _lundberg(_PhiSampler(prof, beta), beta) is None
+                assert rho > 1
                 continue
-            R, sampler = tilted(prof, beta)
-            lead = _ladder_max(sampler, np.log(R), np.random.default_rng(21),
-                               np.full(n, NO_RISE))
+            lead = _maxima(heights, rho, np.random.default_rng(21), n)
             ref = lead_pmf(phi_from_theta(theta, beta, 400), 400).masses
             assert law_z(lead, ref) <= 4.0, (name, fraction)
+            mean = ref @ np.arange(400)
+            assert abs(lead.mean() - mean) <= 4 * lead.std() / np.sqrt(n)
 
 
 def test_loynes_lead_is_lindley_on_the_reversed_increments():
     # by Loynes' reversal the stationary lead has the law of Lindley's
     # recursion Q' = (Q + Phi - 1)+ run forward from 0: 200 steps of it on
-    # fresh counts against M drawn by tilted ladders, on the criterion
-    # profile, masses 0..5 and the rest
+    # fresh counts against M drawn as a geometric sum of ladder heights, on
+    # the criterion profile, masses 0..5 and the rest
     prof, _ = criterion_profile()
     beta, n = 0.45 * prof.fullrate, 50_000
     sampler, rng = _PhiSampler(prof, beta), np.random.default_rng(11)
     q = np.zeros(n, dtype=np.int64)
     for _ in range(200):
         q = np.maximum(q + _counts(sampler, rng, n) - 1, 0)
-    R, tilt = tilted(prof, beta)
-    lead = _ladder_max(tilt, np.log(R), rng, np.full(n, NO_RISE))
+    lead = _maxima(sampler.excess(), beta * sampler.mean, rng, n)
     a, b = (np.bincount(np.minimum(x, 6), minlength=7) / n for x in (q, lead))
     pooled = (a + b) / 2
     assert a[1] > 0.1 and a[6] > 0.002
     assert np.all(np.abs(a - b) <= 4 * np.sqrt(pooled * (1 - pooled) * 2 / n))
+
+
+@pytest.mark.parametrize("fraction", [0.2, 0.45, 0.9, 0.98])
+def test_lead_is_zero_with_probability_one_minus_rho_over_p0(fraction):
+    # the lead's pgf (1 - rho)(z - 1) / (z - E[z^Phi]) at z = 0: P(M = 0)
+    # = (1 - rho) / P(Phi = 0), which is 1 - fraction**2 at zero delay;
+    # P(Phi = 0) from the K = 51 ME route elsewhere
+    n = 200_000
+    for name, make in PROFILES.items():
+        prof = make()
+        beta = fraction * prof.fullrate
+        rho, heights = ladder(prof, beta)
+        if rho >= 1:
+            assert name == "congested" and fraction >= 0.9
+            continue
+        p0 = (1 / (1 + fraction) if name == "zero" else
+              phi_from_theta(assemble_theta(prof, 51), beta, 1).masses[0])
+        p = (1 - rho) / p0
+        if name == "zero":
+            assert p == pytest.approx(1 - fraction**2, rel=1e-12)
+        lead = _maxima(heights, rho, np.random.default_rng(23), n)
+        assert abs(np.mean(lead == 0) - p) <= 4 * np.sqrt(p * (1 - p) / n)
 
 
 def spy_draws(monkeypatch):
@@ -285,9 +305,9 @@ def spy_draws(monkeypatch):
 
 def test_sweep_samples_far_fewer_times_than_the_cap(monkeypatch):
     # warmup_blocks and stop_lead change no draw, and a 1 500-trial sweep
-    # on the criterion profile draws Phi in a few dozen calls: six for the
-    # confirmations, one for the races' first steps, then one per pass of
-    # the ladder loop, which draws for fewer walks at each pass
+    # on the criterion profile draws Phi in eight calls: six for the
+    # confirmations, one for the races' first steps, then one for every
+    # ladder height of the leads and the races
     prof, _ = criterion_profile()
     counts = spy_draws(monkeypatch)
     fields = dict(profile=prof, beta=0.2 * prof.fullrate, k=6,
@@ -299,8 +319,7 @@ def test_sweep_samples_far_fewer_times_than_the_cap(monkeypatch):
         runs.append((simulate_attack_sweep(config, range(1, 7)), counts[:]))
     assert runs[0] == runs[1] == runs[2]
     assert counts[:6] == [1_500] * 6 and 0 < counts[6] < 1_500
-    assert 1_500 < counts[7] <= 1_500 + counts[6]
-    assert counts[7:] == sorted(counts[7:], reverse=True) and len(counts) < 40
+    assert len(counts) == 8 and 0 < counts[7] < 1_500 + counts[6]
 
 
 def test_sweep_runs_one_race_per_batch(monkeypatch):
@@ -336,9 +355,8 @@ def test_sweep_spawns_each_batch_its_child_seed(monkeypatch):
 
 
 def test_race_matches_a_naive_walk_per_depth(monkeypatch):
-    # one ladder call per batch draws every lead, stopped at max_d w_d + 1,
-    # then for each trial with max_d w_d >= 0 its race's M', stopped at
-    # max_d w_d - (Phi_1 - 1); depth d violates when w_d - lead <=
+    # one draw of M per batch gives every lead, then for each trial with
+    # max_d w_d >= 0 its race's M'; depth d violates when w_d - lead <=
     # Phi_1 - 1 + M'.  With stub counts and stub draws of M, each trial
     # and depth is checked by hand.
     rng = np.random.default_rng(12)
@@ -350,10 +368,10 @@ def test_race_matches_a_naive_walk_per_depth(monkeypatch):
     stub = rng.integers(0, 6, size=2 * n)
     calls = []
 
-    def ladders(sampler, log_r, rng, rise):
-        calls.append(rise)
-        return stub[:rise.size]
-    monkeypatch.setattr(simulate, "_ladder_max", ladders)
+    def maxima(heights, rho, rng, size):
+        calls.append((rho, size))
+        return stub[:size]
+    monkeypatch.setattr(simulate, "_maxima", maxima)
     config = SimConfig(profile=zero_profile(), beta=0.2 * ALPHA, k=5,
                        trials=n, seed=2)
     ests = simulate_attack_sweep(config, ks)
@@ -361,8 +379,7 @@ def test_race_matches_a_naive_walk_per_depth(monkeypatch):
     w = np.array([k - 1 - rows[:k].sum(axis=0) for k in ks])
     racing = np.flatnonzero(w.max(axis=0) >= 0)
     first = rows[ks[-1], :racing.size] - 1
-    assert len(calls) == 1 and calls[0].tolist() == (
-        (w.max(axis=0) + 1).tolist() + (w.max(axis=0)[racing] - first).tolist())
+    assert calls == [(pytest.approx(0.2, rel=1e-15), n + racing.size)]
     lead, race = stub[:n], dict(zip(racing, first + stub[n:n + racing.size]))
     violations = [sum(w[d, j] - lead[j] <= race.get(j, w[:, j].max())
                       for j in range(n)) for d in range(len(ks))]
@@ -370,58 +387,42 @@ def test_race_matches_a_naive_walk_per_depth(monkeypatch):
     assert 0 < racing.size < n
 
 
-def naive_ladders(phi, e, log_r, rise):
-    """One draw of M on the tilted steps phi and exponentials e, step by
-    step: a ladder s > 0 is kept when e_t > s log_r, and the draw stops once
-    M >= rise or at the first ladder not kept.  Returns M and the steps
-    walked; a rise <= 0 walks none."""
-    s = m = t = 0
-    while m < rise:
-        s, t = s + phi[t] - 1, t + 1
-        if s > 0:
-            if e[t - 1] <= s * log_r:
-                break
-            m, s = m + s, 0
-    return m, t
-
-
-def test_race_draws_once_per_walking_trial(monkeypatch):
-    # every pass of the ladder loop draws one tilted step, and one
-    # exponential, per walk still walking; every walk sees the same draws,
-    # so one naive walk per rise tells its M and the steps it walks
+def test_maxima_sum_each_draws_own_ladder_heights(monkeypatch):
+    # every draw of M sums the next N of the heights, in order, N its
+    # geometric count; the heights come in calls of at most _BATCH, and a
+    # draw's heights may straddle calls
     rng = np.random.default_rng(13)
-    phi, e = rng.poisson(1.6, 10_000), rng.exponential(size=10_000)
+    counts = rng.geometric(0.3, 500) - 1
+    counts[:3] = 0  # draws of M = 0 first, and one on a call's boundary
+    counts[100] = 7 - counts[:100].sum() % 7
+    heights = rng.integers(0, 9, counts.sum())
     sizes = []
 
-    def counts(sampler, rng, size):
+    def draw(sampler, rng, size):
         sizes.append(size)
-        return np.full(size, phi[len(sizes) - 1])
-    monkeypatch.setattr(simulate, "_counts", counts)
+        return heights[sum(sizes) - size:sum(sizes)]
+    monkeypatch.setattr(simulate, "_counts", draw)
+    monkeypatch.setattr(simulate, "_BATCH", 7)
 
-    class Exponentials:
-        def standard_exponential(self, size):
-            assert size == sizes[-1]
-            return np.full(size, e[len(sizes) - 1])
-    rise = np.arange(-2, 40)
-    got = _ladder_max(None, 0.3, Exponentials(), rise)
-    want = [naive_ladders(phi, e, 0.3, r) for r in rise]
-    assert got.tolist() == [m for m, _ in want]
-    walked = [t for _, t in want]
-    assert sizes == [sum(t > i for t in walked) for i in range(max(walked))]
-    # some draws stop at their rise, others at a ladder not kept
-    assert any(m >= r > 0 for m, r in zip(got, rise))
-    assert any(0 < m < r for m, r in zip(got, rise))
+    class Geometric:
+        def geometric(self, p, size):
+            assert (p, size) == (0.25, counts.size)
+            return counts + 1
+    got = _maxima(None, 0.75, Geometric(), counts.size)
+    ends = np.cumsum(counts)
+    want = [heights[e - c:e].sum() for c, e in zip(counts, ends)]
+    assert got.tolist() == want
+    assert sizes == [min(7, heights.size - i) for i in range(0, heights.size, 7)]
 
 
 def test_race_is_the_gamblers_ruin_on_the_zero_profile():
     # at beta = 0.2 alpha, a race from lead u is lost with probability
-    # psi(u) = 0.2**(u + 1); its maximum over steps n >= 1 is Phi_1 - 1 + M',
-    # and M' stopped once that maximum reaches 3 reads every u <= 3
+    # psi(u) = 0.2**(u + 1); its maximum over steps n >= 1 is
+    # Phi_1 - 1 + M', which reads every u <= 3
     beta, n = 0.2 * ALPHA, 1_000_000
     sampler, rng = _PhiSampler(zero_profile(), beta), np.random.default_rng(33)
-    R, tilt = tilted(zero_profile(), beta)
     first = _counts(sampler, rng, n) - 1
-    top = first + _ladder_max(tilt, np.log(R), rng, 3 - first)
+    top = first + _maxima(sampler.excess(), 0.2, rng, n)
     z = np.repeat(np.arange(4)[:, None], n, axis=1)
     nviol = simulate._race(z, top)
     psi = 0.2 ** (np.arange(4) + 1)
@@ -443,8 +444,13 @@ def test_sweep_is_unbiased_near_beta_equal_to_alpha(fraction):
 
 def test_sweep_of_an_unstable_model_violates_without_a_walk(monkeypatch):
     # a 599.99 s fixed delay at a 600 s mean puts beta E[theta] far above 1:
-    # M is infinite, so every depth violates, and no Phi is drawn
+    # M is infinite, so every depth violates, no Phi is drawn and no table
+    # is built
     counts = spy_draws(monkeypatch)
+
+    def refused(*args):
+        raise AssertionError("no table is built")
+    monkeypatch.setattr(simulate, "_PhiSampler", refused)
     prof = HashrateProfile.fixed_delay(599.99, 100.0)
     config = SimConfig(profile=prof, beta=0.2 * 100.0, k=3, trials=1_000,
                        seed=1)
@@ -456,8 +462,8 @@ def test_sweep_of_an_unstable_model_violates_without_a_walk(monkeypatch):
 
 def test_sweep_on_a_long_last_segment_matches_analyze():
     # thresholds (0, 10, 1e6) s at fractions (0, 1), calibrated to a 600 s
-    # mean: e^-H_N underflows to 0 while e^(c t_N) overflows, so each
-    # e^(c t - H) is formed as one exponent
+    # mean: e^-H_N underflows to 0, so that every draw of theta and of A
+    # falls before t_N, and beta t_N = 339
     prof = HashrateProfile((0.0, 10.0, 1e6), (0.0, 1.0), 1 / 590)
     config = SimConfig(profile=prof, beta=0.2 / 590, k=3, trials=20_000,
                        seed=1)
@@ -468,31 +474,52 @@ def test_sweep_on_a_long_last_segment_matches_analyze():
         assert abs(ests[k].q_hat - analytic[k - 1].q) <= 4 * ests[k].std_err
 
 
-@pytest.mark.parametrize("fraction", [0.2, 0.45, 0.9, 0.98])
-def test_lundberg_root_is_alpha_over_beta_at_zero_delay(fraction):
-    # to rounding: near beta = alpha the root is ill-conditioned, and at
-    # 0.98 R falls 22 ulps from alpha / beta
-    beta = fraction * ALPHA
-    R = _lundberg(_PhiSampler(zero_profile(), beta), beta)
-    assert R == pytest.approx(ALPHA / beta, rel=1e-14, abs=0)
+def test_sweep_on_a_long_dead_zone_at_a_vanishing_beta_matches_analyze():
+    # a 5e5 s dead zone at beta = 1e-6 alpha, with the delay as the final
+    # window: rho = 8.3e-4, and nearly every ladder height is drawn before
+    # t_N, as Poisson(beta A) with A uniform on the dead zone
+    prof = HashrateProfile.fixed_delay(5e5, ALPHA)
+    config = SimConfig(profile=prof, beta=1e-6 * ALPHA, k=2, trials=200_000,
+                       delta_conf=5e5, seed=9)
+    ests = simulate_attack_sweep(config, [1, 2])
+    analytic = analyze(DelayModel("fixed", delay=5e5), 1e-6, 500_600.0, 2,
+                       delta_conf=5e5)
+    assert ests[1].q_hat > 0.002
+    for k in (1, 2):
+        se = max(ests[k].std_err, 1 / config.trials)
+        assert abs(ests[k].q_hat - analytic[k - 1].q) <= 4 * se
 
 
-def mgf_50_digits(prof, c):
-    """E[e^(c theta)] to 50 digits by ``decimal``: each segment's
-    r int e^(c t - H(t)) dt in closed form, then the exponential tail."""
+def test_no_counts_call_exceeds_the_batch_near_beta_equal_to_alpha(monkeypatch):
+    # at beta = 0.98 alpha a draw of M sums 49 ladder heights on average,
+    # and E[M] = 0.98**2 / 0.02 at zero delay: the heights are drawn in
+    # calls of at most _BATCH, as the trials are
+    counts = spy_draws(monkeypatch)
+    monkeypatch.setattr(simulate, "_BATCH", 1_000)
+    config = SimConfig(profile=zero_profile(), beta=0.98 * ALPHA, k=2,
+                       trials=2_500, seed=6)
+    simulate_attack_sweep(config, [1, 2])
+    assert max(counts) == 1_000 and sum(counts) > 100_000
+    counts.clear()
+    rho, heights = ladder(zero_profile(), 0.98 * ALPHA)
+    lead = _maxima(heights, rho, np.random.default_rng(8), 20_000)
+    assert max(counts) == 1_000 and len(counts) > 900
+    assert abs(lead.mean() - 0.98**2 / 0.02) <= 4 * lead.std() / np.sqrt(
+        lead.size)
+
+
+def survival_integral_50_digits(prof):
+    """E[theta] = int S to 50 digits by ``decimal``: each segment's
+    int e^-H(t) dt in closed form, then S_N / alpha."""
     with decimal.localcontext() as ctx:
         ctx.prec = 50
         D = decimal.Decimal
-        alpha, c, H, total = D(prof.fullrate), D(c), D(0), D(0)
-        for t0, length, f in zip(prof.thresholds, prof.segment_lengths,
-                                 prof.fractions):
-            r, t0, length = D(f) * alpha, D(t0), D(length)
-            x = r - c
-            span = (1 - (-x * length).exp()) / x if x else length
-            total += r * (c * t0 - H).exp() * span
+        alpha, H, total = D(prof.fullrate), D(0), D(0)
+        for length, f in zip(prof.segment_lengths, prof.fractions):
+            r, length = D(f) * alpha, D(length)
+            total += (-H).exp() * ((1 - (-r * length).exp()) / r if r else length)
             H += r * length
-        return total + (c * D(prof.thresholds[-1]) - H).exp() * alpha / (
-            alpha - c)
+        return total + (-H).exp() / alpha
 
 
 @pytest.mark.parametrize("make", [
@@ -500,27 +527,14 @@ def mgf_50_digits(prof, c):
     lambda: criterion_profile()[0], congested_profile,
     lambda: HashrateProfile((0.0, 10.0, 1e6), (0.0, 1.0), 1 / 590)],
     ids=["fixed", "criterion", "congested", "long-segment"])
-def test_lundberg_root_solves_its_equation(make):
-    # |E[R^Phi] - R| <= 1e-12 R, with E[R^Phi] = E[e^(beta (R - 1) theta)]
-    # to 50 digits; only the congested profile at 0.9 has no root
+def test_mean_is_the_integral_of_the_survival(make):
+    # rho = beta E[theta] reads E[theta] off the profile's own law in
+    # closed form, to 1e-14 of a 50-digit reference
     prof = make()
-    for fraction in (0.2, 0.45, 0.9):
-        beta = fraction * prof.fullrate
-        R = _lundberg(_PhiSampler(prof, beta), beta)
-        if make is congested_profile and fraction == 0.9:
-            assert R is None
-            continue
-        c = decimal.Decimal(beta) * (decimal.Decimal(R) - 1)
-        assert abs(mgf_50_digits(prof, c) - decimal.Decimal(R)) <= 1e-12 * R
-
-
-def test_lundberg_refuses_a_root_it_cannot_reach():
-    # a 5e5 s dead zone at beta = 1e-6 alpha: e^(c t_N) overflows at the
-    # first u with h(u) > 0, Newton's iterates turn NaN and the cap raises
-    prof = HashrateProfile.fixed_delay(5e5, ALPHA)
-    beta = 1e-6 * ALPHA
-    with pytest.raises(ValueError, match="did not converge in 100 Newton"):
-        _lundberg(_PhiSampler(prof, beta), beta)
+    mean = _integrals(ThetaSampler(prof))[2]
+    assert abs(decimal.Decimal(mean) - survival_integral_50_digits(prof)) <= (
+        decimal.Decimal(1e-14 * mean))
+    assert _PhiSampler(prof, 0.2 * prof.fullrate).mean == mean
 
 
 @pytest.mark.parametrize("make", [zero_profile, lambda: criterion_profile()[0],
@@ -550,52 +564,63 @@ def test_counts_follow_phi_of_the_profile(make, fraction):
 
 @pytest.mark.parametrize("make", PROFILES.values(), ids=PROFILES.keys())
 @pytest.mark.parametrize("fraction", [0.2, 0.45])
-def test_tilted_counts_follow_the_tilted_law(make, fraction):
-    # P'(Phi = n) = P(Phi = n) R**n / R, from the K = 51 ME route's masses,
-    # and the tilted mean; the tilted walk drifts up
+def test_ladder_heights_follow_the_excess_law(make, fraction):
+    # P(H = h) = P(Phi > h) / rho, from the K = 51 ME route's masses, and
+    # its mean E[Phi (Phi - 1)] / (2 rho); the excess table shares theta's
+    # sums
     prof = make()
     beta, n = fraction * prof.fullrate, 1_000_000
-    R, sampler = tilted(prof, beta)
-    ref = phi_from_theta(assemble_theta(prof, 51), beta, 200).masses * (
-        R ** np.arange(200) / R)
-    phi = _counts(sampler, np.random.default_rng(37), n)
-    assert law_z(phi, ref) <= 4.0
-    mean = ref @ np.arange(200)
-    assert mean > 1 and abs(phi.mean() - mean) <= 4 * phi.std() / np.sqrt(n)
+    sampler = _PhiSampler(prof, beta)
+    rho, heights = beta * sampler.mean, sampler.excess()
+    masses = phi_from_theta(assemble_theta(prof, 51), beta, 200).masses
+    ref = (1 - np.cumsum(masses)) / rho
+    h = _counts(heights, np.random.default_rng(37), n)
+    assert law_z(h, ref) <= 4.0
+    mean = masses @ (np.arange(200) * np.arange(-1, 199)) / (2 * rho)
+    assert abs(h.mean() - mean) <= 4 * h.std() / np.sqrt(n)
+    assert heights.sums is sampler.sums
 
 
 def test_a_cut_tail_table_draws_its_geometric_rest():
-    # at beta = 0.001 alpha the tilted law on the zero profile is
-    # P'(Phi >= n) = (1 / 1.001)**n, whose table would take some 37 000
+    # at beta = 1000 alpha the law on the zero profile is
+    # P(Phi >= n) = (1000 / 1001)**n, whose table would take some 37 000
     # entries: it stops at _TABLE, and a draw past it inverts the
-    # geometric rest; the untilted table is not cut
-    beta = 0.001 * ALPHA
-    R, sampler = tilted(zero_profile(), beta)
+    # geometric rest; the excess law, theta's own at zero delay, is cut
+    # alike
+    beta = 1000 * ALPHA
+    sampler = _PhiSampler(zero_profile(), beta)
     assert len(sampler.cdf) == simulate._TABLE and sampler.rest > 0
-    assert _PhiSampler(zero_profile(), beta).rest == 0.0
+    excess = sampler.excess()
+    assert_allclose(excess.cdf, sampler.cdf, rtol=0, atol=1e-15)
+    assert excess.rest == pytest.approx(sampler.rest, rel=1e-15)
     n = 1_000_000
-    phi = _counts(sampler, np.random.default_rng(35), n)
-    for level in (1, 500, 1_023, 1_024, 1_025, 3_000, 10_000):
-        p = (1 / 1.001) ** level
-        assert abs((phi >= level).mean() - p) <= 4 * np.sqrt(p * (1 - p) / n)
+    for law, seed in ((sampler, 35), (excess, 36)):
+        phi = _counts(law, np.random.default_rng(seed), n)
+        for level in (1, 500, 1_023, 1_024, 1_025, 3_000, 10_000):
+            p = (1000 / 1001) ** level
+            assert abs((phi >= level).mean() - p) <= 4 * np.sqrt(p * (1 - p) / n)
 
 
 @pytest.mark.parametrize("make", [zero_profile, lambda: criterion_profile()[0]],
                          ids=["zero", "criterion"])
 @pytest.mark.parametrize("ratio", [0.0, 1e-300])
 def test_sweep_at_a_vanishing_beta_never_violates(make, ratio, monkeypatch):
-    # Phi = 0 on every draw, or all but a 1e-300 share: R is infinite or
-    # above 2**40, so that a ladder is kept with probability below 1e-12,
-    # and no ladder is drawn
-    def never(*args):
-        raise AssertionError("no ladder is drawn")
-    monkeypatch.setattr(simulate, "_ladder_max", never)
+    # Phi = 0 on every draw, or all but a 1e-300 share: 1 - rho rounds to
+    # 1, so that every draw of M counts no ladder, and no height is drawn;
+    # every count is drawn under theta's law
+    samplers, draw = [], simulate._counts
+
+    def spied(sampler, rng, size):
+        samplers.append(sampler)
+        return draw(sampler, rng, size)
+    monkeypatch.setattr(simulate, "_counts", spied)
     prof = make()
     config = SimConfig(profile=prof, beta=ratio * prof.fullrate, k=4,
                        delta_conf=prof.max_delay, warmup_blocks=1_000,
                        stop_lead=8, trials=2_000, seed=5)
     ests = simulate_attack_sweep(config, range(1, 5))
     assert [ests[k].q_hat for k in range(1, 5)] == [0.0] * 4
+    assert len(samplers) == 5 and len(set(map(id, samplers))) == 1
 
 
 def tail_left(prof, beta, j):
@@ -653,3 +678,15 @@ def test_counts_at_zero_beta_are_zero(make):
     assert sampler.cdf.tolist() == [1.0]
     phi = _counts(sampler, np.random.default_rng(32), 100_000)
     assert not phi.any()
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.0034, 5.0, 700.0, 5_000.0])
+def test_poisson_masses_are_one_arrays_prefix(mu):
+    # the tail table reads Poisson masses only as far as its stop test;
+    # drawn _CHUNK at a time, they are bit for bit those of one long array
+    masses = simulate._poisson(mu)
+    got = [next(masses) for _ in range(300)]
+    with np.errstate(divide="ignore"):
+        one = np.exp(np.cumsum(np.append(-mu, np.log(
+            mu / np.arange(1, 2_000))))).tolist()
+    assert got == one[:300]
