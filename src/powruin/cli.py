@@ -169,8 +169,7 @@ def cmd_simulate(args) -> int:
              else profile.max_delay)
     config = simulate.SimConfig(
         profile=profile, beta=args.beta_fraction * profile.fullrate,
-        k=args.k_max, delta_conf=dconf, warmup_blocks=args.warmup, stop_lead=args.stop_lead,
-        trials=args.trials, seed=args.seed)
+        k=args.k_max, delta_conf=dconf, trials=args.trials, seed=args.seed)
     ests = simulate.simulate_attack_sweep(config, range(1, args.k_max + 1))
     lines = ["k,q_hat,std_err,trials"]
     for k in sorted(ests):
@@ -257,14 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=int, default=6)
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--warmup", type=int, default=10_000,
-                   help="accepted for compatibility and changes no draw: the "
-                        "pre-mining lead is drawn exactly (at least 1000; "
-                        "default 10000)")
-    p.add_argument("--stop-lead", type=int, default=64,
-                   help="accepted for compatibility and changes no draw: the "
-                        "lead and the race are drawn with no truncation (at "
-                        "least --k-max; default 64)")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_simulate)
 

@@ -48,9 +48,6 @@ __all__ = ["SimConfig", "SimEstimate", "ThetaSampler", "simulate_attack_sweep"]
 
 # trials per batch
 _BATCH = 500_000
-# the tail table's length past which its geometric rest is inverted in
-# closed form; only a large beta t_N or a beta far above alpha reaches it
-_TABLE = 1_024
 # Poisson masses computed per step of the tail table's recursion
 _CHUNK = 64
 
@@ -69,17 +66,13 @@ class SimConfig:
     profile: the honest hashrate profile (thresholds in s, full rate alpha
         in blocks/s).
     beta: the adversary's mining rate in blocks/s, not a fraction of alpha.
-    k: the deepest confirmation depth, in blocks; ``stop_lead`` must be at
-        least k.
     delta_conf: the final propagation window in s, in which only the
         adversary mines.
-    warmup_blocks, stop_lead: accepted and checked for compatibility; they
-        no longer change any draw, since the lead and the race are drawn
-        exactly, with no warmup horizon and no fall stop.
     trials: the number of trials, each read by every depth.
     seed: the nonnegative seed of the trials' random streams.
-
-    k, warmup_blocks and stop_lead are at most 2**61.
+    k, warmup_blocks, stop_lead: whole numbers, k >= 1, that change no
+        draw: the sweep reads its depths from ``ks``, and the lead and the
+        race are drawn exactly, with no warmup horizon and no fall stop.
     """
 
     profile: HashrateProfile
@@ -100,14 +93,6 @@ class SimConfig:
             raise ValueError("trials must be >= 1")
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.stop_lead < self.k:
-            raise ValueError("stop_lead must be at least k")
-        if self.warmup_blocks < 1_000:
-            raise ValueError("warmup_blocks must be at least 1000")
-        # k <= stop_lead is bounded with it
-        for name in ("warmup_blocks", "stop_lead"):
-            if getattr(self, name) > 2**61:
-                raise ValueError(f"{name} must be at most 2**61")
         for name in ("beta", "delta_conf"):
             if not 0 <= getattr(self, name) < np.inf:  # NaN fails it too
                 raise ValueError(f"{name} must be nonnegative and finite")
@@ -191,29 +176,28 @@ class _PhiSampler(ThetaSampler):
     Geometric(alpha / (alpha + beta)), mu = beta t_N.  ``cdf[j]`` is
     1 - S_N P(T > j), from the reverse sums of T's masses
     f(j) = q f(j-1) + (1 - q) pois(j), q = beta / (alpha + beta).  The
-    table ends once S_N P(T > j) < 2**-53, bounded by
-    S_N (beta / alpha f(j) + 2 pois(j+1)) for j + 2 >= 2 mu, and its last
-    entry is 1.0; or, past ``_TABLE`` entries, once the Poisson part's
-    bound alone is below 2**-53.  Then T past the table is its last count
-    plus a Geometric(1 - q), and ``rest`` is S_N P(T > j) at its end.
+    table ends once S_N P(T > j) < 2**-53, bounded by S_N for
+    j + 2 < 2 mu and by S_N (beta / alpha f(j) + 2 pois(j+1)) past it, and
+    its last entry is 1.0: where S_N < 2**-53 it is [1.0].  Fractions are
+    nondecreasing, so the hazard H is convex and mu <= rho H_N / (1 - S_N),
+    below 37 where rho < 1 and S_N >= 2**-53: a table the sweep reads has
+    some 200 entries at most.
     """
 
     def __init__(self, profile, beta):
         super().__init__(profile)
         self.span, self.surv, self.mean, self.decay = _integrals(self)
         q, mu = beta / (beta + profile.fullrate), beta * profile.thresholds[-1]
-        self.ratio, self.mu, self.q = beta / profile.fullrate, mu, q
-        # past _TABLE the geometric part's bound is dropped, and past 2 mu
-        # each Poisson mass at most halves: the loop ends by n
-        n, pois = max(_TABLE, int(2 * mu) + 57), _poisson(mu)
+        ratio, self.mu, pois = beta / profile.fullrate, mu, _poisson(mu)
         f = [(1 - q) * next(pois)]
-        for j, p in zip(range(1, n + 1), pois):
-            bound = (0.0 if j >= _TABLE else self.ratio * f[-1]) + 2 * p
-            if j + 1 >= 2 * mu and self.surv * bound < 2.0**-53:
+        # past 2 mu each Poisson mass at most halves, and q < 1, so that
+        # the bound falls geometrically and the loop ends
+        for j, p in enumerate(pois, start=1):
+            bound = ratio * f[-1] + 2 * p if j + 1 >= 2 * mu else 1.0
+            if self.surv * bound < 2.0**-53:
                 break
             f.append(q * f[-1] + (1 - q) * p)
         # T's reverse sums P(T > j), which the excess law shares
-        self.cut = f[-1] if j >= _TABLE else 0.0
         self.sums = np.append(np.cumsum(f[:0:-1])[::-1], 0.0)
         self._share(self.rate * self.span, self.surv)
 
@@ -222,8 +206,7 @@ class _PhiSampler(ThetaSampler):
         past t_N take ``surv``, on the tail table's sums."""
         self.edges = np.cumsum(np.append(0.0, seg))
         self.head = 1 - surv if self.edges[-1] > 0 else 0.0
-        self.rest = surv * self.ratio * self.cut
-        self.cdf = 1 - surv * self.sums - self.rest
+        self.cdf = 1 - surv * self.sums
 
     def excess(self):
         """The sampler of H = Poisson(beta A), A of density S(a) / E[theta]:
@@ -257,18 +240,13 @@ def _counts(sampler, rng, size):
     :class:`_PhiSampler`) by the exponential's memorylessness: u >= head
     reads it off ``sampler.cdf`` (u < cdf[0] is 0), whose dropped far
     tail, below 2**-53 (the granularity of u), is far below any Monte Carlo
-    standard error; a u past a cut table's end inverts the geometric rest.
-    Below it, u picks a time theta < t_N, and the count is that of the
-    m ~ Poisson(mu) uniform points of the adversary's process on [0, t_N]
-    that fall before theta, Binomial(m, theta / t_N), which is
+    standard error.  Below it, u picks a time theta < t_N, and the count is
+    that of the m ~ Poisson(mu) uniform points of the adversary's process
+    on [0, t_N] that fall before theta, Binomial(m, theta / t_N), which is
     Poisson(beta theta); theta is drawn only where m > 0.
     """
     u = rng.random(size)
     phi = np.searchsorted(sampler.cdf, u, side="right")
-    if sampler.rest:  # a cut table: past its end, its geometric rest
-        far = np.flatnonzero(u >= sampler.cdf[-1])
-        phi[far] += (np.log((1 - u[far]) / sampler.rest)
-                     // np.log(sampler.q)).astype(np.int64)
     head = np.flatnonzero(u < sampler.head)
     m = rng.poisson(sampler.mu, head.size)
     head, m = head[m > 0], m[m > 0]
@@ -337,8 +315,6 @@ def simulate_attack_sweep(config: SimConfig, ks) -> dict[int, SimEstimate]:
     ks = sorted(set(_whole(k, "confirmation depth") for k in ks))
     if min(ks, default=0) < 1:
         raise ValueError("need one or more confirmation depths, each >= 1")
-    if config.stop_lead < max(ks):
-        raise ValueError("stop_lead must cover the largest depth")
     beta = config.beta
     rho = beta * _integrals(ThetaSampler(config.profile))[2]
     # where M is infinite, every depth violates, and no table is built

@@ -46,8 +46,7 @@ MODEL_COMMANDS = {
     "sweep": ["sweep", "--k-max", "2"],
     "calibrate": ["calibrate"],
     "density": ["density", "--points", "11"],
-    "simulate": ["simulate", "--k-max", "1", "--trials", "2000",
-                 "--warmup", "1000"],
+    "simulate": ["simulate", "--k-max", "1", "--trials", "2000"],
 }
 
 
@@ -132,7 +131,7 @@ def test_density_csv(capsys):
 
 def test_simulate_deterministic(capsys):
     argv = ["simulate", "--model", "zero", "--k-max", "2", "--trials", "5000",
-            "--warmup", "1000", "--seed", "3"]
+            "--seed", "3"]
     code1, out1 = run(capsys, *argv)
     code2, out2 = run(capsys, *argv)
     assert code1 == code2 == 0
@@ -352,14 +351,12 @@ def test_non_finite_flag_is_input_error(flags, field, capsys):
     assert field in err
 
 
-@pytest.mark.parametrize("flag,field", [("--stop-lead", "stop_lead"),
-                                        ("--warmup", "warmup_blocks")])
-def test_simulate_refuses_a_step_count_past_int64(capsys, flag, field):
-    code, err = run_err(capsys, "simulate", "--model", "zero", "--k-max", "2",
-                        "--trials", "100", "--warmup", "1000",
-                        flag, "99999999999999999999")
-    assert code == EXIT_INPUT
-    assert f"{field} must be at most 2**61" in err
+def test_simulate_answers_a_depth_past_64_with_default_flags(capsys):
+    code, out = run(capsys, "simulate", "--model", "zero", "--k-max", "100",
+                    "--trials", "100")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 101 and lines[-1].startswith("100,")
 
 
 def test_simulate_refuses_random_delays(capsys):
@@ -392,15 +389,16 @@ def test_calibrate_prints_the_rate_simulate_uses(profile_file, capsys,
     monkeypatch.setattr(simulate, "simulate_attack_sweep",
                         lambda config, ks: used.append(config.profile.fullrate)
                         or {})
-    code, _ = run(capsys, "simulate", *flags, "--k-max", "1", "--trials", "10",
-                  "--warmup", "1000")
+    code, _ = run(capsys, "simulate", *flags, "--k-max", "1", "--trials", "10")
     assert code == 0
     assert used == [rate]
 
 
 @pytest.mark.parametrize("argv", [("calibrate", "--rel-tol", "1e-8"),
                                   ("calibrate", "--beta-fraction", "0.3"),
-                                  ("density", "--delta-conf", "1")])
+                                  ("density", "--delta-conf", "1"),
+                                  ("simulate", "--warmup", "1000"),
+                                  ("simulate", "--stop-lead", "64")])
 def test_flag_the_command_does_not_read_is_flag_error(argv, capsys):
     with pytest.raises(SystemExit) as info:
         main(list(argv))
@@ -451,7 +449,8 @@ def test_attack_flags_are_checked_alike(command, flags, message, capsys):
     assert message in err
 
 
-@pytest.mark.parametrize("key", ["beta-fracton", "rel-tol"])
+@pytest.mark.parametrize("key", ["beta-fracton", "rel-tol", "warmup",
+                                 "stop-lead"])
 def test_config_key_no_command_takes_is_input_error(key, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"k-max = 2\n{key} = 0.4\n")
