@@ -11,8 +11,8 @@ at or below each threshold becomes the mining-rate fraction of the segment.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -24,12 +24,20 @@ __all__ = [
 ]
 
 _SUB_MS = 1e-3
-_CHUNK_BYTES = 1 << 16  # load_delays reads about this much text at a time
 
 
 @dataclass(frozen=True, eq=False)
 class DelayDataset:
-    delays: np.ndarray  # seconds, sorted ascending
+    """Delays in seconds, sorted ascending in a read-only array.
+
+    The delays must be nonempty, nonnegative and finite.  A sorted array
+    that neither it nor the array owning its data can write, as ingest
+    leaves its arrays (``load_delays``'s, or a prefix of a dataset's), is
+    kept as it is; any other input is copied and sorted into a read-only
+    array, so no caller's writable array is aliased.
+    """
+
+    delays: np.ndarray
 
     def __post_init__(self):
         d = np.asarray(self.delays, dtype=float)
@@ -37,10 +45,19 @@ class DelayDataset:
             raise ValueError("empty delay dataset")
         if not np.all((d >= 0) & (d < np.inf)):
             raise ValueError("negative or non-finite delay in dataset")
-        object.__setattr__(self, "delays", np.sort(d))
+        if (d.flags.writeable or _owner_flags(d).writeable or d.ndim != 1
+                or not np.all(d[1:] >= d[:-1])):
+            d = np.sort(d)
+            d.flags.writeable = False
+        object.__setattr__(self, "delays", d)
 
     def __len__(self):
         return len(self.delays)
+
+
+def _owner_flags(a: np.ndarray):
+    """The flags of the array that owns ``a``'s data: a view's ``base``."""
+    return getattr(a.base, "flags", a.flags)
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,53 +102,55 @@ class BinningResult:
 def load_delays(path) -> DelayDataset:
     """Parse a delay file: one delay in seconds per line.
 
-    Blank lines and lines starting with '#' are ignored; an optional second
-    comma-separated column (e.g. a date) is dropped; '\\n', '\\r\\n' and a
-    lone '\\r' each end a line, and a leading UTF-8 byte-order mark is
-    skipped.  The file is read in chunks of about 64 KB of lines, and each
-    chunk's rows are parsed by ``float`` and checked as one array, so no
-    more than a chunk of text is held at once.  The first
-    malformed, negative or non-finite row is reported with its line number,
-    which is counted only for the chunk that holds it.
+    A '#' anywhere starts a comment; blank lines and comment lines are
+    ignored; the first comma-separated column is the delay and any later
+    ones (e.g. a date) are dropped; '\\n', '\\r\\n' and a lone '\\r' each
+    end a line, and a leading UTF-8 byte-order mark is skipped.  NumPy's C
+    reader (``np.loadtxt``) parses the file into one float array, which is
+    checked, sorted in place and made read-only; no Python object is built
+    per line.  That reader refuses some rows ``float`` accepts, such as
+    ``1_000`` or non-ASCII digits, and so does this function.
+
+    Only when the reader fails, or a delay is negative or not finite, does
+    one streaming scan of the lines run: it names the first refused row by
+    its line number, or parses the file row by row if that reader refused
+    only lines that hold nothing but whitespace before any comment.
     """
-    path = Path(path)
-    parts = []
-    first = 1  # line number of the chunk's first line
-    with open(path, encoding="utf-8-sig") as fh:
-        while lines := fh.readlines(_CHUNK_BYTES):
-            rows = [s for line in lines if (s := line.strip()) and s[0] != "#"]
-            if "," in "".join(rows):
-                rows = [row.split(",", 1)[0] for row in rows]
-            try:
-                delays = np.fromiter(map(float, rows), float, len(rows))
-                ok = (delays.min(initial=0.0) >= 0
-                      and delays.max(initial=0.0) < np.inf)
-            except ValueError:
-                ok = False
-            if not ok:
-                raise _bad_row(path, lines, first, rows)
-            parts.append(delays)
-            first += len(lines)
-    if not any(map(len, parts)):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no rows
+            delays = np.loadtxt(path, comments="#", delimiter=",", usecols=0,
+                                ndmin=1, encoding="utf-8-sig")
+        if not 0 <= delays.min(initial=0) <= delays.max(initial=0) < np.inf:
+            raise ValueError("negative or non-finite delay")
+    except ValueError:
+        delays = np.fromiter(_rows(path), float)
+    if not len(delays):
         raise ValueError(f"{path}: no delay rows found")
-    return DelayDataset(np.concatenate(parts))
+    delays.sort()
+    # read-only down to the owner of its data, DelayDataset keeps it
+    delays.flags.writeable = _owner_flags(delays).writeable = False
+    return DelayDataset(delays)
 
 
-def _bad_row(path, lines, first, rows) -> ValueError:
-    """The error naming a chunk's first row that ``float`` refuses or whose
-    delay is negative or not finite, by its line number."""
-    for i, row in enumerate(rows):
-        try:
-            delay = float(row)
-        except ValueError:
-            problem = f"cannot parse delay {row.strip()!r}"
-            break
-        if not 0 <= delay < math.inf:
-            problem = f"invalid delay {delay}"
-            break
-    lineno = [n for n, line in enumerate(lines, start=first)
-              if (s := line.strip()) and s[0] != "#"][i]
-    return ValueError(f"{path}:{lineno}: {problem}")
+def _rows(path):
+    """The delays of ``path`` parsed line by line as ``load_delays``'s
+    reader parses them, up to the first refused row: one that does not
+    parse, or whose delay is negative or not finite.  That row raises the
+    error naming it by its line number."""
+    with open(path, encoding="utf-8-sig") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not (text := line.partition("#")[0]).strip():
+                continue
+            row = text.partition(",")[0].strip()
+            try:  # the reader refuses underscores and non-ASCII digits
+                delay = float(row if row.isascii() and "_" not in row else "?")
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: cannot parse delay "
+                                 f"{row!r}") from None
+            if not 0 <= delay < math.inf:
+                raise ValueError(f"{path}:{lineno}: invalid delay {delay}")
+            yield delay
 
 
 def apply_cutoff(ds: DelayDataset, epsilon: float):
@@ -140,14 +159,15 @@ def apply_cutoff(ds: DelayDataset, epsilon: float):
     Nearest-rank percentile: the value at 1-based index ceil((1-eps) * n)
     of the sorted data.  Returns the retained dataset and the cutoff delay;
     epsilon = 0 gives rank n, so the cutoff is the largest delay and every
-    delay is kept.
+    delay is kept.  The retained delays are the sorted prefix up to the
+    last copy of the cutoff, found by ``searchsorted``: a view of ``ds``'s
+    array, not a copy.
     """
     if not 0 <= epsilon < 1:
         raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
-    n = len(ds)
-    rank = max(math.ceil((1.0 - epsilon) * n), 1)
+    rank = max(math.ceil((1.0 - epsilon) * len(ds)), 1)
     cutoff = float(ds.delays[rank - 1])
-    kept = ds.delays[ds.delays <= cutoff]
+    kept = ds.delays[:np.searchsorted(ds.delays, cutoff, side="right")]
     return DelayDataset(kept), cutoff
 
 
@@ -155,14 +175,24 @@ def bin_delays(ds: DelayDataset, N_prime: int) -> BinningResult:
     """Split sub-millisecond reports, then bin the rest by equal counts.
 
     The sub-ms bin pins each report to exactly one millisecond.  The
-    remaining delays form N' bins of floor(M'/N') entries in ascending
-    order, the rows of one N'-row array whose row means are the bin means,
-    with any leftover largest delays in one final bin.
+    remaining delays, a view of the sorted array past the sub-ms prefix
+    that ``searchsorted`` finds, form N' bins of floor(M'/N') entries in
+    ascending order, the rows of one N'-row array whose row means are the
+    bin means, with any leftover largest delays in one final bin.
+
+    Tied delays (say, recorded to the whole second) can give runs of equal
+    bin means.  Such a run holds one value only, so the segments between
+    its thresholds have zero length and mine nothing: the run merges into
+    its first bin, which takes the run's counts, and the profile is
+    unchanged.  A mean that rounding puts below an earlier one merges
+    alike, and bins of delays of exactly one millisecond merge into the
+    sub-ms bin.  Data without ties gives strictly increasing means, and no
+    merge touches them.
     """
     if N_prime < 1:
         raise ValueError("N_prime must be >= 1")
-    sub = ds.delays < _SUB_MS
-    rest = ds.delays[~sub]
+    n_sub = int(np.searchsorted(ds.delays, _SUB_MS))
+    rest = ds.delays[n_sub:]
     M_prime = len(rest)
     if M_prime == 0:
         raise ValueError("all delays are sub-millisecond; nothing to bin")
@@ -170,14 +200,16 @@ def bin_delays(ds: DelayDataset, N_prime: int) -> BinningResult:
         raise ValueError(f"N_prime={N_prime} exceeds {M_prime} binnable delays")
 
     per_bin = M_prime // N_prime
-    counts = [int(sub.sum())] + [per_bin] * N_prime
+    counts = [n_sub] + [per_bin] * N_prime
     means = [_SUB_MS] + rest[:N_prime * per_bin].reshape(
         N_prime, per_bin).mean(axis=1).tolist()
     leftover = rest[N_prime * per_bin:]
     if len(leftover):
         counts.append(len(leftover))
         means.append(float(leftover.mean()))
-    return BinningResult(np.array(means), np.array(counts))
+    # keep the first bin of each run of means that do not rise past it
+    first = np.flatnonzero(np.diff(np.maximum.accumulate(means), prepend=0) > 0)
+    return BinningResult(np.array(means)[first], np.add.reduceat(counts, first))
 
 
 def to_profile(binning: BinningResult, fullrate_seed: float) -> HashrateProfile:

@@ -1,7 +1,7 @@
-"""Delay files that span several of ``load_delays``'s chunks of lines:
-bad rows named by their exact line across chunk boundaries, a second
-column that first appears in a later chunk, CRLF and lone-CR line ends,
-and the parser's peak memory."""
+"""Delay files that span several 64 KB chunks of lines: bad rows named
+by their exact line across chunk boundaries, a second column that first
+appears in a later chunk, CRLF and lone-CR line ends, and the parser's
+peak memory."""
 
 import re
 import tracemalloc
@@ -9,7 +9,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from powruin import ingest
 from powruin.ingest import load_delays
 
 ROWS = 50_000
@@ -28,9 +27,10 @@ def _write(tmp_path, lines, name="delays.txt"):
 
 
 def _first_chunk_lines(path):
-    """How many lines load_delays reads as its first chunk of ``path``."""
+    """How many lines a reader of 64 KB chunks of lines takes as its first
+    chunk of ``path``: the line positions that straddle a chunk boundary."""
     with open(path, encoding="utf-8") as fh:
-        return len(fh.readlines(ingest._CHUNK_BYTES))
+        return len(fh.readlines(65_536))
 
 
 @pytest.fixture(scope="module")
@@ -102,9 +102,9 @@ def test_crlf_and_lone_cr_end_a_line(tmp_path, rows, end):
 
 def test_load_delays_peak_memory_is_about_three_copies_of_the_result(
         tmp_path, rows):
-    # the whole text, a list of its lines and a list of rows took 8.3 MB
-    # for the 0.4 MB result; in chunks the peak is 1.3 MB: the chunks'
-    # arrays, their concatenation, the sorted copy and one chunk of lines
+    # NumPy's C reader parses into one array that is sorted in place and
+    # kept by DelayDataset without a copy: about 0.5 MB for the 0.4 MB
+    # result, where a float per line in 64 KB chunks of lines took 1.3 MB
     path = _write(tmp_path, rows)
     tracemalloc.start()
     try:
@@ -113,4 +113,4 @@ def test_load_delays_peak_memory_is_about_three_copies_of_the_result(
     finally:
         tracemalloc.stop()
     assert len(ds) == ROWS
-    assert peak < 2.0e6
+    assert peak < 1.0e6
