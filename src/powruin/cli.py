@@ -20,7 +20,7 @@ import numpy as np
 
 from . import doublespend, ingest, simulate
 from .delaymodel import HashrateProfile
-from .medist import _check_cme_order, erlang_me
+from .medist import erlang_me
 
 EXIT_INPUT = 3
 EXIT_NUMERIC = 4
@@ -72,9 +72,6 @@ def _load_profile(args) -> HashrateProfile:
 
 
 def _build_model(args) -> doublespend.DelayModel:
-    # refused on every model, also one that builds no CME, so that no run
-    # accepts or names an order the table lacks
-    _check_cme_order(args.cme_order)
     source = args.model + (" --data" if args.data is not None else "")
     for dest, (_, default, readers, _) in _MODEL_FLAGS.items():
         if args.model in readers or source in readers:
@@ -95,13 +92,19 @@ def _build_model(args) -> doublespend.DelayModel:
     return doublespend.DelayModel("variable", profile=_load_profile(args))
 
 
-def _calibrated_profile(args, command):
-    """Calibrated profile, calibration and tag for profile-shaped models."""
-    model = _build_model(args)
-    if model.kind == "random":
+def _law(args, delta_conf=None):
+    """The calibrated law of the flags' model (``--cme-order`` is checked
+    there, on every model)."""
+    return doublespend._calibrated_law(_build_model(args), args.block_interval,
+                                       args.cme_order, delta_conf)
+
+
+def _profile_law(args, command, delta_conf=None):
+    """The calibrated law of a profile model; a random delay has none."""
+    law = _law(args, delta_conf)
+    if law.profile is None:
         raise ValueError(f"model {args.model!r} is not supported by {command}")
-    return doublespend._calibrated_profile(model, args.block_interval,
-                                           args.cme_order)
+    return law
 
 
 def _write(path, text):
@@ -123,7 +126,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    _, cal, _ = _calibrated_profile(args, "calibrate")
+    cal = _profile_law(args, "calibrate").calibration
     rel_err = abs(cal.achieved_mean - args.block_interval) / args.block_interval
     print(f"calibrated_rate_bps = {cal.calibrated_rate!r}")
     print(f"achieved_mean_s = {cal.achieved_mean!r}")
@@ -152,11 +155,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_density(args) -> int:
-    model = _build_model(args)
-    theta, _, _, _ = doublespend._build_theta(
-        model, args.block_interval, args.cme_order)
     xs = np.linspace(0.0, 5.0 * args.block_interval, args.points)
-    fs = theta.pdf_grid(xs)
+    fs = _law(args).theta.pdf_grid(xs)
     lines = ["x,f"] + [f"{float(x)!r},{float(f)!r}" for x, f in zip(xs, fs)]
     _write(args.out, "\n".join(lines) + "\n")
     return 0
@@ -164,12 +164,11 @@ def cmd_density(args) -> int:
 
 def cmd_simulate(args) -> int:
     doublespend._check_attack(args.beta_fraction, args.delta_conf)
-    profile, _, _ = _calibrated_profile(args, "simulate")
-    dconf = (args.delta_conf if args.delta_conf is not None
-             else profile.max_delay)
+    law = _profile_law(args, "simulate", args.delta_conf)
     config = simulate.SimConfig(
-        profile=profile, beta=args.beta_fraction * profile.fullrate,
-        k=args.k_max, delta_conf=dconf, trials=args.trials, seed=args.seed)
+        profile=law.profile, beta=args.beta_fraction * law.fullrate,
+        k=args.k_max, delta_conf=law.delta_conf, trials=args.trials,
+        seed=args.seed)
     ests = simulate.simulate_attack_sweep(config, range(1, args.k_max + 1))
     lines = ["k,q_hat,std_err,trials"]
     for k in sorted(ests):

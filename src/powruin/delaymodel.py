@@ -15,14 +15,15 @@ dense ``T`` only when the density or distribution function asks for it.
 A random ME delay is chained into the full-rate phase as a general ME and
 solves by its dense inverse.
 
-A profile's mean is in closed form, in O(N K) from the same pieces.
-Calibration rescales the single full-rate scalar by fixed-point iteration
-on the mean time after the profile's dead time until that closed-form mean
-equals the protocol block interval; the iterates rise monotonically to the
-root, so no bracketing fallback is needed.  A profile builds its inverse
-segment lengths and rate fractions as arrays once, and its copies at
-other full rates carry them.  Only the theta at the calibrated rate is
-assembled and validated.
+A profile's theta computes its mean in closed form, in O(N K) from the
+same pieces, when it is built.  Calibration rescales the single full-rate
+scalar by fixed-point iteration on the mean time after the profile's dead
+time until that mean equals the protocol block interval; the iterates
+rise monotonically to the root, so no bracketing fallback is needed.
+Each iterate builds the profile at its rate and that profile's theta, and
+the last iterate's theta, validated once, is the calibrated one.  A
+profile builds its inverse segment lengths and rate fractions as arrays
+once, and its copies at other full rates carry them.
 """
 
 from __future__ import annotations
@@ -215,17 +216,27 @@ class _ProfileTheta(MEDistribution):
     once (:meth:`_shifted`); :meth:`solver` and Phi's stepping
     (:meth:`_phi_masses`) share it, and Phi is stepped in the same layout
     (first entries, rotation pairs, full-rate phase) without forming a
-    whole solution vector per mass.  The mean, in closed form from
-    the same pieces (:func:`_profile_mean`), is stored when theta is built,
-    shadowing the cached mean, and :meth:`MEDistribution.mean` returns it.
-    The constructor assigns the attributes directly and, unlike
+    whole solution vector per mass.
+
+    The constructor computes the mean in closed form, in O(N K) from the
+    same pieces, and stores it, shadowing the cached mean, so that
+    :meth:`MEDistribution.mean` returns it.  Once entered, segment i takes
+    a mean time tau_i = e_1^T (r_i I - delta_i U)^{-1} 1 of theta
+    (:func:`powruin.medist._entry_means`, the formula that also scales U
+    to mean one) and is left without mining with probability 1 - r_i
+    tau_i, so with S_1 = 1 and S_{i+1} = S_i (1 - r_i tau_i) the mean is
+    sum_i S_i tau_i + S_{N+1} / alpha.  It reads the profile's segment
+    arrays and the cached unit CME and computes nothing else that is
+    costly: calibration builds one theta per iterate.  The constructor
+    assigns the attributes directly and, unlike
     :class:`MEDistribution`'s, builds no ``T``: the dense ``subgen`` is a
     ``cached_property``, placed block by block on first access only.
     """
 
     def __init__(self, profile: HashrateProfile, K: int):
         alpha = profile.fullrate
-        unit, delta, fractions = _segments(profile, K)
+        unit = _cme_unit(K if profile.n_segments else 1)
+        delta, fractions = profile._segment_arrays
         K = len(unit[1]) + 1
         rates = fractions * alpha
         self.order = len(delta) * K + 1
@@ -233,7 +244,9 @@ class _ProfileTheta(MEDistribution):
         self.exit = np.append(np.repeat(rates, K), alpha)
         self._K, self._delta, self._rates, self._alpha, self._unit = (
             K, delta, rates, alpha, unit)
-        self._mean = _profile_mean(unit, delta, rates, alpha)
+        tau = _entry_means(unit, delta, rates)
+        passed = np.cumprod(np.append(1.0, 1.0 - rates * tau))
+        self._mean = float(passed[:-1] @ tau + passed[-1] / alpha)
 
     @cached_property
     def subgen(self):
@@ -340,29 +353,6 @@ class _ProfileTheta(MEDistribution):
         return masses
 
 
-def _segments(profile: HashrateProfile, K: int):
-    """The unit CME's pieces (order 1 with no segment), the inverse segment
-    lengths delta_i and the rate fractions, as arrays built once per
-    profile."""
-    return (_cme_unit(K if profile.n_segments else 1),
-            *profile._segment_arrays)
-
-
-def _profile_mean(unit, delta, rates, alpha) -> float:
-    """E[theta] of a profile in closed form, in O(N K).
-
-    Once entered, segment i takes a mean time tau_i = e_1^T (r_i I -
-    delta_i U)^{-1} 1 of theta and is left without mining with probability
-    1 - r_i tau_i, so with S_1 = 1 and S_{i+1} = S_i (1 - r_i tau_i) the
-    mean is sum_i S_i tau_i + S_{N+1} / alpha.  The tau_i come from
-    :func:`powruin.medist._entry_means`, the first-moment formula that also
-    scales the unit CME to mean one.
-    """
-    tau = _entry_means(unit, delta, rates)
-    passed = np.cumprod(np.append(1.0, 1.0 - rates * tau))
-    return float(passed[:-1] @ tau + passed[-1] / alpha)
-
-
 def assemble_theta(profile: HashrateProfile, K: int) -> MEDistribution:
     """Inter-mining time ME distribution of order N*K + 1 for a profile.
 
@@ -390,10 +380,10 @@ def calibrate_alpha(profile: HashrateProfile, block_interval: float, K: int,
     monotonically with no bracketing fallback and lands on a fixed delay's
     root 1/(T - d) at the first step, and stops within ``rel_tol`` of T
     (relative; every analysis uses the default), or raises ``RuntimeError``
-    after ``_MAX_ITER`` iterates.  Each iterate reads the closed-form mean
-    (:func:`_profile_mean`) and builds neither a profile nor a theta; the
-    result carries the one theta assembled and validated, at the
-    calibrated rate, whose mean is the last iterate's.
+    after ``_MAX_ITER`` iterates.  Each iterate builds the theta of the
+    profile at its rate, whose constructor computes the closed-form mean
+    and no solver; the result carries the last iterate's theta, validated
+    once, and its mean.
     """
     if not 0 < block_interval < np.inf:
         raise ValueError(
@@ -408,17 +398,18 @@ def calibrate_alpha(profile: HashrateProfile, block_interval: float, K: int,
                          f"the block interval {target:g} s")
 
     # nondecreasing fractions make alpha*E[theta - D] nondecreasing in alpha,
-    # and 1/(T - D) lies below the root: the iterates only rise
-    unit, delta, fractions = _segments(profile, K)
+    # and 1/(T - D) lies below the root: the iterates only rise.  The
+    # segment arrays are built here once, so that every copy carries them
+    profile._segment_arrays
     alpha = 1.0 / (target - dead)
     trace = []
     for it in range(1, _MAX_ITER + 1):
-        _check_fullrate(alpha)
-        mean = _profile_mean(unit, delta, fractions * alpha, alpha)
+        theta = _ProfileTheta(profile.with_fullrate(alpha), K)
+        mean = theta.mean()
         trace.append((alpha, mean))
         if abs(mean - target) / target <= rel_tol:
-            theta = assemble_theta(profile.with_fullrate(alpha), K)
-            return CalibrationResult(alpha, mean, it, True, theta, tuple(trace))
+            return CalibrationResult(alpha, mean, it, True, _validated(theta),
+                                     tuple(trace))
         alpha = alpha * (mean - dead) / (target - dead)
     raise RuntimeError(
         f"calibration did not converge in {_MAX_ITER} iterations; last "

@@ -28,6 +28,7 @@ the same way, entry by entry.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,8 +182,31 @@ def compute_q(p_Z: np.ndarray, deficit_mass: float, ruin: RuinTable,
                              model_tag=model_tag, k=k)
 
 
-def _calibrated_profile(model: DelayModel, block_interval: float, K: int):
-    """Calibrated profile, its calibration and tag for a non-random model."""
+# A model's calibrated law.  A random delay has no calibration and no
+# profile, and no delta_conf unless one is given (None).
+_Law = namedtuple("_Law", "theta fullrate calibration profile delta_conf tag")
+
+
+def _calibrated_law(model: DelayModel, block_interval: float, K: int,
+                    delta_conf: float | None = None):
+    """The calibrated law of any model, the one place that maps a model.
+
+    K is checked on every model, also one that builds no CME, so that no
+    result is tagged with an order the CME table lacks.  Zero, fixed and
+    variable models are profiles: the law holds the calibration's theta,
+    the profile at the calibrated rate and, unless ``delta_conf`` is given,
+    the profile's max delay as delta_conf.  A random ME delay D has full
+    rate 1/(T - E[D]).
+    """
+    _check_cme_order(K)
+    if model.kind == "random":
+        dmean = model.delay_dist.mean()
+        if not dmean < block_interval < np.inf:
+            raise ValueError(f"block_interval must be finite and above the "
+                             f"mean delay {dmean:g} s, got {block_interval}")
+        alpha = 1.0 / (block_interval - dmean)
+        return _Law(delaymodel.random_delay_theta(model.delay_dist, alpha),
+                    alpha, None, None, delta_conf, f"random(mean={dmean:g})")
     if model.kind == "zero":
         profile, tag = HashrateProfile.zero_delay(1.0), "zero"
     elif model.kind == "fixed":
@@ -191,25 +215,9 @@ def _calibrated_profile(model: DelayModel, block_interval: float, K: int):
     else:
         profile, tag = model.profile, f"variable(N={model.profile.n_segments})"
     cal = calibrate_alpha(profile, block_interval, K)
-    return profile.with_fullrate(cal.calibrated_rate), cal, tag
-
-
-def _build_theta(model: DelayModel, block_interval: float, K: int):
-    """Calibrated (theta, fullrate, default delta_conf, tag) for a model.
-
-    A profile model's theta is the one calibration assembled at its rate.
-    A random delay has no default delta_conf (None).
-    """
-    if model.kind == "random":
-        dmean = model.delay_dist.mean()
-        if not dmean < block_interval < np.inf:
-            raise ValueError(f"block_interval must be finite and above the "
-                             f"mean delay {dmean:g} s, got {block_interval}")
-        alpha = 1.0 / (block_interval - dmean)
-        return (delaymodel.random_delay_theta(model.delay_dist, alpha), alpha,
-                None, f"random(mean={dmean:g})")
-    profile, cal, tag = _calibrated_profile(model, block_interval, K)
-    return cal.theta, cal.calibrated_rate, profile.max_delay, tag
+    profile = profile.with_fullrate(cal.calibrated_rate)
+    return _Law(cal.theta, cal.calibrated_rate, cal, profile,
+                profile.max_delay if delta_conf is None else delta_conf, tag)
 
 
 def _check_attack(beta_fraction: float, delta_conf: float | None):
@@ -236,19 +244,13 @@ def analyze(model: DelayModel, beta_fraction: float, block_interval: float,
     _check_attack(beta_fraction, delta_conf)
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    # also on models that build no CME, so that no q is tagged with an
-    # order the table lacks
-    _check_cme_order(K)
-    theta, fullrate, default_dconf, tag = _build_theta(model, block_interval, K)
-    if delta_conf is None:
-        if default_dconf is None:
-            raise ValueError(
-                "random-delay models need an explicit delta_conf")
-        delta_conf = default_dconf
-    beta = beta_fraction * fullrate
-    tag = f"{tag},beta={beta_fraction:g},T={block_interval:g},K={K}"
+    law = _calibrated_law(model, block_interval, K, delta_conf)
+    if law.delta_conf is None:
+        raise ValueError("random-delay models need an explicit delta_conf")
+    beta = beta_fraction * law.fullrate
+    tag = f"{law.tag},beta={beta_fraction:g},T={block_interval:g},K={K}"
 
-    phi = phi_from_theta(theta, beta, k_max)
+    phi = phi_from_theta(law.theta, beta, k_max)
     if phi.mean >= 1.0:
         return [DoubleSpendResult(q=1.0, deficit_mass=1.0, model_tag=tag, k=k,
                                   unstable_regime=True)
@@ -261,7 +263,7 @@ def analyze(model: DelayModel, beta_fraction: float, block_interval: float,
     # Against the last k rows of [1, 1 - psi] reversed, they give sum p_Z
     # and sum p_Z (1 - psi) in one product
     G = truncated_product(lead.masses,
-                          poisson_partial_pgf(delta_conf * beta, k_max))
+                          poisson_partial_pgf(law.delta_conf * beta, k_max))
     weights = np.column_stack((np.ones(k_max), 1.0 - ruin.psi))[::-1].copy()
     partial = np.empty((k_max, 2))
     for k in range(1, k_max + 1):

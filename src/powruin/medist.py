@@ -20,8 +20,9 @@ one, and every derived model's is stable by construction.  The mean, the
 squared coefficient of variation, the mgf and the adversary count Phi all
 solve through one method, :meth:`MEDistribution.solver`, which returns the
 solve function of ``T - sI``; a profile's theta steps Phi in its own
-layout instead, and only it stores its mean, in closed form, when
-it is built, shadowing the cached one.  A general distribution inverts
+layout instead, and its constructor computes and stores its mean in
+closed form, shadowing the cached one, so that calibration builds one
+such theta per iterate and solves nothing.  A general distribution inverts
 ``T - sI`` once and multiplies by the inverse; the inter-mining time of a
 hashrate profile (:func:`powruin.delaymodel.assemble_theta`) solves
 segment by segment without a factorization and builds ``T`` only on

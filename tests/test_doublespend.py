@@ -245,16 +245,27 @@ def test_analyze_zero_delay_matches_manual_pipeline(model, profile):
 
 
 def test_analyze_assembles_theta_once_per_calibration_iteration(monkeypatch):
-    # calibration iterates on the closed-form mean and assembles theta once,
-    # at the calibrated rate; analyze reuses it
-    cal = calibrate_alpha(PROFILE, 600.0, 9, rel_tol=1e-6)
-    assert cal.iterations > 1
-    assembled = []
-    assemble = delaymodel.assemble_theta
-    monkeypatch.setattr(delaymodel, "assemble_theta",
-                        lambda *args: assembled.append(args) or assemble(*args))
+    # each calibration iterate builds one theta, at its rate, whose
+    # constructor computes the mean; the calibration hands back the last
+    # iterate's theta, validated once, and analyze builds no other
+    built, validated, calibrations = [], [], []
+    init = delaymodel._ProfileTheta.__init__
+    monkeypatch.setattr(delaymodel._ProfileTheta, "__init__",
+                        lambda self, *args: built.append((self, args))
+                        or init(self, *args))
+    validate = delaymodel._validated
+    monkeypatch.setattr(delaymodel, "_validated",
+                        lambda d: validated.append(d) or validate(d))
+    monkeypatch.setattr(doublespend, "calibrate_alpha", lambda *args:
+                        calibrations.append(calibrate_alpha(*args))
+                        or calibrations[-1])
     analyze(DelayModel("variable", profile=PROFILE), 0.2, 600.0, 6, K=9)
-    assert assembled == [(PROFILE.with_fullrate(cal.calibrated_rate), 9)]
+    cal, = calibrations
+    assert cal.iterations > 1
+    assert [(profile.fullrate, K) for _, (profile, K) in built] == [
+        (alpha, 9) for alpha, _ in cal.trace]
+    assert cal.theta is built[-1][0]
+    assert validated == [cal.theta]
 
 
 def test_analyze_calibration_error_in_q_is_below_the_q_tolerance(monkeypatch):
