@@ -17,11 +17,12 @@ solves by its dense inverse.
 
 A profile's theta computes its mean in closed form, in O(N K) from the
 same pieces, when it is built.  Calibration rescales the single full-rate
-scalar by fixed-point iteration on the mean time after the profile's dead
-time until that mean equals the protocol block interval; the iterates
-rise monotonically to the root, so no bracketing fallback is needed.
-Each iterate builds the profile at its rate and that profile's theta, and
-the last iterate's theta, validated once, is the calibrated one.  A
+scalar, by one fixed-point step on the mean time after the profile's dead
+time and then secant steps, until that mean equals the protocol block
+interval; the iterates rise monotonically to the root, so no bracketing
+fallback is needed.  Each iterate builds the profile at its rate and that
+profile's theta, and the last iterate's theta, validated once, is the
+calibrated one.  A
 profile builds its inverse segment lengths and rate fractions as arrays
 once, and its copies at other full rates carry them.
 """
@@ -375,12 +376,19 @@ def calibrate_alpha(profile: HashrateProfile, block_interval: float, K: int,
     The model mean exceeds the profile's dead time D (where its first
     mining segment starts) and tends to it as alpha grows, so a root exists
     exactly when D is below the block interval T; otherwise this raises
-    ``ValueError``.  Fixed-point iteration on the time after the dead time,
-    alpha <- alpha * (mean - D)/(T - D) from 1/(T - D), converges
-    monotonically with no bracketing fallback and lands on a fixed delay's
-    root 1/(T - d) at the first step, and stops within ``rel_tol`` of T
-    (relative; every analysis uses the default), or raises ``RuntimeError``
-    after ``_MAX_ITER`` iterates.  Each iterate builds the theta of the
+    ``ValueError``.  The first iterate, 1/(T - D), lies below the root and
+    is a fixed delay's root 1/(T - d).  One fixed-point step on the time
+    after the dead time, alpha <- alpha * (mean - D)/(T - D), follows; it
+    stays below the root, since nondecreasing fractions make
+    alpha * E[theta - D] nondecreasing in alpha.  Every later step follows
+    the secant through the last two iterates.  The mean is decreasing and
+    convex in alpha, so the secant's slope is at most the derivative at the
+    newer iterate: the step is no longer than Newton's, which never
+    overshoots from below, and the iterates rise with no bracketing
+    fallback.  The loop stops within ``rel_tol`` of T (relative; every
+    analysis uses the default).  It raises ``RuntimeError`` after
+    ``_MAX_ITER`` iterates, or at once when a mean does not fall, as where
+    rounding stalls the steps.  Each iterate builds the theta of the
     profile at its rate, whose constructor computes the closed-form mean
     and no solver; the result carries the last iterate's theta, validated
     once, and its mean.
@@ -397,9 +405,7 @@ def calibrate_alpha(profile: HashrateProfile, block_interval: float, K: int,
         raise ValueError(f"no mining before {dead:g} s, which is not below "
                          f"the block interval {target:g} s")
 
-    # nondecreasing fractions make alpha*E[theta - D] nondecreasing in alpha,
-    # and 1/(T - D) lies below the root: the iterates only rise.  The
-    # segment arrays are built here once, so that every copy carries them
+    # the segment arrays are built here once, so that every copy carries them
     profile._segment_arrays
     alpha = 1.0 / (target - dead)
     trace = []
@@ -410,7 +416,13 @@ def calibrate_alpha(profile: HashrateProfile, block_interval: float, K: int,
         if abs(mean - target) / target <= rel_tol:
             return CalibrationResult(alpha, mean, it, True, _validated(theta),
                                      tuple(trace))
-        alpha = alpha * (mean - dead) / (target - dead)
+        if it == 1:
+            alpha = alpha * (mean - dead) / (target - dead)
+        elif mean < trace[-2][1]:
+            alpha0, mean0 = trace[-2]
+            alpha += (target - mean) * (alpha - alpha0) / (mean - mean0)
+        else:  # the mean did not fall, as where rounding stalls the steps
+            break
     raise RuntimeError(
-        f"calibration did not converge in {_MAX_ITER} iterations; last "
+        f"calibration did not converge in {it} iterations; last "
         f"alpha={trace[-1][0]!r}, mean={trace[-1][1]!r}")

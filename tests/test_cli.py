@@ -377,6 +377,18 @@ def test_numerical_failure_exits_4(command, profile_file, capsys,
     assert err.startswith("numerical failure: calibration did not converge")
 
 
+def test_calibrate_a_profile_with_little_early_mining(tmp_path, capsys):
+    # a 10 s dead time, then 0.1% of the full rate until 590 s: fixed-point
+    # steps did not converge in 200 iterates here (exit 4)
+    prof = tmp_path / "sparse.csv"
+    prof.write_text(HashrateProfile((0.0, 10.0, 590.0), (0.0, 0.001),
+                                    1.0).to_table())
+    code, out = run(capsys, "calibrate", "--model", "variable", "--profile",
+                    str(prof))
+    assert code == 0
+    assert int(out.splitlines()[2].partition(" = ")[2]) <= 20
+
+
 def test_calibrate_prints_the_rate_simulate_uses(profile_file, capsys,
                                                  monkeypatch):
     flags = ("--model", "variable", "--profile", str(profile_file),

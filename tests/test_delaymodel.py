@@ -262,10 +262,18 @@ def test_calibrate_default_tolerance_is_the_analysis_tolerance():
 
 
 def test_calibrate_iterates_rise_monotonically():
-    prof = HashrateProfile((0.0, 30.0, 90.0, 200.0), (0.0, 0.2, 0.5), 1.0)
-    res = calibrate_alpha(prof, 600.0, 9, rel_tol=1e-10)
-    alphas = [a for a, _ in res.trace]
-    assert all(b >= a for a, b in zip(alphas, alphas[1:]))
+    # the congested profile, and two with little early mining, on which
+    # fixed-point steps contracted by about 0.98 per iterate: the first did
+    # not converge in 200 iterates, the second took 196
+    for prof in (
+            HashrateProfile((0.0, 30.0, 90.0, 200.0), (0.0, 0.2, 0.5), 1.0),
+            HashrateProfile((0.0, 10.0, 590.0), (0.0, 0.001), 1.0),
+            HashrateProfile((0.0, 30.0, 90.0, 200.0, 590.0),
+                            (0.0, 0.001, 0.001, 0.002), 1.0)):
+        res = calibrate_alpha(prof, 600.0, 9, rel_tol=1e-10)
+        assert res.converged and res.iterations <= 20
+        alphas = [a for a, _ in res.trace]
+        assert all(b >= a for a, b in zip(alphas, alphas[1:]))
 
 
 def test_calibrate_failure_reports_last_iterate(monkeypatch):
@@ -275,6 +283,16 @@ def test_calibrate_failure_reports_last_iterate(monkeypatch):
         calibrate_alpha(prof, 600.0, 5, rel_tol=1e-15)
     assert "last alpha" in str(info.value)
     assert "trace" not in str(info.value)
+
+
+def test_calibrate_stops_where_the_mean_does_not_fall(monkeypatch):
+    # equal means would divide the secant step by zero: the loop raises
+    # its own error, naming the last iterate, after the second iterate
+    monkeypatch.setattr(delaymodel._ProfileTheta, "mean", lambda self: 700.0)
+    prof = HashrateProfile((0.0, 30.0, 90.0, 200.0), (0.0, 0.2, 0.5), 1.0)
+    with pytest.raises(RuntimeError, match="did not converge in 2 iterations; "
+                                           "last alpha="):
+        calibrate_alpha(prof, 600.0, 9)
 
 
 def test_calibrate_refuses_a_tolerance_of_zero():

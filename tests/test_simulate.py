@@ -472,6 +472,27 @@ def test_sweep_where_S_N_underflows_reads_a_one_entry_table():
         assert abs(ests[k].q_hat - analytic[k - 1].q) <= 4 * ests[k].std_err
 
 
+@pytest.mark.parametrize("K", [9, 27])
+@pytest.mark.parametrize("prof", [
+    HashrateProfile((0.0, 10.0, 590.0), (0.0, 0.001), 1.0),
+    HashrateProfile((0.0, 30.0, 90.0, 200.0, 590.0),
+                    (0.0, 0.001, 0.001, 0.002), 1.0),
+], ids=["one-segment", "three-segments"])
+def test_sweep_with_little_early_mining_matches_analyze(prof, K):
+    # profiles that calibrate only since secant steps replaced fixed-point
+    # ones; beta = 0.01 alpha puts rho = beta E[theta] near 0.3, with the
+    # profile's 590 s as the final window
+    rate = calibrate_alpha(prof, 600.0, K).calibrated_rate
+    config = SimConfig(profile=prof.with_fullrate(rate), beta=0.01 * rate,
+                       k=4, delta_conf=prof.max_delay, trials=200_000,
+                       seed=13)
+    ests = simulate_attack_sweep(config, range(1, 5))
+    analytic = analyze(DelayModel("variable", profile=prof), 0.01, 600.0, 4,
+                       K=K)
+    for k in range(1, 5):
+        assert abs(ests[k].q_hat - analytic[k - 1].q) <= 4 * ests[k].std_err
+
+
 def test_sweep_on_a_long_dead_zone_at_a_vanishing_beta_matches_analyze():
     # a 5e5 s dead zone at beta = 1e-6 alpha, with the delay as the final
     # window: rho = 8.3e-4, and nearly every ladder height is drawn before
