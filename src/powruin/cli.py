@@ -92,16 +92,10 @@ def _build_model(args) -> doublespend.DelayModel:
     return doublespend.DelayModel("variable", profile=_load_profile(args))
 
 
-def _law(args, delta_conf=None):
-    """The calibrated law of the flags' model (``--cme-order`` is checked
-    there, on every model)."""
-    return doublespend._calibrated_law(_build_model(args), args.block_interval,
-                                       args.cme_order, delta_conf)
-
-
 def _profile_law(args, command, delta_conf=None):
     """The calibrated law of a profile model; a random delay has none."""
-    law = _law(args, delta_conf)
+    law = doublespend._calibrated_law(_build_model(args), args.block_interval,
+                                      args.cme_order, delta_conf)
     if law.profile is None:
         raise ValueError(f"model {args.model!r} is not supported by {command}")
     return law
@@ -155,8 +149,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_density(args) -> int:
+    theta = doublespend._calibrated_law(
+        _build_model(args), args.block_interval, args.cme_order).theta
     xs = np.linspace(0.0, 5.0 * args.block_interval, args.points)
-    fs = _law(args).theta.pdf_grid(xs)
+    fs = theta.pdf_grid(xs)
     lines = ["x,f"] + [f"{float(x)!r},{float(f)!r}" for x, f in zip(xs, fs)]
     _write(args.out, "\n".join(lines) + "\n")
     return 0
