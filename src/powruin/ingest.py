@@ -159,15 +159,16 @@ def apply_cutoff(ds: DelayDataset, epsilon: float):
     Nearest-rank percentile: the value at 1-based index ceil((1-eps) * n)
     of the sorted data.  Returns the retained dataset and the cutoff delay;
     epsilon = 0 gives rank n, so the cutoff is the largest delay and every
-    delay is kept.  The retained delays are the sorted prefix up to the
-    last copy of the cutoff, found by ``searchsorted``: a view of ``ds``'s
+    delay is kept.  The retained delays are the sorted prefix of ``rank``
+    delays, so that copies of a tied cutoff delay past the rank are
+    dropped, as they would be were the ties broken: a view of ``ds``'s
     array, not a copy.
     """
     if not 0 <= epsilon < 1:
         raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
     rank = max(math.ceil((1.0 - epsilon) * len(ds)), 1)
     cutoff = float(ds.delays[rank - 1])
-    kept = ds.delays[:np.searchsorted(ds.delays, cutoff, side="right")]
+    kept = ds.delays[:rank]
     return DelayDataset(kept), cutoff
 
 

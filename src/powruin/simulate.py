@@ -2,16 +2,19 @@
 
 Independent of the matrix-analytic pipeline: the adversary count Phi over
 an honest inter-mining time theta is drawn from the actual
-piecewise-constant-rate renewal process (exact piecewise exponential
-inversion, no ME approximation).  Past the profile's last threshold t_N the
-honest rate is the constant alpha, so given theta >= t_N,
+piecewise-constant-rate renewal process, with no ME approximation.
+theta's exact law is a :class:`ThetaSampler`, built once per sweep: its
+closed-form mean gives rho = beta E[theta], and Phi's law and the excess
+law take its tables over.  One uniform u per draw picks where theta falls:
+below t_N, the profile's last threshold, with probability 1 - S_N, and
+then theta inverts its CDF within its segment.  Past t_N the honest rate
+is the constant alpha, so given theta >= t_N,
 Phi = Poisson(beta t_N) + Geometric(alpha / (alpha + beta)), the parts
-independent: such a draw inverts one uniform against that law's CDF.  Only
-a draw with theta < t_N samples theta, by inverting its CDF within its
-segment, and then only when some of the adversary's blocks on [0, t_N]
-could fall before it.  The
-CDF table drops a far tail of mass below 2**-53, the granularity of the
-uniforms, far below any Monte Carlo standard error.
+independent: such a draw inverts u against that law's CDF.  A draw below
+t_N samples theta only when some of the adversary's blocks on [0, t_N]
+could fall before it.  The CDF table drops a far tail of mass below
+2**-53, the granularity of the uniforms, far below any Monte Carlo
+standard error.
 
 Pre-mining and the race are both read off M = sup_{n >= 0} S_n, the maximum
 of the walk S of Phi - 1.  By Loynes' reversal the stationary pre-mining
@@ -106,11 +109,17 @@ class SimEstimate:
 
 
 class ThetaSampler:
-    """First-event sampler of the piecewise-constant-rate mining process.
+    """The exact law of the inter-mining time theta of a profile.
 
-    Inverts the piecewise-linear cumulative hazard of the profile, which is
-    exact for piecewise-constant rates (no thinning).  A profile with no
-    segment samples the exponential at full rate.
+    The piecewise-constant rates give a piecewise-linear cumulative hazard
+    ``hazard`` at the thresholds ``left``, and the survival S = e^-hazard.
+    ``span`` holds the integral of S over each segment,
+    l_i S_i (1 - e^-d_i) / d_i with d_i (``decay``) the hazard segment i
+    adds, floored at 1e-300, below which (1 - e^-d) / d = 1; ``surv`` is
+    S_N and ``mean`` is E[theta], the spans' sum plus S_N / alpha past t_N.
+    ``head`` is the share of draws below t_N, 1 - S_N, and ``edges`` its
+    split over the segments, whose densities are prop. to e^(-d_i x) on
+    [0, 1].  A profile with no segment is the exponential at full rate.
     """
 
     def __init__(self, profile: HashrateProfile):
@@ -120,35 +129,38 @@ class ThetaSampler:
         # cumulative hazard at every threshold
         self.hazard = np.concatenate(
             [[0.0], np.cumsum(self.rate * np.array(profile.segment_lengths))])
+        d = self.decay = np.fmax(np.diff(self.hazard), 1e-300)
+        surv = np.exp(-self.hazard)
+        self.span = np.diff(self.left) * surv[:-1] * (-np.expm1(-d) / d)
+        self.surv = surv[-1]
+        self.mean = self.span.sum() + self.surv / profile.fullrate
+        self._share(self.rate * self.span, self.surv)
+
+    def _share(self, seg, surv):
+        """Sets the law whose segments take shares ``seg`` and whose draws
+        past t_N take ``surv``."""
+        self.edges = np.cumsum(np.append(0.0, seg))
+        self.head = 1 - surv if self.edges[-1] > 0 else 0.0
 
     def sample(self, rng, size):
-        """``size`` draws, mapped in place from exponentials e.
-
-        Every draw first takes the full-rate tail's inverse; the draws below
-        the tail's hazard then take their segment's, found as the last
-        segment whose left-edge hazard is at most e, so that a zero-rate
-        segment is never hit.
-        """
-        e = rng.exponential(size=size)
-        head = np.flatnonzero(e < self.hazard[-1])
-        x = e[head]
-        e -= self.hazard[-1]
-        e /= self.profile.fullrate
-        e += self.left[-1]
-        idx = np.searchsorted(self.hazard[:-1], x, side="right") - 1
-        e[head] = self.left[idx] + (x - self.hazard[idx]) / self.rate[idx]
+        """``size`` draws of theta, from exponentials e, then uniforms u:
+        t_N + e / alpha past t_N, and where u < head, :meth:`_theta` of u,
+        so that a zero-rate segment is never hit."""
+        e = rng.exponential(size=size) / self.profile.fullrate + self.left[-1]
+        u = rng.random(size)
+        head = u < self.head
+        e[head] = self._theta(u[head])
         return e
 
-
-def _integrals(sampler):
-    """The integral of theta's survival S over each segment of the
-    sampler's profile, l_i S_i (1 - e^-d_i) / d_i with d_i the hazard the
-    segment adds; S_N; E[theta], their sum plus S_N / alpha past t_N; and
-    the d_i, floored at 1e-300, below which (1 - e^-d) / d = 1."""
-    d = np.fmax(np.diff(sampler.hazard), 1e-300)
-    surv = np.exp(-sampler.hazard)
-    span = np.diff(sampler.left) * surv[:-1] * (-np.expm1(-d) / d)
-    return span, surv[-1], span.sum() + surv[-1] / sampler.profile.fullrate, d
+    def _theta(self, u):
+        """The times below t_N at uniforms u < head: the segment whose
+        share of head holds u, then within it the inverse of the density
+        prop. to e^(-d x) on [0, 1], log1p(v (e^-d - 1)) / -d."""
+        idx = np.searchsorted(self.edges[1:-1], u, side="right")
+        v = np.fmin((u - self.edges[idx])
+                    / (self.edges[idx + 1] - self.edges[idx]), 1.0)
+        x = np.log1p(v * np.expm1(-self.decay[idx])) / -self.decay[idx]
+        return self.left[idx] + x * (self.left[idx + 1] - self.left[idx])
 
 
 def _poisson(mu):
@@ -166,15 +178,13 @@ def _poisson(mu):
 
 
 class _PhiSampler(ThetaSampler):
-    """A :class:`ThetaSampler` that also holds Phi's law at one beta, or
-    with :meth:`excess`, that of the weak ladder height H.
+    """Theta's law ``law``, a :class:`ThetaSampler` whose attributes it
+    takes over, with Phi's law at one beta added, or with :meth:`excess`,
+    that of the weak ladder height H.
 
-    ``head`` is the share of draws below t_N, 1 - S_N for theta, and
-    ``edges`` its split over the segments, whose densities are prop. to
-    e^(-d_i x) on [0, 1] (see :func:`_integrals`).  Past t_N, theta - t_N
-    is Exp(alpha), so Phi there is T = Poisson(mu) +
+    Past t_N, theta - t_N is Exp(alpha), so Phi there is T = Poisson(mu) +
     Geometric(alpha / (alpha + beta)), mu = beta t_N.  ``cdf[j]`` is
-    1 - S_N P(T > j), from the reverse sums of T's masses
+    1 - S_N P(T > j), from the reverse sums ``sums`` of T's masses
     f(j) = q f(j-1) + (1 - q) pois(j), q = beta / (alpha + beta).  The
     table ends once S_N P(T > j) < 2**-53, bounded by S_N for
     j + 2 < 2 mu and by S_N (beta / alpha f(j) + 2 pois(j+1)) past it, and
@@ -184,11 +194,10 @@ class _PhiSampler(ThetaSampler):
     some 200 entries at most.
     """
 
-    def __init__(self, profile, beta):
-        super().__init__(profile)
-        self.span, self.surv, self.mean, self.decay = _integrals(self)
-        q, mu = beta / (beta + profile.fullrate), beta * profile.thresholds[-1]
-        ratio, self.mu, pois = beta / profile.fullrate, mu, _poisson(mu)
+    def __init__(self, law, beta):
+        vars(self).update(vars(law))
+        q, mu = beta / (beta + self.profile.fullrate), beta * self.left[-1]
+        ratio, self.mu, pois = beta / self.profile.fullrate, mu, _poisson(mu)
         f = [(1 - q) * next(pois)]
         # past 2 mu each Poisson mass at most halves, and q < 1, so that
         # the bound falls geometrically and the loop ends
@@ -199,14 +208,7 @@ class _PhiSampler(ThetaSampler):
             f.append(q * f[-1] + (1 - q) * p)
         # T's reverse sums P(T > j), which the excess law shares
         self.sums = np.append(np.cumsum(f[:0:-1])[::-1], 0.0)
-        self._share(self.rate * self.span, self.surv)
-
-    def _share(self, seg, surv):
-        """Sets the law whose segments take shares ``seg`` and whose draws
-        past t_N take ``surv``, on the tail table's sums."""
-        self.edges = np.cumsum(np.append(0.0, seg))
-        self.head = 1 - surv if self.edges[-1] > 0 else 0.0
-        self.cdf = 1 - surv * self.sums
+        self.cdf = 1 - self.surv * self.sums
 
     def excess(self):
         """The sampler of H = Poisson(beta A), A of density S(a) / E[theta]:
@@ -215,20 +217,10 @@ class _PhiSampler(ThetaSampler):
         and past t_N, so that H past t_N is T.  No rate exceeds alpha, so
         alpha E[theta] >= 1, and this table, on theta's sums, drops less
         than 2**-53 too."""
-        ladder = copy(self)
-        ladder._share(self.span / self.mean,
-                      self.surv / (self.profile.fullrate * self.mean))
+        ladder, scale = copy(self), self.profile.fullrate * self.mean
+        ladder._share(self.span / self.mean, self.surv / scale)
+        ladder.cdf = 1 - self.surv / scale * self.sums
         return ladder
-
-    def _theta(self, u):
-        """The times below t_N at uniforms u < head: the segment whose
-        share of head holds u, then within it the inverse of the density
-        prop. to e^(-d x) on [0, 1], log1p(v (e^-d - 1)) / -d."""
-        idx = np.searchsorted(self.edges[1:-1], u, side="right")
-        v = np.fmin((u - self.edges[idx])
-                    / (self.edges[idx + 1] - self.edges[idx]), 1.0)
-        x = np.log1p(v * np.expm1(-self.decay[idx])) / -self.decay[idx]
-        return self.left[idx] + x * (self.left[idx + 1] - self.left[idx])
 
 
 def _counts(sampler, rng, size):
@@ -316,11 +308,12 @@ def simulate_attack_sweep(config: SimConfig, ks) -> dict[int, SimEstimate]:
     if min(ks, default=0) < 1:
         raise ValueError("need one or more confirmation depths, each >= 1")
     beta = config.beta
-    rho = beta * _integrals(ThetaSampler(config.profile))[2]
+    law = ThetaSampler(config.profile)
+    rho = beta * law.mean
     # where M is infinite, every depth violates, and no table is built
     violations = np.full(len(ks), config.trials if rho >= 1 else 0)
     if rho < 1:
-        sampler = _PhiSampler(config.profile, beta)
+        sampler = _PhiSampler(law, beta)
         ladder = sampler.excess()
     seeds = np.random.SeedSequence(config.seed)
     for start in range(0, config.trials if rho < 1 else 0, _BATCH):

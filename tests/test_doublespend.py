@@ -430,6 +430,54 @@ def test_zero_delay_q_reference_values():
                     [0.36, 0.1644444444444444, 0.08], rtol=1e-10)
 
 
+def _zero_model_q_80_digits(f, depths):
+    """q(k) on the zero model at beta = f alpha and delta_conf = 0, to 80
+    digits by ``decimal``.  Phi is Geometric, P(Phi = n) = (1 - p) p^n with
+    p = f / (1 + f) and rho = f, and its ladder height has Phi's law, so
+    the lead M has P(M = 0) = 1 - f^2 and P(M = m) = (1 - f) f^(m+1) for
+    m >= 1.  q(k) = P(M + M' + S >= k), S ~ NegBin(k + 1, 1 - p) the sum
+    of k + 1 counts, taken as 1 - P(... < k): 80 digits keep some 50 of
+    the smallest q asked for here, 3e-27."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        f = decimal.Decimal(f)
+        p, n = f / (1 + f), max(depths)
+        lead = [1 - f * f] + [(1 - f) * f ** (m + 1) for m in range(1, n)]
+        # the CDF of M + M' on 0..n-1
+        cdf, total = [], decimal.Decimal(0)
+        for j in range(n):
+            total += sum(lead[i] * lead[j - i] for i in range(j + 1))
+            cdf.append(total)
+        q = {}
+        for k in depths:
+            # P(S = s) = C(s + k, k) (1 - p)^(k+1) p^s, stepped in s
+            mass, below = (1 - p) ** (k + 1), decimal.Decimal(0)
+            for s in range(k):
+                below += mass * cdf[k - 1 - s]
+                mass *= p * (s + k + 1) / (s + 1)
+            q[k] = 1 - below
+        return q
+
+
+@pytest.mark.parametrize("f, pinned", [
+    (0.2, {20: 1.694360e-6, 50: 2.422715e-14, 100: 2.983242e-27}),
+    (0.45, {100: 3.687243e-8, 200: 4.783351e-15, 300: 7.060504e-22})])
+def test_zero_model_q_is_within_the_q_tolerance_of_an_80_digit_reference(
+        f, pinned):
+    # the reference reproduces, to their 7 digits, the values two
+    # independent high-precision computations gave; analyze is within the
+    # q tolerance of it at every depth, the deep ones included, where its
+    # relative error is not bounded
+    ref = _zero_model_q_80_digits(f, [1, 5, *pinned])
+    for k, q in pinned.items():
+        assert float(ref[k]) == pytest.approx(q, rel=1e-6), k
+    results = analyze(DelayModel("zero"), f, 600.0, max(pinned),
+                      delta_conf=0.0)
+    for k, r in ref.items():
+        r = float(r)
+        assert abs(results[k - 1].q - r) <= min(1e-6, 1e-10 + 1e-4 * r), k
+
+
 def test_analyze_k27_profile_deep_lead():
     # criterion-5/8 profile at K=27: its Phi masses summed to 1 + O(1e-11)
     # and lead_pmf raised "negative lead mass"

@@ -84,6 +84,12 @@ def test_cutoff_nearest_rank():
     assert cutoff == 90.0
     assert len(kept) == 90
     assert kept.delays[-1] == 90.0
+    # ties: rank ceil(0.5 * 7) = 4 keeps four delays, not every copy of
+    # the cutoff delay 2.0
+    tied = DelayDataset(np.array([1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 3.0]))
+    kept, cutoff = apply_cutoff(tied, 0.5)
+    assert cutoff == 2.0
+    assert kept.delays.tolist() == [1.0, 2.0, 2.0, 2.0]
 
 
 def test_cutoff_epsilon_zero_keeps_all():

@@ -55,18 +55,19 @@ def test_merged_q_matches_the_data_jittered_apart(tmp_path, whole_seconds,
                                                   capsys):
     # 1e-9 s per rank breaks every tie: no bin mean repeats, and the
     # zero-length segments the merge drops come back with lengths below
-    # 1e-4 s.  --epsilon 0 keeps every delay in both files: the nearest-
-    # rank cutoff keeps all copies of a tied cutoff delay, which jitter
-    # would cut to the rank.
+    # 1e-4 s.  --epsilon 0 keeps every delay in both files; at the default
+    # 0.01 both keep the nearest rank's 49 500 delays, which holds only
+    # because the cutoff drops the tied copies of the cutoff delay past it.
     jittered = whole_seconds + 1e-9 * np.arange(len(whole_seconds))
-    code, q = _sweep(capsys, _write(tmp_path / "s.txt", whole_seconds),
-                     "--epsilon", "0")
-    assert code == 0
-    code, q_jittered = _sweep(capsys, _write(tmp_path / "j.txt", jittered),
-                              "--epsilon", "0")
-    assert code == 0
-    tolerance = np.minimum(1e-6, 1e-10 + 1e-4 * np.abs(q_jittered))
-    assert np.all(np.abs(q - q_jittered) <= tolerance)
+    paths = (_write(tmp_path / "s.txt", whole_seconds),
+             _write(tmp_path / "j.txt", jittered))
+    for epsilon in ("0", "0.01"):
+        code, q = _sweep(capsys, paths[0], "--epsilon", epsilon)
+        assert code == 0
+        code, q_jittered = _sweep(capsys, paths[1], "--epsilon", epsilon)
+        assert code == 0
+        tolerance = np.minimum(1e-6, 1e-10 + 1e-4 * np.abs(q_jittered))
+        assert np.all(np.abs(q - q_jittered) <= tolerance), epsilon
 
 
 def test_equal_means_merge_into_the_first_bin_of_their_run():

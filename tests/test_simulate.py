@@ -12,8 +12,8 @@ from powruin.delaymodel import HashrateProfile, assemble_theta, calibrate_alpha
 from powruin.doublespend import DelayModel, analyze
 from powruin.phi import phi_from_theta
 from powruin.ruinlindley import lead_pmf
-from powruin.simulate import (SimConfig, ThetaSampler, _counts, _integrals,
-                              _maxima, _PhiSampler, simulate_attack_sweep)
+from powruin.simulate import (SimConfig, ThetaSampler, _counts, _maxima,
+                              _PhiSampler, simulate_attack_sweep)
 
 ALPHA = 1 / 600
 
@@ -68,28 +68,50 @@ def test_sampler_zero_profile_is_scaled_exponential():
     assert np.array_equal(x, e / ALPHA)
 
 
-class _FixedExponentials:
-    """Stub rng whose exponential draws are the given values."""
+class _FixedDraws:
+    """Stub rng whose exponential and uniform draws are the given values;
+    ``calls`` records the order they are asked for in."""
 
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=float)
+    def __init__(self, exponentials, uniforms):
+        self.e, self.u = (np.asarray(v, dtype=float)
+                          for v in (exponentials, uniforms))
+        self.calls = []
 
     def exponential(self, size):
-        assert size == len(self.values)
-        return self.values.copy()
+        self.calls.append("exponential")
+        assert size == len(self.e)
+        return self.e.copy()
+
+    def random(self, size):
+        self.calls.append("random")
+        assert size == len(self.u)
+        return self.u.copy()
 
 
 def test_sampler_draws_of_zero_and_on_edges():
-    # unit full rate: cumulative hazard 0, 0, 1.2, 5.2 at 0, 2, 5, 10 s; a
-    # draw of 0 starts at the first mining instant, not in the dead zone,
-    # and a draw on an edge lands on that edge's time
+    # unit full rate: the segments of (0, 2, 5, 10) s take shares 0,
+    # 1 - e^-1.2 and e^-1.2 - e^-5.2 of theta.  A uniform on a share's
+    # edge lands on its segment's left threshold; u = 0 lands on 2 s, so
+    # the zero-share dead segment is never hit; u >= head = 1 - e^-5.2
+    # gives t_N + e / alpha.  Inside a segment, u = 1 - e^-H lands where
+    # the cumulative hazard is H: 3 s at H = 0.4 and 7.5 s at H = 3.2.
     prof = HashrateProfile((0.0, 2.0, 5.0, 10.0), (0.0, 0.4, 0.8), 1.0)
-    e = [0.0, 1.2, 5.2, 600.0, 0.4, 5e-324]
-    x = ThetaSampler(prof).sample(_FixedExponentials(e), len(e))
-    assert np.all(np.isfinite(x))
-    assert_allclose(x, [2.0, 5.0, 10.0, 604.8, 3.0, 2.0], rtol=1e-15)
-    fixed = HashrateProfile.fixed_delay(10.0, 0.5)
-    y = ThetaSampler(fixed).sample(_FixedExponentials([0.0, 1.0]), 2)
+    law = ThetaSampler(prof)
+    assert_allclose(law.edges, [0.0, 0.0, -math.expm1(-1.2),
+                                -math.expm1(-5.2)], rtol=1e-15)
+    assert law.head == pytest.approx(-math.expm1(-5.2), rel=1e-15)
+    u = [0.0, law.edges[2], 5e-324, -math.expm1(-0.4), -math.expm1(-3.2),
+         law.head, 0.999]
+    rng = _FixedDraws([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 600.0], u)
+    x = law.sample(rng, len(u))
+    assert rng.calls == ["exponential", "random"]
+    assert x[:2].tolist() == [2.0, 5.0]
+    assert_allclose(x[2:], [2.0, 3.0, 7.5, 16.0, 610.0], rtol=1e-14)
+    assert x[5:].tolist() == [16.0, 610.0]
+    # a fixed delay has no share below t_N: 10 s + e / alpha
+    fixed = ThetaSampler(HashrateProfile.fixed_delay(10.0, 0.5))
+    assert fixed.head == 0.0
+    y = fixed.sample(_FixedDraws([0.0, 1.0], [0.0, 0.5]), 2)
     assert np.array_equal(y, [10.0, 12.0])
 
 
@@ -126,6 +148,30 @@ def test_sampler_mean_matches_analytic():
     x = ThetaSampler(prof).sample(rng, 400_000)
     se = x.std() / np.sqrt(len(x))
     assert abs(x.mean() - theta.mean()) < 4 * se
+
+
+def theta_cdf(law, t):
+    """theta's CDF 1 - e^-H(t), H linear between the law's ``hazard``
+    entries at its thresholds and rising at the full rate past t_N."""
+    past = np.fmax(t - law.left[-1], 0.0) * law.profile.fullrate
+    return -np.expm1(-(np.interp(t, law.left, law.hazard) + past))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: criterion_profile()[0], lambda: congested_profile(),
+    lambda: HashrateProfile.fixed_delay(5e5, ALPHA),
+    lambda: HashrateProfile((0.0, 10.0, 1e9), (0.0, 1.0), 1 / 590)],
+    ids=["criterion", "congested", "fixed-5e5", "S_N-underflows"])
+def test_sampler_draws_follow_thetas_exact_cdf(make):
+    # the Kolmogorov-Smirnov distance of 2e5 draws from F = 1 - e^-H; the
+    # DKW inequality P(D > eps) <= 2 e^(-2 n eps^2) sets eps at a 1e-6
+    # false-alarm rate
+    law, n = ThetaSampler(make()), 200_000
+    x = np.sort(law.sample(np.random.default_rng(41), n))
+    cdf = theta_cdf(law, x)
+    distance = max(np.max(np.arange(1, n + 1) / n - cdf),
+                   np.max(cdf - np.arange(n) / n))
+    assert distance <= math.sqrt(math.log(2 / 1e-6) / (2 * n))
 
 
 def test_draw_scalar_and_vector():
@@ -194,9 +240,14 @@ PROFILES = {"zero": zero_profile, "criterion": lambda: criterion_profile()[0],
             "congested": congested_profile}
 
 
+def phi_law(prof, beta):
+    """Phi's law at ``beta`` on the profile's theta."""
+    return _PhiSampler(ThetaSampler(prof), beta)
+
+
 def ladder(prof, beta):
     """rho = beta E[theta] and the sampler of ``prof``'s ladder heights."""
-    sampler = _PhiSampler(prof, beta)
+    sampler = phi_law(prof, beta)
     return beta * sampler.mean, sampler.excess()
 
 
@@ -239,7 +290,7 @@ def test_loynes_lead_is_lindley_on_the_reversed_increments():
     # the criterion profile, masses 0..5 and the rest
     prof, _ = criterion_profile()
     beta, n = 0.45 * prof.fullrate, 50_000
-    sampler, rng = _PhiSampler(prof, beta), np.random.default_rng(11)
+    sampler, rng = phi_law(prof, beta), np.random.default_rng(11)
     q = np.zeros(n, dtype=np.int64)
     for _ in range(200):
         q = np.maximum(q + _counts(sampler, rng, n) - 1, 0)
@@ -401,7 +452,7 @@ def test_race_is_the_gamblers_ruin_on_the_zero_profile():
     # psi(u) = 0.2**(u + 1); its maximum over steps n >= 1 is
     # Phi_1 - 1 + M', which reads every u <= 3
     beta, n = 0.2 * ALPHA, 1_000_000
-    sampler, rng = _PhiSampler(zero_profile(), beta), np.random.default_rng(33)
+    sampler, rng = phi_law(zero_profile(), beta), np.random.default_rng(33)
     first = _counts(sampler, rng, n) - 1
     top = first + _maxima(sampler.excess(), 0.2, rng, n)
     z = np.repeat(np.arange(4)[:, None], n, axis=1)
@@ -461,7 +512,7 @@ def test_sweep_where_S_N_underflows_reads_a_one_entry_table():
     # before its stop rule bounded it at every j), and the sweep calibrated
     # to a 600 s mean at K = 9, with a 10 s final window, matches analyze
     prof = HashrateProfile((0.0, 10.0, 1e9), (0.0, 1.0), 1 / 590)
-    assert _PhiSampler(prof, 0.2 / 590).cdf.tolist() == [1.0]
+    assert phi_law(prof, 0.2 / 590).cdf.tolist() == [1.0]
     rate = calibrate_alpha(prof, 600.0, 9).calibrated_rate
     config = SimConfig(profile=prof.with_fullrate(rate), beta=0.2 * rate, k=3,
                        delta_conf=10.0, trials=200_000, seed=12)
@@ -550,10 +601,10 @@ def test_mean_is_the_integral_of_the_survival(make):
     # rho = beta E[theta] reads E[theta] off the profile's own law in
     # closed form, to 1e-14 of a 50-digit reference
     prof = make()
-    mean = _integrals(ThetaSampler(prof))[2]
+    mean = ThetaSampler(prof).mean
     assert abs(decimal.Decimal(mean) - survival_integral_50_digits(prof)) <= (
         decimal.Decimal(1e-14 * mean))
-    assert _PhiSampler(prof, 0.2 * prof.fullrate).mean == mean
+    assert phi_law(prof, 0.2 * prof.fullrate).mean == mean
 
 
 @pytest.mark.parametrize("make", [zero_profile, lambda: criterion_profile()[0],
@@ -573,7 +624,7 @@ def test_counts_follow_phi_of_the_profile(make, fraction):
         theta = assemble_theta(prof, 51)
         ref, mean = phi_from_theta(theta, beta, 60).masses, beta * theta.mean()
     ref = np.append(ref[:6], ref[6:].sum())
-    sampler, rng = _PhiSampler(prof, beta), np.random.default_rng(31)
+    sampler, rng = phi_law(prof, beta), np.random.default_rng(31)
     phi = _counts(sampler, rng, n)
     emp = np.bincount(np.minimum(phi, 6), minlength=7) / phi.size
     z = np.abs(emp - ref) / np.sqrt(ref * (1 - ref) / phi.size)
@@ -589,7 +640,7 @@ def test_ladder_heights_follow_the_excess_law(make, fraction):
     # sums
     prof = make()
     beta, n = fraction * prof.fullrate, 1_000_000
-    sampler = _PhiSampler(prof, beta)
+    sampler = phi_law(prof, beta)
     rho, heights = beta * sampler.mean, sampler.excess()
     masses = phi_from_theta(assemble_theta(prof, 51), beta, 200).masses
     ref = (1 - np.cumsum(masses)) / rho
@@ -606,7 +657,7 @@ def test_tail_table_at_a_beta_far_above_alpha_carries_the_law():
     # first n with q**n < 2**-53, some 37 000 entries, and the excess law,
     # theta's own at zero delay, shares it
     beta, q = 1000 * ALPHA, 1000 / 1001
-    sampler = _PhiSampler(zero_profile(), beta)
+    sampler = phi_law(zero_profile(), beta)
     assert q ** len(sampler.cdf) < 2.0**-53 <= q ** (len(sampler.cdf) - 1)
     assert sampler.cdf[-1] == 1.0
     excess = sampler.excess()
@@ -654,7 +705,7 @@ def tail_left(prof, beta, j):
 
 @pytest.mark.parametrize("ratio", [0.2, 0.95, 3.0])
 def test_tail_table_is_the_geometric_cdf_at_zero_delay(ratio):
-    cdf = _PhiSampler(zero_profile(), ratio * ALPHA).cdf
+    cdf = phi_law(zero_profile(), ratio * ALPHA).cdf
     q = ratio / (1 + ratio)
     assert_allclose(cdf, 1 - q ** np.arange(1, len(cdf) + 1), rtol=0,
                     atol=1e-15)
@@ -670,7 +721,7 @@ def test_tail_table_is_sized_from_the_law(make):
     prof, lengths = make(), []
     for ratio in (0.2, 0.95, 3.0):
         beta = ratio * prof.fullrate
-        cdf = _PhiSampler(prof, beta).cdf
+        cdf = phi_law(prof, beta).cdf
         assert np.all(np.diff(cdf) >= 0) and cdf[-1] == 1.0
         left = [tail_left(prof, beta, j) for j in range(len(cdf))]
         assert_allclose(cdf, 1 - np.array(left), rtol=0, atol=1e-15)
@@ -685,14 +736,14 @@ def test_tail_table_carries_the_law_at_a_large_beta_t_N(mu):
     # past beta t_N ~ 708, e^-beta t_N is subnormal, and past ~ 745 it is
     # 0: the table's mean is still E T = beta t_N + beta / alpha
     beta = 0.2 * ALPHA
-    sampler = _PhiSampler(HashrateProfile.fixed_delay(mu / beta, ALPHA), beta)
+    sampler = phi_law(HashrateProfile.fixed_delay(mu / beta, ALPHA), beta)
     assert sampler.head == 0.0
     assert_allclose(np.sum(1 - sampler.cdf), mu + beta / ALPHA, rtol=1e-9)
 
 
 @pytest.mark.parametrize("make", [zero_profile, congested_profile])
 def test_counts_at_zero_beta_are_zero(make):
-    sampler = _PhiSampler(make(), 0.0)
+    sampler = phi_law(make(), 0.0)
     assert sampler.cdf.tolist() == [1.0]
     phi = _counts(sampler, np.random.default_rng(32), 100_000)
     assert not phi.any()
@@ -731,7 +782,8 @@ def test_tail_table_is_short_wherever_it_is_read(prof, rho):
     # table; nondecreasing fractions make the hazard H convex, so that
     # int_0^t_N S >= t_N (1 - S_N) / H_N and mu = beta t_N <=
     # rho H_N / (1 - S_N) < 37, and the table ends within 2 mu + 150
-    sampler = _PhiSampler(prof, rho / _integrals(ThetaSampler(prof))[2])
+    law = ThetaSampler(prof)
+    sampler = _PhiSampler(law, rho / law.mean)
     assume(sampler.surv >= 2.0**-53)
     hazard = sampler.hazard[-1]
     ratio = hazard / -math.expm1(-hazard) if hazard else 1.0
@@ -751,9 +803,24 @@ def test_splitting_a_segment_leaves_the_laws_unchanged(prof, rho, data):
     split = HashrateProfile(
         thr[:i + 1] + (thr[i] + cut * (thr[i + 1] - thr[i]),) + thr[i + 1:],
         fr[:i + 1] + fr[i:], ALPHA)
-    beta = rho / _integrals(ThetaSampler(prof))[2]
-    one, two = _PhiSampler(prof, beta), _PhiSampler(split, beta)
+    beta = rho / ThetaSampler(prof).mean
+    one, two = phi_law(prof, beta), phi_law(split, beta)
     assert two.mean == pytest.approx(one.mean, rel=1e-15, abs=0)
     assert abs(two.surv - one.surv) <= 1e-15
     for a, b in ((one, two), (one.excess(), two.excess())):
         assert_allclose(b.cdf, a.cdf, rtol=0, atol=1e-15)
+
+
+@PROPERTY
+@given(prof=st.one_of(st.just(zero_profile()), profiles()),
+       length=st.floats(0.1, 1e6))
+def test_a_last_segment_at_full_rate_folds_into_the_tail(prof, length):
+    # a last segment at fraction 1 mines at the full rate, as the tail past
+    # t_N does: theta's mean agrees to 1e-14 relative, and the CDF at every
+    # threshold of either profile agrees to rounding
+    thr, fr = prof.thresholds, prof.fractions
+    longer = HashrateProfile(thr + (thr[-1] + length,), fr + (1.0,), ALPHA)
+    one, two = ThetaSampler(prof), ThetaSampler(longer)
+    assert two.mean == pytest.approx(one.mean, rel=1e-14, abs=0)
+    t = two.left
+    assert_allclose(theta_cdf(two, t), theta_cdf(one, t), rtol=0, atol=1e-15)
