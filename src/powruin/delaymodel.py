@@ -24,7 +24,7 @@ fallback is needed.  Each iterate builds the profile at its rate and that
 profile's theta, and the last iterate's theta, validated once, is the
 calibrated one.  A
 profile builds its inverse segment lengths and rate fractions as arrays
-once, and its copies at other full rates carry them.
+when it is constructed, and its copies at other full rates share them.
 """
 
 from __future__ import annotations
@@ -84,6 +84,11 @@ class HashrateProfile:
         if any(b < a for a, b in zip(fr, fr[1:])):
             raise ValueError("fractions must be nondecreasing")
         _check_fullrate(self.fullrate)
+        # the inverse segment lengths delta_i and the rate fractions, as
+        # read-only arrays that with_fullrate's copies share
+        delta, fractions = 1.0 / np.diff(thr), np.array(fr)
+        delta.flags.writeable = fractions.flags.writeable = False
+        object.__setattr__(self, "_segment_arrays", (delta, fractions))
 
     @property
     def n_segments(self) -> int:
@@ -96,15 +101,6 @@ class HashrateProfile:
     @property
     def max_delay(self) -> float:
         return self.thresholds[-1]
-
-    @cached_property
-    def _segment_arrays(self):
-        """The inverse segment lengths delta_i and the rate fractions, as
-        read-only arrays built once; :meth:`with_fullrate`'s copy carries
-        them."""
-        delta, fractions = 1.0 / np.diff(self.thresholds), np.array(self.fractions)
-        delta.flags.writeable = fractions.flags.writeable = False
-        return delta, fractions
 
     def with_fullrate(self, rate: float) -> "HashrateProfile":
         """This profile at full rate ``rate``; only the new rate is checked."""
@@ -405,8 +401,6 @@ def calibrate_alpha(profile: HashrateProfile, block_interval: float, K: int,
         raise ValueError(f"no mining before {dead:g} s, which is not below "
                          f"the block interval {target:g} s")
 
-    # the segment arrays are built here once, so that every copy carries them
-    profile._segment_arrays
     alpha = 1.0 / (target - dead)
     trace = []
     for it in range(1, _MAX_ITER + 1):

@@ -21,8 +21,8 @@ the lead and the Poisson count are validated nonnegative, so one check
 covers the whole pass: it refuses a NaN or a partial sum above 1 + 1e-8,
 with :func:`compute_q`'s messages.  :func:`adversary_lead_pmf`,
 :func:`honest_lead_pmf` and :func:`compute_q` take one depth on its own,
-with Phi raised to the k-th power, and :func:`compute_q` checks its p_Z
-the same way, entry by entry.
+with Phi raised to the k-th power by k - 1 truncated products, and
+:func:`compute_q` checks its p_Z the same way, entry by entry.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .ruinlindley import (LeadDistribution, RuinTable, _ruin_from_lead,
 
 __all__ = [
     "DoubleSpendResult", "DelayModel",
-    "poisson_partial_pgf", "truncated_product", "truncated_power",
+    "poisson_partial_pgf", "truncated_product",
     "adversary_lead_pmf", "honest_lead_pmf", "compute_q", "analyze",
 ]
 
@@ -119,35 +119,23 @@ def truncated_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.convolve(a, b)[:len(a)]
 
 
-def truncated_power(a: np.ndarray, n: int) -> np.ndarray:
-    """n-fold truncated product by binary exponentiation."""
-    if n < 0:
-        raise ValueError("power must be nonnegative")
-    result = np.zeros(len(a))
-    result[0] = 1.0
-    base = a
-    while n:
-        if n & 1:
-            result = truncated_product(result, base)
-        n >>= 1
-        if n:
-            base = truncated_product(base, base)
-    return result
-
-
 def adversary_lead_pmf(leadQ: LeadDistribution, phi: PhiDistribution,
                        delta_conf: float, beta: float, k: int) -> np.ndarray:
     """First k masses of the adversary block count V at confirmation.
 
     V = pre-mining lead + counts over k honest intervals + Poisson blocks
     over the final delta_conf propagation window.  The lead and Phi may
-    carry more than k masses; the first k are used.
+    carry more than k masses; the first k are used.  Phi^k is formed by
+    k - 1 truncated products.
     """
     gq, gphi = leadQ.masses[:k], phi.masses[:k]
     if len(gq) != k or len(gphi) != k:
         raise ValueError("lead and phi must carry k masses")
     gd = poisson_partial_pgf(delta_conf * beta, k)
-    return truncated_product(truncated_product(gq, truncated_power(gphi, k)), gd)
+    power = gphi
+    for _ in range(k - 1):
+        power = truncated_product(power, gphi)
+    return truncated_product(truncated_product(gq, power), gd)
 
 
 def honest_lead_pmf(p_V: np.ndarray, k: int):
@@ -159,13 +147,13 @@ def honest_lead_pmf(p_V: np.ndarray, k: int):
     return p_Z, deficit
 
 
-def compute_q(p_Z: np.ndarray, deficit_mass: float, ruin: RuinTable,
-              model_tag: str = "") -> DoubleSpendResult:
+def compute_q(p_Z: np.ndarray, deficit_mass: float, ruin: RuinTable
+              ) -> DoubleSpendResult:
     """Violation probability q = 1 - sum_u p_Z(u) (1 - psi(u)).
 
     The deficit mass (adversary already at or past the honest tip) is
     covered automatically by the 1-minus-sum structure.  Only the first
-    len(p_Z) entries of the ruin table are read.
+    len(p_Z) entries of the ruin table are read.  The result's tag is "".
     """
     p_Z = np.asarray(p_Z, dtype=float)
     k = len(p_Z)
@@ -178,8 +166,8 @@ def compute_q(p_Z: np.ndarray, deficit_mass: float, ruin: RuinTable,
         raise ValueError(f"p_Z sums to {p_Z.sum()} > 1")
     q = 1.0 - float(np.sum(p_Z * (1.0 - psi)))
     q = min(max(q, 0.0), 1.0)
-    return DoubleSpendResult(q=q, deficit_mass=deficit_mass,
-                             model_tag=model_tag, k=k)
+    return DoubleSpendResult(q=q, deficit_mass=deficit_mass, model_tag="",
+                             k=k)
 
 
 # A model's calibrated law.  A random delay has no calibration and no

@@ -16,8 +16,7 @@ from powruin.delaymodel import (HashrateProfile, assemble_theta,
                                 zero_delay_theta)
 from powruin.doublespend import (DelayModel, adversary_lead_pmf, analyze,
                                  compute_q, honest_lead_pmf,
-                                 poisson_partial_pgf, truncated_power,
-                                 truncated_product)
+                                 poisson_partial_pgf, truncated_product)
 from powruin.ingest import (BITCOIN_LIKE, apply_cutoff, bin_delays,
                             synth_delays, to_profile)
 from powruin.medist import erlang_me
@@ -170,21 +169,6 @@ def test_truncated_product_associative():
     left = truncated_product(truncated_product(gs[0], gs[1]), gs[2])
     right = truncated_product(gs[0], truncated_product(gs[1], gs[2]))
     assert_allclose(left, right, atol=1e-15)
-
-
-def test_truncated_power_matches_repeated_product():
-    rng = np.random.default_rng(5)
-    p = rng.random(7)
-    g = p / p.sum()
-    by_repeat = g
-    for _ in range(4):
-        by_repeat = truncated_product(by_repeat, g)
-    assert_allclose(truncated_power(g, 5), by_repeat, atol=1e-15)
-
-
-def test_truncated_power_zero_is_identity():
-    g = np.array([0.5, 0.5])
-    assert_allclose(truncated_power(g, 0), [1.0, 0.0])
 
 
 def test_adversary_lead_zero_delay_hand_value():
@@ -585,12 +569,12 @@ def test_q_is_invariant_under_time_rescaling(kind, c):
         assert abs(s.q - r.q) <= 1e-3 * min(1e-6, 1e-10 + 1e-4 * r.q)
 
 
+
 @pytest.mark.parametrize("call, message", [
     (lambda: poisson_partial_pgf(1.0, 0), "k must be >= 1"),
     (lambda: poisson_partial_pgf(np.inf, 3), "nonnegative and finite"),
     (lambda: poisson_partial_pgf(np.nan, 3), "nonnegative and finite"),
     (lambda: truncated_product(np.ones(2), np.ones(3)), "length mismatch"),
-    (lambda: truncated_power(np.ones(2), -1), "power must be nonnegative"),
     (lambda: adversary_lead_pmf(LeadDistribution([0.5, 0.2]),
                                 PhiDistribution([0.5, 0.2, 0.1], 0.4),
                                 0.0, BETA, 3),
@@ -599,8 +583,11 @@ def test_q_is_invariant_under_time_rescaling(kind, c):
      "p_V has 2 coefficients, expected 3"),
     (lambda: compute_q(np.array([0.5, 0.2]), 0.0, RuinTable([0.5])),
      "ruin table shorter than p_Z"),
-], ids=["pgf-k0", "pgf-inf", "pgf-nan", "product-lengths", "negative-power", "short-lead",
-        "p_V-length", "short-ruin-table"])
+    (lambda: adversary_lead_pmf(LeadDistribution([0.5, 0.2]),
+                                PhiDistribution([0.5, 0.2], 0.4),
+                                0.0, BETA, 0), "k must be >= 1"),
+], ids=["pgf-k0", "pgf-inf", "pgf-nan", "product-lengths", "short-lead",
+        "p_V-length", "short-ruin-table", "lead-k0"])
 def test_pgf_algebra_refusals(call, message):
     with pytest.raises(ValueError, match=message):
         call()
