@@ -27,6 +27,9 @@ EXIT_NUMERIC = 4
 EXIT_UNSTABLE = 5
 
 _BLOCK_INTERVAL = 600.0  # s, the default --block-interval of every command
+# density forms theta's dense T and its expm, at O(order^3) cost: order 1783
+# took 8-11 s and 312 MB on 2 vCPUs, and this bound about 1.5 times that
+_DENSITY_MAX_ORDER = 2000
 
 # model flag -> (type, default, the models that read it, help); "variable
 # --data" is the variable model built from a delay file.  A flag given, on
@@ -55,6 +58,9 @@ def _add_model_flags(p):
 
 def _ingested(args):
     """The profile of ``--data``, with its cutoff delay and binning."""
+    if not 0 < args.block_interval < np.inf:
+        raise ValueError(f"--block-interval must be positive and finite, "
+                         f"got {args.block_interval:g}")
     ds = ingest.load_delays(args.data)
     ds, cutoff = ingest.apply_cutoff(ds, args.epsilon)
     binning = ingest.bin_delays(ds, args.bins)
@@ -151,6 +157,11 @@ def cmd_sweep(args) -> int:
 def cmd_density(args) -> int:
     theta = doublespend._calibrated_law(
         _build_model(args), args.block_interval, args.cme_order).theta
+    if theta.order > _DENSITY_MAX_ORDER:
+        raise ValueError(
+            f"theta has order {theta.order}, above density's bound of "
+            f"{_DENSITY_MAX_ORDER}: its dense T and expm cost O(order^3); "
+            f"lower --cme-order, --bins or --delay-order")
     xs = np.linspace(0.0, 5.0 * args.block_interval, args.points)
     fs = theta.pdf_grid(xs)
     lines = ["x,f"] + [f"{float(x)!r},{float(f)!r}" for x, f in zip(xs, fs)]

@@ -188,8 +188,8 @@ def fixed_delay_theta(delay: float, alpha: float, K: int) -> MEDistribution:
 
 def random_delay_theta(delay_dist: MEDistribution, alpha: float) -> MEDistribution:
     """ME-distributed random delay followed by exponential mining."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0 < alpha < np.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     T = np.block([[delay_dist.subgen, delay_dist.exit[:, None]],
                   [np.zeros(delay_dist.order), -alpha]])
     v = np.append(delay_dist.init, 0.0)

@@ -198,12 +198,12 @@ def _validated(d: MEDistribution) -> MEDistribution:
     goes through :func:`make_me`, which computes its spectrum.
     """
     mass = float(d.init.sum())
-    if abs(mass - 1.0) > 1e-10:
+    if not abs(mass - 1.0) <= 1e-10:
         raise MEValidationError(f"init mass {mass} != 1")
     mu = d.mean()
     if not (mu > 0 and math.isfinite(mu)):
         raise MEValidationError(f"mean {mu} not strictly positive and finite")
-    if abs(-float(d.init @ d._solve_T(d.exit)) - 1.0) > 1e-10:
+    if not abs(-float(d.init @ d._solve_T(d.exit)) - 1.0) <= 1e-10:
         raise MEValidationError("mgf(0) != 1")
     return d
 

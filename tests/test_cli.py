@@ -446,6 +446,32 @@ def test_data_and_profile_together_is_input_error(delay_file, profile_file,
     assert "--data or --profile, not both" in err
 
 
+@pytest.mark.parametrize("interval", ["0", "-600", "nan", "inf"])
+@pytest.mark.parametrize("command", ["ingest", "sweep", "calibrate",
+                                     "density"])
+def test_bad_block_interval_on_data_names_the_flag(command, interval,
+                                                    delay_file, capsys):
+    model = () if command == "ingest" else ("--model", "variable")
+    code, err = run_err(capsys, command, *model, "--data", str(delay_file),
+                        "--block-interval", interval)
+    assert code == EXIT_INPUT
+    assert "--block-interval must be positive and finite" in err
+
+
+def test_density_refuses_an_order_above_its_bound_without_forming_t(
+        delay_file, monkeypatch, capsys):
+    # the defaults --bins 128 --cme-order 27 give an order near 3 500
+    monkeypatch.setattr(delaymodel._ProfileTheta, "subgen", property(
+        lambda self: pytest.fail("the dense T was formed")))
+    t0 = time.perf_counter()
+    code, err = run_err(capsys, "density", "--model", "variable", "--data",
+                        str(delay_file), "--points", "5")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == EXIT_INPUT
+    assert "above density's bound of 2000" in err
+    assert "--cme-order" in err and "--bins" in err
+
+
 @pytest.mark.parametrize("command", ["sweep", "simulate"])
 @pytest.mark.parametrize("flags, message", [
     (("--beta-fraction", "1.5"), "beta_fraction must lie in (0, 1)"),

@@ -324,8 +324,11 @@ def test_calibrate_solves_each_iterate_mean_once(monkeypatch):
 
 
 def test_random_delay_theta_refuses_a_zero_rate():
-    with pytest.raises(ValueError, match="alpha must be positive"):
-        random_delay_theta(erlang_me(2, 1.0), 0.0)
+    # and a rate that is not finite: an infinite one would give the delay
+    # alone as theta
+    for alpha in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            random_delay_theta(erlang_me(2, 1.0), alpha)
 
 
 def test_calibration_repr_leaves_the_dense_subgen_unbuilt():

@@ -145,6 +145,11 @@ def _corrupt(theta, **fields):
     (lambda t: dict(_mean=-t._mean), "mean"),
     pytest.param(lambda t: dict(_alpha=-t._alpha), "mgf", id="alpha-mgf"),
     (lambda t: dict(exit=1.01 * t.exit), "mgf"),
+    # NaN fails both tolerance checks, as it fails phi's
+    pytest.param(lambda t: dict(init=np.append(t.init[:-1], np.nan)),
+                 "init mass", id="nan-init"),
+    pytest.param(lambda t: dict(exit=np.append(t.exit[:-1], np.nan)), "mgf",
+                 id="nan-exit"),
 ])
 def test_validation_still_raises_on_a_corrupted_profile_theta(corruption,
                                                               message):
