@@ -26,7 +26,6 @@ __all__ = [
 _SUB_MS = 1e-3
 
 
-@dataclass(frozen=True, eq=False)
 class DelayDataset:
     """Delays in seconds, sorted ascending in a read-only array.
 
@@ -34,13 +33,12 @@ class DelayDataset:
     that neither it nor the array owning its data can write, as ingest
     leaves its arrays (``load_delays``'s, or a prefix of a dataset's), is
     kept as it is; any other input is copied and sorted into a read-only
-    array, so no caller's writable array is aliased.
+    array, so no caller's writable array is aliased.  Instances compare
+    and hash by identity.
     """
 
-    delays: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.delays, dtype=float)
+    def __init__(self, delays):
+        d = np.asarray(delays, dtype=float)
         if len(d) == 0:
             raise ValueError("empty delay dataset")
         if not np.all((d >= 0) & (d < np.inf)):
@@ -49,7 +47,7 @@ class DelayDataset:
                 or not np.all(d[1:] >= d[:-1])):
             d = np.sort(d)
             d.flags.writeable = False
-        object.__setattr__(self, "delays", d)
+        self.delays = d
 
     def __len__(self):
         return len(self.delays)
@@ -60,17 +58,18 @@ def _owner_flags(a: np.ndarray):
     return getattr(a.base, "flags", a.flags)
 
 
-@dataclass(frozen=True, eq=False)
 class BinningResult:
     """Bin means and the number of delays in each bin, the first bin being
-    the sub-ms reports; the sizes and the sub-ms fraction derive from them."""
+    the sub-ms reports; the sizes and the sub-ms fraction derive from them.
 
-    bin_means: np.ndarray  # b_0 .. b_{N-1}, strictly increasing
-    counts: np.ndarray
+    The means b_0 .. b_{N-1} must be strictly increasing and the counts
+    nonnegative whole numbers, not all 0.  The attributes are read-only by
+    convention, and instances compare and hash by identity.
+    """
 
-    def __post_init__(self):
-        means = np.asarray(self.bin_means, dtype=float)
-        counts = np.asarray(self.counts, dtype=float)
+    def __init__(self, bin_means, counts):
+        means = np.asarray(bin_means, dtype=float)
+        counts = np.asarray(counts, dtype=float)
         if np.any(np.diff(means) <= 0):
             raise ValueError("bin means must be strictly increasing")
         if counts.shape != means.shape:
@@ -79,8 +78,8 @@ class BinningResult:
                        & (counts < np.inf)) and counts.sum()):
             raise ValueError(
                 "bin counts must be nonnegative whole numbers, not all 0")
-        object.__setattr__(self, "bin_means", means)
-        object.__setattr__(self, "counts", counts.astype(int))
+        self.bin_means = means
+        self.counts = counts.astype(int)
 
     @property
     def N(self) -> int:

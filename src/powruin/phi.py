@@ -28,8 +28,6 @@ Given theta the count is Poisson(beta theta), so its mean is beta E[theta]
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .medist import MEDistribution
@@ -37,17 +35,19 @@ from .medist import MEDistribution
 __all__ = ["PhiDistribution", "phi_from_theta"]
 
 
-@dataclass(frozen=True, eq=False)
 class PhiDistribution:
-    """First k probability masses and the mean of the per-interval count."""
+    """First k probability masses and the mean of the per-interval count.
 
-    masses: np.ndarray
-    mean: float
+    The masses are validated and clamped by :func:`_checked_pmf`.  The
+    attributes are read-only by convention, and instances compare and hash
+    by identity, as theta does.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "masses", _checked_pmf(self.masses, "Phi"))
-        if not self.mean >= 0:
-            raise ValueError(f"mean must be nonnegative, got {self.mean}")
+    def __init__(self, masses, mean):
+        self.masses = _checked_pmf(masses, "Phi")
+        if not mean >= 0:
+            raise ValueError(f"mean must be nonnegative, got {mean}")
+        self.mean = mean
 
     @property
     def k(self) -> int:

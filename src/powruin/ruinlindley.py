@@ -10,8 +10,6 @@ routes must agree, which downstream tests exploit as a cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .phi import PhiDistribution, _checked_pmf
@@ -26,23 +24,27 @@ class UnstableRegimeError(ValueError):
     """Mean adversary count per interval >= 1: the attack trivially succeeds."""
 
 
-@dataclass(frozen=True, eq=False)
 class LeadDistribution:
-    masses: np.ndarray
+    """First k masses of the stationary lead, checked as Phi's are.
 
-    def __post_init__(self):
-        object.__setattr__(self, "masses", _checked_pmf(self.masses, "lead"))
+    Read-only by convention; compares and hashes by identity.
+    """
+
+    def __init__(self, masses):
+        self.masses = _checked_pmf(masses, "lead")
 
 
-@dataclass(frozen=True, eq=False)
 class RuinTable:
-    psi: np.ndarray
+    """Ruin probabilities psi(0..k-1), clamped to [0, 1].
 
-    def __post_init__(self):
-        psi = np.asarray(self.psi, dtype=float)
+    Read-only by convention; compares and hashes by identity.
+    """
+
+    def __init__(self, psi):
+        psi = np.asarray(psi, dtype=float)
         if not np.all((psi >= -1e-12) & (psi <= 1 + 1e-12)):
             raise ValueError("ruin probability out of [0, 1] or NaN")
-        object.__setattr__(self, "psi", np.clip(psi, 0.0, 1.0))
+        self.psi = np.clip(psi, 0.0, 1.0)
 
 
 def _tails(phi: PhiDistribution, k: int):
