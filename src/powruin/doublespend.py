@@ -16,13 +16,16 @@ convolved with the final window's Poisson count, each depth convolves the
 previous depth's k_max-partial pgf with Phi once, and depth k reads its
 first k masses.  The pass keeps two arrays of length k_max, sum p_Z and
 sum p_Z (1 - psi) per depth, and computes q and the deficit from them at
-once.  Products of nonnegative coefficients stay nonnegative, and Phi,
-the lead and the Poisson count are validated nonnegative, so one check
-covers the whole pass: it refuses a NaN or a partial sum above 1 + 1e-8,
-with :func:`compute_q`'s messages.  :func:`adversary_lead_pmf`,
-:func:`honest_lead_pmf` and :func:`compute_q` take one depth on its own,
-with Phi raised to the k-th power by k - 1 truncated products, and
-:func:`compute_q` checks its p_Z the same way, entry by entry.
+once.  The pass reads Phi's masses below 1e-300 as 0: they would only
+add products in the subnormal range, which are slow and too small to
+reach q or the deficit.  Products of nonnegative coefficients stay
+nonnegative, and Phi, the lead and the Poisson count are validated
+nonnegative, so one check covers the whole pass: it refuses a NaN or a
+partial sum above 1 + 1e-8, with :func:`compute_q`'s messages.
+:func:`adversary_lead_pmf`, :func:`honest_lead_pmf` and :func:`compute_q`
+take one depth on its own, with Phi raised to the k-th power by k - 1
+truncated products, and :func:`compute_q` checks its p_Z the same way,
+entry by entry.
 """
 
 from __future__ import annotations
@@ -170,6 +173,9 @@ def compute_q(p_Z: np.ndarray, deficit_mass: float, ruin: RuinTable
                              k=k)
 
 
+# Phi's masses below this are 0 in the depth pass (see the module docstring)
+_FLUSH_BELOW = 1e-300
+
 # A model's calibrated law.  A random delay has no calibration and no
 # profile, and no delta_conf unless one is given (None).
 _Law = namedtuple("_Law", "theta fullrate calibration profile delta_conf tag")
@@ -254,8 +260,9 @@ def analyze(model: DelayModel, beta_fraction: float, block_interval: float,
                           poisson_partial_pgf(law.delta_conf * beta, k_max))
     weights = np.column_stack((np.ones(k_max), 1.0 - ruin.psi))[::-1].copy()
     partial = np.empty((k_max, 2))
+    step = np.where(phi.masses < _FLUSH_BELOW, 0.0, phi.masses)
     for k in range(1, k_max + 1):
-        G = truncated_product(G, phi.masses)
+        G = truncated_product(G, step)
         partial[k - 1] = G[:k] @ weights[k_max - k:]
     sums, dots = partial.T
     total = sums.max()  # NaN if any sum is

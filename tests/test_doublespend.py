@@ -524,6 +524,30 @@ def test_one_pass_matches_the_per_depth_layers_at_depth_200(kind):
         assert abs(res.deficit_mass - deficit) <= 1e-14
 
 
+@pytest.mark.parametrize("beta_fraction", [0.2, 0.45])
+@pytest.mark.parametrize("kind", ["zero", "ingested"])
+def test_depth_pass_flush_leaves_every_q_bit_identical_at_depth_600(
+        kind, beta_fraction, monkeypatch):
+    # the pass reads Phi's masses below 1e-300 as 0; at k_max = 600 Phi
+    # has such masses, and against the pass that convolves them no q or
+    # deficit moves by one bit
+    model = (DelayModel("zero") if kind == "zero" else
+             DelayModel("variable", profile=_grid_deep_profile()))
+    phis = []
+    monkeypatch.setattr(doublespend, "phi_from_theta",
+                        lambda *args: phis.append(phi_from_theta(*args))
+                        or phis[-1])
+
+    def bits():
+        return [(r.q.hex(), r.deficit_mass.hex())
+                for r in analyze(model, beta_fraction, 600.0, 600, K=27)]
+
+    flushed = bits()
+    assert np.any((phis[0].masses > 0) & (phis[0].masses < 1e-300))
+    monkeypatch.setattr(doublespend, "_FLUSH_BELOW", 0.0)
+    assert bits() == flushed
+
+
 @pytest.mark.parametrize("scale, message", [
     (np.nan, r"p_Z out of \[0, 1\] or NaN"),
     (2.0, r"p_Z sums to .* > 1"),

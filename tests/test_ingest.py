@@ -210,11 +210,14 @@ def _binning(**fields):
      "bin counts and means differ in length"),
     (lambda: _binning(counts=[0.5, 9.7]), "whole numbers"),
     (lambda: _binning(counts=[1, np.inf]), "whole numbers"),
+    (lambda: _binning(bin_means=[1.0, 0.001]), "strictly increasing"),
+    (lambda: _binning(bin_means=[1.0, 1.0]), "strictly increasing"),
     (lambda: SynthSpec(atom_weight=-0.5, components=((1.5, 1.0, 1.0),)),
      "negative mixture weight"),
     (lambda: synth_delays(BITCOIN_LIKE, 0), "n must be >= 1"),
 ], ids=["negative-count", "length-mismatch", "fractional-count",
-        "infinite-count", "negative-weight", "no-delays"])
+        "infinite-count", "falling-means", "equal-means", "negative-weight",
+        "no-delays"])
 def test_binning_and_synthesis_refusals(call, message):
     with pytest.raises(ValueError, match=message):
         call()
